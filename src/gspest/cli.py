@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -203,7 +202,6 @@ def _add_common(p, seed=True):
     p.add_argument("--config", help="experiment config JSON")
     if seed:
         p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--threads", type=int, help="thread cap hint for BLAS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,8 +271,6 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None):
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         return _HANDLERS[args.cmd](args)
     except _NUMERICAL as exc:

@@ -20,6 +20,8 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DisconnectedGraphError,
@@ -263,17 +265,26 @@ def reduce_spectrum(sg: SpectralGraph, size: int | float) -> ReducedSpectrum:
     return ReducedSpectrum(sg, n_kept)
 
 
-def _lambda2(graph: WeightedGraph) -> float:
+def _stays_connected(graph: WeightedGraph, tol: float) -> bool:
+    """Whether the second Laplacian eigenvalue exceeds ``tol``. A graph whose
+    nonzero-weight edges do not connect it has a zero second eigenvalue, so
+    it is rejected before any eigendecomposition."""
     w = graph.adjacency()
-    lap = np.diag(w.sum(axis=1)) - w
-    vals = np.linalg.eigvalsh(lap)
-    return float(vals[1]) if graph.n_vertices > 1 else np.inf
+    # the sparse copy keeps only the nonzero weights
+    if connected_components(csr_array(w), directed=False, return_labels=False) > 1:
+        return False
+    lam = np.linalg.eigvalsh(np.diag(w.sum(axis=1)) - w)
+    return lam.size < 2 or float(lam[1]) > tol
 
 
-def _absent_pairs(graph: WeightedGraph) -> list[tuple[int, int]]:
-    present = {(i, j) for i, j, _ in graph.edges}
+def _absent_pairs(graph: WeightedGraph) -> np.ndarray:
+    """Flat indices ``i * n + j`` of the pairs ``i < j`` that are not in
+    ``graph.edges`` (an edge of weight 0 is present), in lexicographic order."""
     n = graph.n_vertices
-    return [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in present]
+    absent = np.triu(np.ones((n, n), dtype=bool), 1)
+    for i, j, _ in graph.edges:
+        absent[i, j] = False
+    return np.flatnonzero(absent)
 
 
 def perturb_edges(
@@ -285,11 +296,12 @@ def perturb_edges(
 ) -> WeightedGraph:
     """Add or remove ``count`` edges at random.
 
-    mode "add": pairs drawn uniformly from absent pairs, weights uniform over
-    the existing weight range. Adding edges can only raise the algebraic
-    connectivity. mode "remove": edges drawn uniformly; a removal that drops
-    the second eigenvalue below ``connectivity_tol`` is rejected and redrawn,
-    up to :data:`MAX_PERTURB_RETRIES` attempts per edge.
+    mode "add": one ``integers`` draw indexes the absent pairs ``i < j`` in
+    lexicographic ``(i, j)`` order (a seeded contract), then the weight is
+    uniform over the existing weight range. Adding edges can only raise the
+    algebraic connectivity. mode "remove": edges drawn uniformly; a removal
+    that drops the second eigenvalue below ``connectivity_tol`` is rejected
+    and redrawn, up to :data:`MAX_PERTURB_RETRIES` attempts per edge.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -298,10 +310,10 @@ def perturb_edges(
     for k in range(count):
         if mode == "add":
             absent = _absent_pairs(current)
-            if not absent:
+            if not absent.size:
                 raise PerturbationInfeasibleError("graph is complete, cannot add")
             lo, hi = current.weight_range()
-            i, j = absent[int(rng.integers(len(absent)))]
+            i, j = divmod(int(absent[rng.integers(absent.size)]), current.n_vertices)
             w = float(rng.uniform(lo, hi))
             current = WeightedGraph(
                 current.n_vertices, current.edges + ((i, j, w),)
@@ -312,7 +324,7 @@ def perturb_edges(
                 pick = int(rng.integers(current.n_edges))
                 kept = tuple(e for m, e in enumerate(current.edges) if m != pick)
                 cand = WeightedGraph(current.n_vertices, kept)
-                if _lambda2(cand) > connectivity_tol:
+                if _stays_connected(cand, connectivity_tol):
                     current = cand
                     placed = True
                     break
@@ -371,7 +383,7 @@ def perturb_vertices(
             if i not in drop and j not in drop
         )
         cand = WeightedGraph(len(keep), edges)
-        if _lambda2(cand) > connectivity_tol:
+        if _stays_connected(cand, connectivity_tol):
             return cand, remap
     raise PerturbationInfeasibleError(
         "no vertex subset keeps the graph connected within the retry budget"

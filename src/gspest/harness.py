@@ -32,6 +32,7 @@ from .estimators import (
 )
 from .graphs import SpectralGraph, build_laplacian, reduce_spectrum
 from .models import (
+    AcGridModel,
     MeasurementModel,
     ac_measurement_model,
     bundled_ieee118,
@@ -179,10 +180,13 @@ class MseReport:
                 fh.write(f"{r.estimator},{r.scenario},{r.param},{vals}\n")
 
 
+def _config_grid(config: ExperimentConfig) -> AcGridModel:
+    return bundled_ieee118() if config.grid == "ieee118" else load_grid(config.grid)
+
+
 def build_model(config: ExperimentConfig) -> MeasurementModel:
     """Grid model named by the config ("ieee118" or a branch CSV path)."""
-    grid = bundled_ieee118() if config.grid == "ieee118" else load_grid(config.grid)
-    return ac_measurement_model(grid, config.beta, config.sigma2)
+    return ac_measurement_model(_config_grid(config), config.beta, config.sigma2)
 
 
 def draw_test_set(
@@ -339,10 +343,8 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
     rebuilt. All are scored on the new topology's generating model with
     paired draws per repetition.
     """
-    base_model = build_model(config)
-    grid = (
-        bundled_ieee118() if config.grid == "ieee118" else load_grid(config.grid)
-    )
+    grid = _config_grid(config)
+    base_model = ac_measurement_model(grid, config.beta, config.sigma2)
     sg = base_model.sg
     p = config.training_size
     ts = generate(base_model, sg, p, derive(config.seed, "train", p))
@@ -377,7 +379,7 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
                     report.add(
                         MseRow(
                             label, "experiment-b", f"{config.perturb_mode}/rep{rep}",
-                            float(count), float("nan"), float("nan"), 0.0,
+                            float(count), float("nan"), float("nan"), float("nan"),
                             status="singular", rep=rep,
                         )
                     )

@@ -159,25 +159,15 @@ class AcGridModel:
     def graph(self) -> WeightedGraph:
         """Susceptance-weighted graph over the branches."""
         b = self.susceptance
-        n = self.n_buses
-        edges = tuple(
-            (i, j, float(b[i, j]))
-            for i in range(n)
-            for j in range(i + 1, n)
-            if b[i, j] != 0.0
-        )
-        return WeightedGraph(n, edges)
+        i, j = np.nonzero(np.triu(b != 0.0, 1))
+        return WeightedGraph(self.n_buses, tuple(zip(i, j, b[i, j])))
 
     def branch_values(self) -> tuple[tuple[int, int, float, float], ...]:
         """(i, j, conductance, susceptance) per branch, 0-based, i < j."""
         b, g = self.susceptance, self.conductance
-        n = self.n_buses
-        return tuple(
-            (i, j, float(g[i, j]), float(b[i, j]))
-            for i in range(n)
-            for j in range(i + 1, n)
-            if b[i, j] != 0.0 or g[i, j] != 0.0
-        )
+        # row-major over the upper triangle: sorted by (i, j)
+        i, j = np.nonzero(np.triu((b != 0.0) | (g != 0.0), 1))
+        return tuple(zip(i.tolist(), j.tolist(), g[i, j].tolist(), b[i, j].tolist()))
 
 
 def ac_power(model: AcGridModel, x: np.ndarray) -> np.ndarray:
@@ -338,33 +328,32 @@ def perturb_grid(
     grid and the old->new vertex map (identity except for vertex modes).
     """
     graph = grid.graph()
-    cond = {(i, j): g for i, j, g, _ in grid.branch_values()}
     if mode in ("add-edges", "remove-edges"):
         new_graph = perturb_edges(graph, count, mode.split("-")[0], seed)
         vmap = {i: i for i in range(graph.n_vertices)}
-        new_voltage = grid.voltage
     elif mode in ("add-vertices", "remove-vertices"):
         new_graph, vmap = perturb_vertices(
             graph, count, mode.split("-")[0], seed, k_attach=k_attach
         )
-        if mode == "add-vertices":
-            new_voltage = np.concatenate([grid.voltage, np.ones(count)])
-        else:
-            keep = sorted(vmap, key=vmap.get)
-            new_voltage = grid.voltage[keep]
     else:
         raise ValueError(f"unknown perturbation mode {mode!r}")
 
+    # old index of each new bus; a bus added by the perturbation has none
+    # (-1), so it gets unit voltage and its branches get no conductance
     n_new = new_graph.n_vertices
+    old = np.full(n_new, -1)
+    old[list(vmap.values())] = list(vmap.keys())
     gmat = np.zeros((n_new, n_new))
     bmat = np.zeros((n_new, n_new))
-    inverse = {new: old for old, new in vmap.items()}
-    for i, j, w in new_graph.edges:
-        oi, oj = inverse.get(i), inverse.get(j)
-        if oi is not None and oj is not None and (min(oi, oj), max(oi, oj)) in cond:
-            gmat[i, j] = gmat[j, i] = cond[(min(oi, oj), max(oi, oj))]
+    if new_graph.edges:
+        i, j, w = zip(*new_graph.edges)
+        i, j = np.array(i), np.array(j)
         bmat[i, j] = bmat[j, i] = w
-    return AcGridModel(gmat, bmat, new_voltage), vmap
+        kept = (old[i] >= 0) & (old[j] >= 0)
+        i, j = i[kept], j[kept]
+        gmat[i, j] = gmat[j, i] = grid.conductance[old[i], old[j]]
+    voltage = np.where(old >= 0, grid.voltage[old], 1.0)
+    return AcGridModel(gmat, bmat, voltage), vmap
 
 
 def audit_model_structure(

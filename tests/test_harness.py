@@ -238,6 +238,31 @@ def test_experiment_b_layout(tmp_path):
         assert math.isfinite(row.mse)
 
 
+def test_experiment_b_singular_rows_have_nan_wall(tmp_path):
+    # noiseless moments at P < N leave the sample covariance rank-deficient
+    config = small_config(
+        tmp_path, sigma2=0.0, training_size=6, perturb_counts=(1,),
+        estimators=("sample-lmmse", "almmse"),
+    )
+    by_label = {r.estimator: r for r in experiment_b(config).rows if r.rep == 0}
+    assert by_label["sample-lmmse"].status == "singular"
+    assert math.isnan(by_label["sample-lmmse"].wall_ms)
+    assert math.isfinite(by_label["almmse"].wall_ms)
+
+
+def test_experiment_b_reads_grid_once(tmp_path, monkeypatch):
+    from gspest import harness
+
+    calls = []
+    load_grid = harness.load_grid
+    monkeypatch.setattr(
+        harness, "load_grid", lambda path: calls.append(path) or load_grid(path)
+    )
+    config = small_config(tmp_path, perturb_counts=(1,), perturb_repetitions=1)
+    experiment_b(config)
+    assert calls == [config.grid]
+
+
 def test_experiment_b_zero_perturbation_matches_experiment_a(tmp_path):
     # training size in p_values, shared test stream at (count=0, rep=0):
     # the no-op perturbation must reproduce experiment a's rows exactly
