@@ -30,6 +30,7 @@ from .graphs import (
 )
 from .harness import (
     ExperimentConfig,
+    _config_grid,
     build_model,
     evaluate_mse,
     experiment_a,
@@ -37,8 +38,7 @@ from .harness import (
     fit_by_label,
     measure_runtime,
 )
-from .models import bundled_ieee118, load_grid
-from .moments import compute_moments, generate, read_training_csv
+from .moments import compute_moments, read_training_csv, stream_moments, write_training_csv
 from .rng import derive
 
 _NUMERICAL = (SingularMomentsError, UnstableFilterError, PerturbationInfeasibleError)
@@ -78,10 +78,7 @@ def _sg_from_args(args, config):
 def _cmd_graph(args) -> int:
     config = _load_config(args)
     if args.graph_cmd == "build":
-        grid = (
-            bundled_ieee118() if config.grid == "ieee118" else load_grid(config.grid)
-        )
-        graph = grid.graph()
+        graph = _config_grid(config).graph()
         sg = build_laplacian(graph)
         write_edge_list(graph, args.out)
         print(
@@ -91,9 +88,7 @@ def _cmd_graph(args) -> int:
         )
         return 0
     # perturb
-    graph = read_edge_list(args.graph) if args.graph else (
-        bundled_ieee118() if config.grid == "ieee118" else load_grid(config.grid)
-    ).graph()
+    graph = read_edge_list(args.graph) if args.graph else _config_grid(config).graph()
     seed = config.seed if args.seed is None else args.seed
     if args.mode in ("add-edges", "remove-edges"):
         new_graph = perturb_edges(
@@ -119,9 +114,8 @@ def _cmd_dataset(args) -> int:
     config = _load_config(args)
     model = build_model(config)
     count = args.count if args.count is not None else config.training_size
-    ts = generate(model, model.sg, count, derive(config.seed, "train", count))
     x_path, g_path = _dataset_paths(args.out)
-    ts.write_csv(x_path, g_path)
+    write_training_csv(model, count, derive(config.seed, "train", count), x_path, g_path)
     print(
         f"wrote {x_path} and {g_path}: {count} samples on "
         f"{model.sg.n_vertices} vertices"
@@ -144,10 +138,9 @@ def _moments_for(args, config, model):
     if args.dataset:
         x_path, g_path = _dataset_paths(args.dataset)
         ts = read_training_csv(model.sg, x_path, g_path, model.mean_x)
-    else:
-        count = config.training_size
-        ts = generate(model, model.sg, count, derive(config.seed, "train", count))
-    return compute_moments(ts, model.noise.covariance)
+        return compute_moments(ts, model.noise.covariance)
+    count = config.training_size
+    return stream_moments(model, count, derive(config.seed, "train", count))
 
 
 def _cmd_fit(args) -> int:

@@ -89,11 +89,6 @@ class FittedGspEstimator:
         return self.base.estimate(y)
 
 
-def estimate(est, y: np.ndarray) -> np.ndarray:
-    """Apply any estimator object with an ``estimate`` method."""
-    return est.estimate(y)
-
-
 def _spectral_estimator(
     m: SampleMoments, response: np.ndarray, label: str
 ) -> LinearEstimator:

@@ -1,19 +1,19 @@
 """Monte Carlo experiment protocols and reporting.
 
 Experiments share one seeded test set per scenario so estimator comparisons
-are paired (common random numbers). Estimator failures (singular moments)
-are recorded as report rows with NaN values, not raised.
+are paired (common random numbers). Estimator failures (singular moments,
+unstable filters) are recorded as report rows with NaN values, not raised.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, SingularMomentsError
+from .errors import ConfigError, SingularMomentsError, UnstableFilterError
 from .estimators import (
     almmse,
     arma_coefficients,
@@ -39,7 +39,7 @@ from .models import (
     load_grid,
     perturb_grid,
 )
-from .moments import SampleMoments, compute_moments, generate
+from .moments import SampleMoments, stream_moments
 from .rng import derive
 
 ESTIMATOR_LABELS = (
@@ -204,6 +204,38 @@ def squared_errors(est, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=-1)
 
 
+def _mse(est, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    err = squared_errors(est, x, y)
+    return float(err.mean()), float(err.std(ddof=1) / np.sqrt(len(err)))
+
+
+def _attempt(build):
+    """``(build(), "ok")``, or ``(None, status)`` on a numerical failure."""
+    try:
+        return build(), "ok"
+    except SingularMomentsError:
+        return None, "singular"
+    except UnstableFilterError:
+        return None, "unstable"
+
+
+def _failed_row(label, scenario, param, value, status, rep=None) -> MseRow:
+    nan = float("nan")
+    return MseRow(label, scenario, param, float(value), nan, nan, nan, status, rep)
+
+
+def _fit_and_score(build, x, y, label, scenario, param, value, rep=None) -> MseRow:
+    """Time ``build()`` and score its estimator on the draws ``(x, y)``; a
+    numerical failure gives a row with its status and ``nan`` values."""
+    t0 = time.perf_counter()
+    est, status = _attempt(build)
+    if est is None:
+        return _failed_row(label, scenario, param, value, status, rep)
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    mse, stderr = _mse(est, x, y)
+    return MseRow(label, scenario, param, float(value), mse, stderr, wall_ms, rep=rep)
+
+
 def evaluate_mse(
     est,
     model: MeasurementModel,
@@ -211,9 +243,7 @@ def evaluate_mse(
     seed: int,
 ) -> tuple[float, float]:
     """Empirical MSE and its standard error over seeded draws."""
-    x, y = draw_test_set(model, trials, seed)
-    err = squared_errors(est, x, y)
-    return float(err.mean()), float(err.std(ddof=1) / np.sqrt(trials))
+    return _mse(est, *draw_test_set(model, trials, seed))
 
 
 def _reduced(config: ExperimentConfig, sg: SpectralGraph):
@@ -275,60 +305,21 @@ def experiment_a(config: ExperimentConfig) -> MseReport:
     sg = model.sg
     x_test, y_test = draw_test_set(model, config.trials, derive(config.seed, "test", 0, 0))
     report = MseReport()
-
-    def eval_row(est, label, param, value, wall_ms):
-        err = squared_errors(est, x_test, y_test)
-        report.add(
-            MseRow(
-                label,
-                "experiment-a",
-                param,
-                float(value),
-                float(err.mean()),
-                float(err.std(ddof=1) / np.sqrt(config.trials)),
-                wall_ms,
-            )
-        )
-
     for p in config.p_values:
-        ts = generate(model, sg, p, derive(config.seed, "train", p))
-        m = compute_moments(ts, model.noise.covariance)
+        m = stream_moments(model, p, derive(config.seed, "train", p))
         for label in config.estimators:
-            t0 = time.perf_counter()
-            try:
-                est = fit_by_label(label, m, sg, config)
-            except SingularMomentsError:
-                report.add(
-                    MseRow(
-                        label, "experiment-a", "P", float(p),
-                        float("nan"), float("nan"),
-                        (time.perf_counter() - t0) * 1e3, status="singular",
-                    )
-                )
-                continue
-            eval_row(est, label, "P", p, (time.perf_counter() - t0) * 1e3)
+            report.add(_fit_and_score(
+                lambda: fit_by_label(label, m, sg, config), x_test, y_test,
+                label, "experiment-a", "P", p,
+            ))
 
-    ts = generate(model, sg, config.p_infinity, derive(config.seed, "train", config.p_infinity))
-    m = compute_moments(ts, model.noise.covariance)
-    t0 = time.perf_counter()
-    try:
-        est = sample_lmmse(m)
-        eval_row(
-            est, "sample-lmmse", "P-infinity", config.p_infinity,
-            (time.perf_counter() - t0) * 1e3,
-        )
-    except SingularMomentsError:
-        report.add(
-            MseRow(
-                "sample-lmmse", "experiment-a", "P-infinity", float(config.p_infinity),
-                float("nan"), float("nan"), (time.perf_counter() - t0) * 1e3,
-                status="singular",
-            )
-        )
+    p = config.p_infinity
+    m = stream_moments(model, p, derive(config.seed, "train", p))
+    report.add(_fit_and_score(
+        lambda: sample_lmmse(m), x_test, y_test,
+        "sample-lmmse", "experiment-a", "P-infinity", p,
+    ))
     return report
-
-
-_UPDATED_LABELS = ("gsp-lmmse", "lpi-gsp", "arma-gsp", "lr-arma-gsp")
 
 
 def experiment_b(config: ExperimentConfig) -> MseReport:
@@ -347,17 +338,25 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
     base_model = ac_measurement_model(grid, config.beta, config.sigma2)
     sg = base_model.sg
     p = config.training_size
-    ts = generate(base_model, sg, p, derive(config.seed, "train", p))
-    m = compute_moments(ts, base_model.noise.covariance)
-
-    fitted = {}
-    for label in config.estimators:
-        try:
-            fitted[label] = fit_by_label(label, m, sg, config)
-        except SingularMomentsError:
-            fitted[label] = None
+    m = stream_moments(base_model, p, derive(config.seed, "train", p))
+    fitted = {
+        label: _attempt(lambda: fit_by_label(label, m, sg, config))
+        for label in config.estimators
+    }
 
     vertex_mode = config.perturb_mode.endswith("vertices")
+
+    def retune(label, fit, new_sg, vmap):
+        if label in ("lpi-gsp", "arma-gsp", "lr-arma-gsp"):
+            return update_for_topology(fit, new_sg, vmap if vertex_mode else None)
+        if label == "gsp-lmmse" and not vertex_mode:
+            v = new_sg.eigenvectors
+            gain = (v * gsp_response(m)) @ v.T
+            return LinearEstimator(fit.label, fit.x_mean, gain, fit.y_center)
+        if label == "almmse":
+            return almmse(new_sg, config.beta, config.sigma2)
+        return remap_estimator(fit, vmap, new_sg.n_vertices) if vertex_mode else fit
+
     report = MseReport()
     for count in config.perturb_counts:
         for rep in range(config.perturb_repetitions):
@@ -368,49 +367,19 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
             new_model = ac_measurement_model(
                 new_grid, config.beta, config.sigma2, sg=new_sg
             )
-            n_new = new_sg.n_vertices
             x_test, y_test = draw_test_set(
                 new_model, config.trials, derive(config.seed, "test", count, rep)
             )
+            param = f"{config.perturb_mode}/rep{rep}"
             for label in config.estimators:
-                fit = fitted[label]
-                t0 = time.perf_counter()
+                fit, status = fitted[label]
                 if fit is None:
-                    report.add(
-                        MseRow(
-                            label, "experiment-b", f"{config.perturb_mode}/rep{rep}",
-                            float(count), float("nan"), float("nan"), float("nan"),
-                            status="singular", rep=rep,
-                        )
-                    )
+                    report.add(_failed_row(label, "experiment-b", param, count, status, rep))
                     continue
-                if label in ("lpi-gsp", "arma-gsp", "lr-arma-gsp"):
-                    est = update_for_topology(fit, new_sg, vmap if vertex_mode else None)
-                elif label == "gsp-lmmse":
-                    if vertex_mode:
-                        est = remap_estimator(fit, vmap, n_new)
-                    else:
-                        v = new_sg.eigenvectors
-                        est = LinearEstimator(
-                            fit.label,
-                            fit.x_mean,
-                            (v * gsp_response(m)) @ v.T,
-                            fit.y_center,
-                        )
-                elif label == "almmse":
-                    est = almmse(new_sg, config.beta, config.sigma2)
-                else:
-                    est = remap_estimator(fit, vmap, n_new) if vertex_mode else fit
-                wall = (time.perf_counter() - t0) * 1e3
-                err = squared_errors(est, x_test, y_test)
-                report.add(
-                    MseRow(
-                        label, "experiment-b", f"{config.perturb_mode}/rep{rep}",
-                        float(count), float(err.mean()),
-                        float(err.std(ddof=1) / np.sqrt(config.trials)),
-                        wall, rep=rep,
-                    )
-                )
+                report.add(_fit_and_score(
+                    lambda: retune(label, fit, new_sg, vmap), x_test, y_test,
+                    label, "experiment-b", param, count, rep,
+                ))
     return report
 
 
@@ -421,27 +390,20 @@ def measure_runtime(config: ExperimentConfig) -> MseReport:
     model = build_model(config)
     sg = model.sg
     p = config.training_size
-    ts = generate(model, sg, p, derive(config.seed, "train", p))
-    m = compute_moments(ts, model.noise.covariance)
+    m = stream_moments(model, p, derive(config.seed, "train", p))
     report = MseReport()
     for label in config.estimators:
         times = []
-        failed = False
         for _ in range(config.runtime_repeats):
             t0 = time.perf_counter()
-            try:
-                _coefficient_stage(label, m, sg, config)
-            except SingularMomentsError:
-                failed = True
+            _, status = _attempt(lambda: _coefficient_stage(label, m, sg, config))
+            if status != "ok":
                 break
             times.append((time.perf_counter() - t0) * 1e3)
-        if failed:
-            report.add(
-                MseRow(
-                    label, "runtime", "median-fit", float(config.runtime_repeats),
-                    float("nan"), float("nan"), float("nan"), status="singular",
-                )
-            )
+        if status != "ok":
+            report.add(_failed_row(
+                label, "runtime", "median-fit", config.runtime_repeats, status
+            ))
             continue
         median_ms = float(np.median(times))
         est = fit_by_label(label, m, sg, config)

@@ -76,10 +76,14 @@ def sample_prior(prior: SmoothPrior, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` signals (rows) from the prior."""
     if count < 1:
         raise ValueError("count must be positive")
-    rng = generator(seed, "prior")
+    return _draw_prior(prior, generator(seed, "prior"), count)
+
+
+def _draw_prior(prior: SmoothPrior, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` prior draws from ``rng``; successive calls on one generator
+    use the same normals as one larger call."""
     z = rng.standard_normal((count, prior.sg.n_vertices))
-    coeffs = z * np.sqrt(prior.frequency_variances)
-    return coeffs @ prior.sg.eigenvectors.T
+    return (z * np.sqrt(prior.frequency_variances)) @ prior.sg.eigenvectors.T
 
 
 @dataclass(frozen=True)

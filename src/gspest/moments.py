@@ -6,6 +6,10 @@ to the second moments (its covariance is known). Moments are accumulated in
 one blockwise pass, centered on the first sample to limit cancellation; the
 result must match the naive two-pass formulas to high precision.
 
+:func:`stream_moments` is the same pass fed one freshly drawn block at a
+time: O(block * N) memory instead of O(count * N), and moments bitwise equal
+to ``compute_moments(generate(...))``.
+
 The frequency-domain diagonals are accumulated elementwise (Hadamard
 products of centered GFT coefficients), not extracted from the full
 covariances; agreement of the two routes is an identity that the tests
@@ -15,15 +19,19 @@ check, not something this module assumes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import SingularMomentsError
 from .graphs import SpectralGraph
-from .models import MeasurementModel, NoiseModel
+from .models import MeasurementModel, NoiseModel, _draw_prior
+from .rng import generator
 
+# Rows per accumulation block; moving the boundaries changes the rounding.
 _BLOCK = 65536
+# Most rows per prior draw and forward map; both act row by row.
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -59,8 +67,14 @@ class TrainingSet:
 
     def write_csv(self, x_path, g_path) -> None:
         """Write the pair as plain numeric CSVs (%.17g, count rows)."""
-        np.savetxt(x_path, self.x, fmt="%.17g", delimiter=",")
-        np.savetxt(g_path, self.g, fmt="%.17g", delimiter=",")
+        _write_csv_pair(x_path, g_path, [(self.x, self.g)])
+
+
+def _write_csv_pair(x_path, g_path, blocks) -> None:
+    with open(x_path, "w") as fx, open(g_path, "w") as fg:
+        for x, g in blocks:
+            np.savetxt(fx, x, fmt="%.17g", delimiter=",")
+            np.savetxt(fg, g, fmt="%.17g", delimiter=",")
 
 
 def read_training_csv(
@@ -84,6 +98,43 @@ def generate(
     x = model.sample_x(count, seed)
     g = model.forward(x)
     return TrainingSet(sg, x, np.asarray(g, dtype=float), model.mean_x, seed=seed)
+
+
+def _training_blocks(model: MeasurementModel, count: int, seed: int):
+    """``generate(model, model.sg, count, seed)`` as ``(x, g)`` blocks of
+    ``_BLOCK`` rows, bit for bit. Each block overwrites the previous one."""
+    if count < 2:
+        raise ValueError("need at least two samples")
+    rng = generator(seed, "prior")
+    bufs = np.empty((2, min(count, _BLOCK), model.sg.n_vertices))
+    # Near-equal chunks, none short: BLAS multiplies a few rows on another
+    # path (gemv for one row), which rounds differently from the product of
+    # the whole set.
+    pieces = -(-count // _CHUNK)
+    sizes = [count // pieces + (i < count % pieces) for i in range(pieces)]
+
+    def blocks(chunks):
+        x_c = g_c = bufs[0, :0]  # drawn rows not yet copied into a block
+        for start in range(0, count, _BLOCK):
+            x, g = bufs[:, : min(_BLOCK, count - start)]
+            filled = 0
+            while filled < len(x):
+                if not len(x_c):
+                    x_c, g_c = next(chunks)
+                take = min(len(x_c), len(x) - filled)
+                x[filled : filled + take] = x_c[:take]
+                g[filled : filled + take] = g_c[:take]
+                x_c, g_c, filled = x_c[take:], g_c[take:], filled + take
+            yield x, g
+
+    xs = (_draw_prior(model.prior, rng, rows) for rows in sizes)
+    return blocks((x, model.forward(x)) for x in xs)
+
+
+def write_training_csv(model: MeasurementModel, count: int, seed: int, x_path, g_path) -> None:
+    """Write ``generate(model, model.sg, count, seed)`` one block at a time;
+    the files are byte-identical to :meth:`TrainingSet.write_csv`."""
+    _write_csv_pair(x_path, g_path, _training_blocks(model, count, seed))
 
 
 @dataclass(frozen=True)
@@ -134,32 +185,15 @@ class SampleMoments:
         )
 
     def to_json(self) -> str:
-        doc = {
-            "count": int(self.count),
-            "x_mean": self.x_mean.tolist(),
-            "y_mean": self.y_mean.tolist(),
-            "cross_cov": self.cross_cov.tolist(),
-            "y_cov": self.y_cov.tolist(),
-            "freq_cross_diag": self.freq_cross_diag.tolist(),
-            "freq_var_diag": self.freq_var_diag.tolist(),
-            "noise_cov": self.noise_cov.tolist(),
-        }
-        return json.dumps(doc)
+        # every field after sg and count is an array
+        arrays = {f.name: getattr(self, f.name).tolist() for f in fields(self)[2:]}
+        return json.dumps({"count": int(self.count), **arrays})
 
     @classmethod
     def from_json(cls, text: str, sg: SpectralGraph) -> "SampleMoments":
         doc = json.loads(text)
-        return cls(
-            sg,
-            int(doc["count"]),
-            np.asarray(doc["x_mean"], float),
-            np.asarray(doc["y_mean"], float),
-            np.asarray(doc["cross_cov"], float),
-            np.asarray(doc["y_cov"], float),
-            np.asarray(doc["freq_cross_diag"], float),
-            np.asarray(doc["freq_var_diag"], float),
-            np.asarray(doc["noise_cov"], float),
-        )
+        arrays = {f.name: np.asarray(doc[f.name], float) for f in fields(cls)[2:]}
+        return cls(sg, int(doc["count"]), **arrays)
 
 
 def compute_moments(ts: TrainingSet, noise_cov) -> SampleMoments:
@@ -170,35 +204,54 @@ def compute_moments(ts: TrainingSet, noise_cov) -> SampleMoments:
     means; the known prior mean never enters them and survives only as the
     estimator base point.
     """
+    blocks = (
+        (ts.x[start : start + _BLOCK].copy(), ts.g[start : start + _BLOCK].copy())
+        for start in range(0, ts.count, _BLOCK)
+    )
+    return _accumulate(ts.sg, ts.x_mean, noise_cov, blocks)
+
+
+def stream_moments(model: MeasurementModel, count: int, seed: int) -> SampleMoments:
+    """``compute_moments(generate(model, model.sg, count, seed), model.noise)``,
+    bitwise, without ever holding the training set: each block is drawn,
+    pushed through the forward map and accumulated before the next."""
+    blocks = _training_blocks(model, count, seed)
+    return _accumulate(model.sg, model.mean_x, model.noise, blocks)
+
+
+def _accumulate(sg, x_mean, noise_cov, blocks) -> SampleMoments:
+    """One moment pass over ``(x, g)`` row blocks, centered on the first row.
+    The blocks are scratch: they are centered in place."""
     if isinstance(noise_cov, NoiseModel):
         noise_cov = noise_cov.covariance
     noise_cov = np.asarray(noise_cov, dtype=float)
-    n = ts.sg.n_vertices
+    n = sg.n_vertices
     if noise_cov.shape != (n, n):
         raise ValueError("noise covariance has wrong shape")
 
-    v = ts.sg.eigenvectors
-    p = ts.count
-    x_ref = ts.x[0]
-    g_ref = ts.g[0]
-
+    v = sg.eigenvectors
+    p = 0
     sum_dx = np.zeros(n)
     sum_dg = np.zeros(n)
     ss_xg = np.zeros((n, n))
     ss_gg = np.zeros((n, n))
     ss_xtgt = np.zeros(n)
     ss_gt2 = np.zeros(n)
-    for start in range(0, p, _BLOCK):
-        dx = ts.x[start : start + _BLOCK] - x_ref
-        dg = ts.g[start : start + _BLOCK] - g_ref
+    for x, g in blocks:
+        if p == 0:
+            x_ref, g_ref = x[0].copy(), g[0].copy()
+        dx = np.subtract(x, x_ref, out=x)
+        dg = np.subtract(g, g_ref, out=g)
+        p += len(dx)
         sum_dx += dx.sum(axis=0)
         sum_dg += dg.sum(axis=0)
         ss_xg += dx.T @ dg
         ss_gg += dg.T @ dg
         dxt = dx @ v
         dgt = dg @ v
-        ss_xtgt += np.sum(dxt * dgt, axis=0)
-        ss_gt2 += np.sum(dgt * dgt, axis=0)
+        ss_xtgt += np.sum(np.multiply(dxt, dgt, out=dxt), axis=0)
+        ss_gt2 += np.sum(np.multiply(dgt, dgt, out=dgt), axis=0)
+        del dxt, dgt  # free them before the next block is drawn
 
     mean_dx = sum_dx / p
     mean_dg = sum_dg / p
@@ -212,15 +265,8 @@ def compute_moments(ts: TrainingSet, noise_cov) -> SampleMoments:
     freq_var = ss_gt2 / p - mean_dgt * mean_dgt + freq_noise
 
     return SampleMoments(
-        ts.sg,
-        p,
-        ts.x_mean.copy(),
-        y_mean,
-        cross_cov,
-        y_cov,
-        freq_cross,
-        freq_var,
-        noise_cov,
+        sg, p, np.array(x_mean, dtype=float), y_mean, cross_cov, y_cov,
+        freq_cross, freq_var, noise_cov,
     )
 
 

@@ -127,6 +127,31 @@ def test_dataset_fit_eval_flow(tmp_path, config_path, capsys):
     assert "lpi-gsp" in out and "mse" in out
 
 
+def test_dataset_generate_streams_the_same_bytes(tmp_path, config_path, monkeypatch):
+    # 200 rows span four 64-row blocks, each filled from 24-row draws; the
+    # reference is the materialised set written in one np.savetxt call
+    import gspest.moments as mod
+    from gspest.harness import ExperimentConfig, build_model
+    from gspest.moments import generate
+    from gspest.rng import derive
+
+    monkeypatch.setattr(mod, "_BLOCK", 64)
+    monkeypatch.setattr(mod, "_CHUNK", 24)
+    prefix = tmp_path / "streamed"
+    code = main(
+        ["dataset", "generate", "--count", "200", "--out", str(prefix),
+         "--config", config_path]
+    )
+    assert code == 0
+    config = ExperimentConfig.from_file(config_path)
+    model = build_model(config)
+    ts = generate(model, model.sg, 200, derive(config.seed, "train", 200))
+    for part, rows in (("x", ts.x), ("g", ts.g)):
+        want = tmp_path / f"want-{part}.csv"
+        np.savetxt(want, rows, fmt="%.17g", delimiter=",")
+        assert (tmp_path / f"streamed-{part}.csv").read_bytes() == want.read_bytes()
+
+
 def test_fit_from_seeded_draws(tmp_path, config_path):
     est_path = tmp_path / "gsp.json"
     code = main(

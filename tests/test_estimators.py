@@ -12,7 +12,6 @@ from gspest.estimators import (
     _profiled_numerator,
     almmse,
     arma_coefficients,
-    estimate,
     estimator_from_json,
     estimator_to_json,
     fit_arma,
@@ -81,7 +80,7 @@ def test_estimators_pass_through_base_point():
         fit_arma(m, sg, num_order=2, den_order=1),
         fit_lr_arma(m, rs, num_order=1, den_order=1),
     ):
-        out = estimate(est, m.y_mean)
+        out = est.estimate(m.y_mean)
         assert np.max(np.abs(out - m.x_mean)) < 1e-10, est.label
 
 

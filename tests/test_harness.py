@@ -250,6 +250,42 @@ def test_experiment_b_singular_rows_have_nan_wall(tmp_path):
     assert math.isfinite(by_label["almmse"].wall_ms)
 
 
+def test_unstable_filters_are_recorded_per_row(tmp_path, monkeypatch):
+    # an arma fit and every retune end on a vanishing denominator
+    from gspest import harness
+    from gspest.errors import UnstableFilterError
+
+    def unstable(*args, **kwargs):
+        raise UnstableFilterError("rational denominator vanishes on the spectrum")
+
+    def failing_arma(fit):
+        return lambda label, *args: (
+            unstable() if label == "arma-gsp" else fit(label, *args)
+        )
+
+    monkeypatch.setattr(harness, "fit_by_label", failing_arma(harness.fit_by_label))
+    monkeypatch.setattr(
+        harness, "_coefficient_stage", failing_arma(harness._coefficient_stage)
+    )
+    monkeypatch.setattr(harness, "update_for_topology", unstable)
+    config = small_config(tmp_path, perturb_counts=(1,), perturb_repetitions=1)
+    rows = (
+        experiment_a(config).rows
+        + experiment_b(config).rows
+        + measure_runtime(config).rows
+    )
+    retuned = ("lpi-gsp", "arma-gsp", "lr-arma-gsp")
+    for r in rows:
+        if r.estimator == "arma-gsp" or (
+            r.scenario == "experiment-b" and r.estimator in retuned
+        ):
+            assert r.status == "unstable", (r.scenario, r.estimator)
+            assert all(math.isnan(v) for v in (r.mse, r.stderr, r.wall_ms))
+        else:
+            assert r.status == "ok", (r.scenario, r.estimator)
+            assert math.isfinite(r.mse) and math.isfinite(r.wall_ms)
+
+
 def test_experiment_b_reads_grid_once(tmp_path, monkeypatch):
     from gspest import harness
 

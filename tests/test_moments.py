@@ -4,7 +4,12 @@ import pytest
 from gspest.errors import SingularMomentsError
 from gspest.filters import FilterSpec, filter_matrix
 from gspest.graphs import build_laplacian, gft
-from gspest.models import NoiseModel, SmoothPrior, linear_filter_model
+from gspest.models import (
+    NoiseModel,
+    SmoothPrior,
+    ac_measurement_model,
+    linear_filter_model,
+)
 from gspest.moments import (
     SampleMoments,
     TrainingSet,
@@ -12,9 +17,16 @@ from gspest.moments import (
     generate,
     read_training_csv,
     require_positive_freq_var,
+    stream_moments,
 )
 from gspest.rng import generator
 from tests.test_graphs import random_connected_graph
+from tests.test_models import random_grid
+
+MOMENT_ARRAYS = (
+    "x_mean", "y_mean", "cross_cov", "y_cov", "freq_cross_diag", "freq_var_diag",
+    "noise_cov",
+)
 
 
 def small_model(seed, n=8, sigma2=0.05):
@@ -288,3 +300,82 @@ def test_large_offset_cancellation():
     scale = np.abs(m0.cross_cov).max()
     assert np.max(np.abs(m1.cross_cov - m0.cross_cov)) < 1e-7 * scale
     assert np.max(np.abs(m1.y_mean - (m0.y_mean + 1e8))) < 1.0
+
+
+# ------------------------------------------------------------------ streaming
+
+
+def materialised_moments(model, count, seed):
+    return compute_moments(
+        generate(model, model.sg, count, seed), model.noise.covariance
+    )
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(params=[24, 8192], ids=["chunked-blocks", "whole-blocks"])
+def small_blocks(request, monkeypatch):
+    # 64-row accumulation blocks, filled from draws of at most 24 rows that
+    # straddle them, or from one draw of the whole set
+    import gspest.moments as mod
+
+    monkeypatch.setattr(mod, "_BLOCK", 64)
+    monkeypatch.setattr(mod, "_CHUNK", request.param)
+
+
+@pytest.mark.parametrize("kind", ["ac-power", "linear-filter"])
+def test_stream_moments_bitwise_equal_materialised(small_blocks, kind):
+    if kind == "ac-power":
+        model = ac_measurement_model(random_grid(generator(20, "stream"), 9))
+    else:
+        model, _ = small_model(20)
+    # 73 = 3 * 24 + 1 would leave a one-row draw if chunks were cut naively
+    for count in (2, 63, 64, 65, 73, 200, 1000):
+        want = materialised_moments(model, count, seed=count)
+        got = stream_moments(model, count, seed=count)
+        assert got.count == want.count == count
+        for name in MOMENT_ARRAYS:
+            assert same_bits(getattr(got, name), getattr(want, name)), (count, name)
+
+
+def test_stream_moments_validates_count():
+    model, _ = small_model(21)
+    with pytest.raises(ValueError):
+        stream_moments(model, 1, seed=0)
+
+
+def test_stream_moments_memory_is_per_block():
+    # the materialised x and g pair alone would take 2 * count * N * 8 bytes
+    import tracemalloc
+
+    import gspest.moments as mod
+
+    model, sg = small_model(22)
+    count = 16 * mod._BLOCK
+    tracemalloc.start()
+    try:
+        m = stream_moments(model, count, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.count == count
+    assert peak < 2 * count * sg.n_vertices * 8 / 4
+
+
+def test_experiment_a_streamed_matches_materialised(small_blocks, tmp_path, monkeypatch):
+    # p_infinity = 200 spans four 64-row blocks
+    from gspest import harness
+    from tests.test_harness import small_config
+
+    config = small_config(tmp_path)
+    streamed, materialised = tmp_path / "streamed.csv", tmp_path / "materialised.csv"
+    harness.experiment_a(config).write_csv(streamed)
+    monkeypatch.setattr(harness, "stream_moments", materialised_moments)
+    harness.experiment_a(config).write_csv(materialised)
+
+    def without_wall_ms(path):
+        return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+    assert without_wall_ms(streamed) == without_wall_ms(materialised)
