@@ -29,6 +29,8 @@ from .graphs import (
     write_edge_list,
 )
 from .harness import (
+    FAMILIES,
+    PERTURB_MODES,
     ExperimentConfig,
     _config_grid,
     build_model,
@@ -67,12 +69,6 @@ def _config_dict(config: ExperimentConfig) -> dict:
 
     doc = dataclasses.asdict(config)
     return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
-
-
-def _sg_from_args(args, config):
-    if getattr(args, "graph", None):
-        return build_laplacian(read_edge_list(args.graph))
-    return build_model(config).sg
 
 
 def _cmd_graph(args) -> int:
@@ -123,15 +119,7 @@ def _cmd_dataset(args) -> int:
     return 0
 
 
-_FIT_NAMES = {
-    "lpi": "lpi-gsp",
-    "arma": "arma-gsp",
-    "lrarma": "lr-arma-gsp",
-    "gsp": "gsp-lmmse",
-    "lmmse": "sample-lmmse",
-    "dlmmse": "sample-dlmmse",
-    "almmse": "almmse",
-}
+_FIT_NAMES = {f.cli_name: f.label for f in FAMILIES}
 
 
 def _moments_for(args, config, model):
@@ -191,6 +179,16 @@ def _cmd_runtime(args) -> int:
     return 0
 
 
+def _count_at_least(minimum):
+    def count(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+
+    return count
+
+
 def _add_common(p, seed=True):
     p.add_argument("--config", help="experiment config JSON")
     if seed:
@@ -211,16 +209,18 @@ def build_parser() -> argparse.ArgumentParser:
     g_pert.add_argument(
         "--mode",
         required=True,
-        choices=["add-edges", "remove-edges", "add-vertices", "remove-vertices"],
+        choices=PERTURB_MODES,
     )
-    g_pert.add_argument("--count", type=int, required=True)
+    g_pert.add_argument("--count", type=_count_at_least(0), required=True)
     g_pert.add_argument("--out", required=True)
     _add_common(g_pert)
 
     p_data = sub.add_parser("dataset", help="generate training data")
     dsub = p_data.add_subparsers(dest="dataset_cmd", required=True)
     d_gen = dsub.add_parser("generate", help="write a seeded training CSV pair")
-    d_gen.add_argument("--count", type=int, help="sample count (default: config)")
+    d_gen.add_argument(
+        "--count", type=_count_at_least(2), help="sample count (default: config)"
+    )
     d_gen.add_argument("--out", required=True, help="path prefix (-x.csv, -g.csv)")
     _add_common(d_gen)
 

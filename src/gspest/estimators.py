@@ -16,6 +16,13 @@ profile out the numerator (closed form given the denominator) and search the
 denominator coefficients with Nelder-Mead. Denominators that vanish on the
 spectrum are rejected inside the search by giving them an infinite
 objective.
+
+The rational search settings are fixed: both coefficient vectors are
+penalized by ``mu`` times their squared norm (identity regularizers), the
+denominator tail starts at zero (the polynomial filter) with an initial
+simplex of side 0.1, and Nelder-Mead stops after 2000 iterations or 8000
+objective evaluations, or once the simplex spans less than 1e-10 in
+objective value and 1e-8 in coefficients.
 """
 
 from __future__ import annotations
@@ -36,11 +43,15 @@ from .filters import (
     vandermonde,
     lpi_basis,
 )
-from .graphs import ReducedSpectrum, SpectralGraph
+from .graphs import ReducedSpectrum, SpectralGraph, _filter_operator
 from .moments import SampleMoments, require_positive_freq_var
 
 # Condition-number ceiling for direct solves of moment systems.
 COND_LIMIT = 1e12
+# Nelder-Mead settings of the rational fits (see the module docstring).
+_MAX_ITER = 2000
+_F_TOL = 1e-10
+_SIMPLEX_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -92,8 +103,7 @@ class FittedGspEstimator:
 def _spectral_estimator(
     m: SampleMoments, response: np.ndarray, label: str
 ) -> LinearEstimator:
-    v = m.sg.eigenvectors
-    gain = (v * response) @ v.T
+    gain = _filter_operator(m.sg.eigenvectors, response)
     return LinearEstimator(label, m.x_mean, gain, m.y_mean)
 
 
@@ -243,20 +253,12 @@ def _fit_rational(
     num_order: int,
     den_order: int,
     mu: float,
-    num_reg: np.ndarray | None,
-    den_reg: np.ndarray | None,
-    init: np.ndarray | None,
-    max_iter: int,
-    f_tol: float,
-    simplex_step: float,
 ):
     lam = np.asarray(eigenvalues, dtype=float)
     lam_max = float(np.max(lam))
     phi_num = vandermonde(lam, num_order)
     phi_den = vandermonde(lam, den_order)
-    num_reg = np.eye(num_order + 1) if num_reg is None else np.asarray(num_reg, float)
-    if num_reg.shape != (num_order + 1, num_order + 1):
-        raise ValueError("numerator regularizer has wrong shape")
+    num_reg = np.eye(num_order + 1)
 
     if den_order == 0:
         value, coeffs = _profiled_numerator(
@@ -266,12 +268,7 @@ def _fit_rational(
             raise SingularMomentsError("numerator fit is singular")
         return coeffs, np.ones(1), True
 
-    den_reg = np.eye(den_order) if den_reg is None else np.asarray(den_reg, float)
-    if den_reg.shape != (den_order, den_order):
-        raise ValueError("denominator regularizer has wrong shape")
-    x0 = np.zeros(den_order) if init is None else np.asarray(init, dtype=float)
-    if x0.shape != (den_order,):
-        raise ValueError("init has wrong shape")
+    x0 = np.zeros(den_order)
 
     def objective(a_tail: np.ndarray) -> float:
         value, _ = _profiled_numerator(
@@ -279,17 +276,17 @@ def _fit_rational(
         )
         if not np.isfinite(value):
             return np.inf
-        return value + mu * float(a_tail @ den_reg @ a_tail)
+        return value + mu * float(a_tail @ a_tail)
 
-    simplex = np.vstack([x0, x0 + simplex_step * np.eye(den_order)])
+    simplex = np.vstack([x0, x0 + _SIMPLEX_STEP * np.eye(den_order)])
     result = minimize(
         objective,
         x0,
         method="Nelder-Mead",
         options={
-            "maxiter": max_iter,
-            "maxfev": 4 * max_iter,
-            "fatol": f_tol,
+            "maxiter": _MAX_ITER,
+            "maxfev": 4 * _MAX_ITER,
+            "fatol": _F_TOL,
             "xatol": 1e-8,
             "initial_simplex": simplex,
         },
@@ -309,12 +306,6 @@ def arma_coefficients(
     num_order: int = 3,
     den_order: int = 3,
     mu: float = 1e-3,
-    num_reg: np.ndarray | None = None,
-    den_reg: np.ndarray | None = None,
-    init: np.ndarray | None = None,
-    max_iter: int = 2000,
-    f_tol: float = 1e-10,
-    simplex_step: float = 0.1,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Rational response coefficients fitted to the per-frequency optimal
     gain: (numerator, denominator, converged).
@@ -326,18 +317,7 @@ def arma_coefficients(
     """
     require_positive_freq_var(m)
     return _fit_rational(
-        sg.eigenvalues,
-        m.freq_cross_diag,
-        m.freq_var_diag,
-        num_order,
-        den_order,
-        mu,
-        num_reg,
-        den_reg,
-        init,
-        max_iter,
-        f_tol,
-        simplex_step,
+        sg.eigenvalues, m.freq_cross_diag, m.freq_var_diag, num_order, den_order, mu
     )
 
 
@@ -347,20 +327,11 @@ def fit_arma(
     num_order: int = 3,
     den_order: int = 3,
     mu: float = 1e-3,
-    num_reg: np.ndarray | None = None,
-    den_reg: np.ndarray | None = None,
-    init: np.ndarray | None = None,
-    max_iter: int = 2000,
-    f_tol: float = 1e-10,
-    simplex_step: float = 0.1,
     label: str = "arma-gsp",
 ) -> FittedGspEstimator:
     """Spectral estimator with :func:`arma_coefficients` (kind ``linear``
     when ``den_order=0``)."""
-    numer, denom, converged = arma_coefficients(
-        m, sg, num_order, den_order, mu, num_reg, den_reg, init,
-        max_iter, f_tol, simplex_step,
-    )
+    numer, denom, converged = arma_coefficients(m, sg, num_order, den_order, mu)
     if den_order == 0:
         spec = FilterSpec.linear(numer)
     else:
@@ -377,12 +348,6 @@ def lr_arma_coefficients(
     num_order: int = 2,
     den_order: int = 2,
     mu: float = 1e-3,
-    num_reg: np.ndarray | None = None,
-    den_reg: np.ndarray | None = None,
-    init: np.ndarray | None = None,
-    max_iter: int = 2000,
-    f_tol: float = 1e-10,
-    simplex_step: float = 0.1,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Rational coefficients fitted over the kept low frequencies only."""
     require_positive_freq_var(m)
@@ -394,12 +359,6 @@ def lr_arma_coefficients(
         num_order,
         den_order,
         mu,
-        num_reg,
-        den_reg,
-        init,
-        max_iter,
-        f_tol,
-        simplex_step,
     )
 
 
@@ -409,20 +368,11 @@ def fit_lr_arma(
     num_order: int = 2,
     den_order: int = 2,
     mu: float = 1e-3,
-    num_reg: np.ndarray | None = None,
-    den_reg: np.ndarray | None = None,
-    init: np.ndarray | None = None,
-    max_iter: int = 2000,
-    f_tol: float = 1e-10,
-    simplex_step: float = 0.1,
     label: str = "lr-arma-gsp",
 ) -> FittedGspEstimator:
     """Spectral estimator whose response is the reduced rational fit below
     the cutoff and identically zero above it."""
-    numer, denom, converged = lr_arma_coefficients(
-        m, reduced, num_order, den_order, mu, num_reg, den_reg, init,
-        max_iter, f_tol, simplex_step,
-    )
+    numer, denom, converged = lr_arma_coefficients(m, reduced, num_order, den_order, mu)
     spec = FilterSpec.lr_arma(numer, denom, reduced.n_kept)
     sg = reduced.parent
     resp = response_at(spec, sg.eigenvalues, sg.zero_tolerance())
@@ -441,10 +391,20 @@ def almmse(
     pos = lam > sg.zero_tolerance()
     resp = np.zeros_like(lam)
     resp[pos] = beta / (beta * lam[pos] + sigma2)
-    v = sg.eigenvectors
-    gain = (v * resp) @ v.T
+    gain = _filter_operator(sg.eigenvectors, resp)
     n = sg.n_vertices
     return LinearEstimator(label, np.zeros(n), gain, np.zeros(n))
+
+
+def _carry(values: np.ndarray, vertex_map: dict[int, int], n_new: int) -> np.ndarray:
+    """A per-vertex vector, or a matrix over vertex pairs, on the ``n_new``
+    vertices of a changed graph: entries of surviving vertices carry over,
+    entries of added vertices are 0."""
+    olds = sorted(vertex_map)
+    news = [vertex_map[o] for o in olds]
+    out = np.zeros((n_new,) * values.ndim)
+    out[np.ix_(*[news] * values.ndim)] = values[np.ix_(*[olds] * values.ndim)]
+    return out
 
 
 def update_for_topology(
@@ -461,19 +421,15 @@ def update_for_topology(
     the prior mean.
     """
     resp = response_at(fit.spec, new_sg.eigenvalues, new_sg.zero_tolerance())
-    v = new_sg.eigenvectors
-    gain = (v * resp) @ v.T
+    gain = _filter_operator(new_sg.eigenvectors, resp)
     n_new = new_sg.n_vertices
     if vertex_map is None:
         if fit.base.y_center.size != n_new:
             raise ValueError("vertex_map required when the vertex set changes")
         x_mean, y_center = fit.base.x_mean, fit.base.y_center
     else:
-        x_mean = np.zeros(n_new)
-        y_center = np.zeros(n_new)
-        for old, new in vertex_map.items():
-            x_mean[new] = fit.base.x_mean[old]
-            y_center[new] = fit.base.y_center[old]
+        x_mean = _carry(fit.base.x_mean, vertex_map, n_new)
+        y_center = _carry(fit.base.y_center, vertex_map, n_new)
     base = LinearEstimator(fit.base.label, x_mean, gain, y_center)
     return replace(fit, base=base, fitted_response=resp)
 
@@ -484,14 +440,9 @@ def remap_estimator(
     """Carry a stale estimator onto a changed vertex set: gain entries are
     kept where both endpoints survive and zero elsewhere (so removed vertices
     are dropped and added vertices are estimated by the prior mean, here 0)."""
-    gain = np.zeros((n_new, n_new))
-    x_mean = np.zeros(n_new)
-    y_center = np.zeros(n_new)
-    olds = sorted(vertex_map)
-    news = [vertex_map[o] for o in olds]
-    gain[np.ix_(news, news)] = est.gain[np.ix_(olds, olds)]
-    x_mean[news] = est.x_mean[olds]
-    y_center[news] = est.y_center[olds]
+    x_mean, gain, y_center = (
+        _carry(a, vertex_map, n_new) for a in (est.x_mean, est.gain, est.y_center)
+    )
     return LinearEstimator(est.label, x_mean, gain, y_center)
 
 

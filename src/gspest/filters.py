@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnstableFilterError
-from .graphs import SpectralGraph, gft, igft
+from .graphs import SpectralGraph, _filter_operator, gft, igft
 
 FILTER_KINDS = ("lpi", "arma", "linear", "lr-arma")
 
@@ -210,9 +210,7 @@ def apply_filter(spec: FilterSpec, sg: SpectralGraph, signal: np.ndarray) -> np.
 
 def filter_matrix(spec: FilterSpec, sg: SpectralGraph) -> np.ndarray:
     """Dense operator ``V diag(response) V^T``."""
-    resp = response(spec, sg)
-    v = sg.eigenvectors
-    return (v * resp) @ v.T
+    return _filter_operator(sg.eigenvectors, response(spec, sg))
 
 
 def numerical_rank(matrix: np.ndarray, rtol: float = RANK_RTOL) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .estimators import (
     update_for_topology,
     LinearEstimator,
 )
-from .graphs import SpectralGraph, build_laplacian, reduce_spectrum
+from .graphs import SpectralGraph, _filter_operator, build_laplacian, reduce_spectrum
 from .models import (
     AcGridModel,
     MeasurementModel,
@@ -42,15 +43,84 @@ from .models import (
 from .moments import SampleMoments, stream_moments
 from .rng import derive
 
-ESTIMATOR_LABELS = (
-    "sample-lmmse",
-    "sample-dlmmse",
-    "gsp-lmmse",
-    "lpi-gsp",
-    "arma-gsp",
-    "lr-arma-gsp",
-    "almmse",
+
+def _stale(fit, m, new_sg, vmap, config):
+    """Keep a trained estimator, remapped when the vertex set changed."""
+    return fit if vmap is None else remap_estimator(fit, vmap, new_sg.n_vertices)
+
+
+def _refilter(fit, m, new_sg, vmap, config):
+    """Evaluate the stored filter coefficients at the new eigenvalues."""
+    return update_for_topology(fit, new_sg, vmap)
+
+
+def _rebasis(fit, m, new_sg, vmap, config):
+    """The nonparametric response on the new eigenbasis; stale on vertex
+    changes, which leave no frequency-by-frequency counterpart."""
+    if vmap is not None:
+        return _stale(fit, m, new_sg, vmap, config)
+    gain = _filter_operator(new_sg.eigenvectors, gsp_response(m))
+    return LinearEstimator(fit.label, fit.x_mean, gain, fit.y_center)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One estimator family: its report label, its ``gspest fit --filter``
+    name, ``fit(m, sg, config)``, the ``coefficients(m, sg, config)`` stage
+    that ``measure_runtime`` times (the whole fit when None) and ``retune(fit,
+    m, new_sg, vmap, config)``, which carries a trained estimator onto a
+    changed topology (``vmap`` is None on edge modes). The callables reach
+    the estimator functions through this module's globals when they run, so
+    a rebound name (a test double, the perfbench tracer) reaches every use."""
+
+    label: str
+    cli_name: str
+    fit: Callable
+    coefficients: Callable | None = None
+    retune: Callable = _stale
+
+
+def _reduced(config: ExperimentConfig, sg: SpectralGraph):
+    return reduce_spectrum(sg, float(config.reduced_fraction))
+
+
+# In report order.
+FAMILIES = (
+    Family("sample-lmmse", "lmmse", lambda m, sg, c: sample_lmmse(m)),
+    Family("sample-dlmmse", "dlmmse", lambda m, sg, c: sample_diag_lmmse(m)),
+    Family(
+        "gsp-lmmse", "gsp", lambda m, sg, c: gsp_lmmse(m),
+        lambda m, sg, c: gsp_response(m), _rebasis,
+    ),
+    Family(
+        "lpi-gsp", "lpi", lambda m, sg, c: fit_lpi(m, sg, c.lpi_order, c.mu),
+        lambda m, sg, c: lpi_coefficients(m, sg, c.lpi_order, c.mu), _refilter,
+    ),
+    Family(
+        "arma-gsp", "arma",
+        lambda m, sg, c: fit_arma(m, sg, c.arma_num_order, c.arma_den_order, c.mu),
+        lambda m, sg, c: arma_coefficients(
+            m, sg, c.arma_num_order, c.arma_den_order, c.mu
+        ),
+        _refilter,
+    ),
+    Family(
+        "lr-arma-gsp", "lrarma",
+        lambda m, sg, c: fit_lr_arma(
+            m, _reduced(c, sg), c.lr_num_order, c.lr_den_order, c.mu
+        ),
+        lambda m, sg, c: lr_arma_coefficients(
+            m, _reduced(c, sg), c.lr_num_order, c.lr_den_order, c.mu
+        ),
+        _refilter,
+    ),
+    Family(
+        "almmse", "almmse", lambda m, sg, c: almmse(sg, c.beta, c.sigma2),
+        retune=lambda fit, m, new_sg, vmap, c: almmse(new_sg, c.beta, c.sigma2),
+    ),
 )
+_BY_LABEL = {f.label: f for f in FAMILIES}
+ESTIMATOR_LABELS = tuple(_BY_LABEL)
 
 PERTURB_MODES = ("add-edges", "remove-edges", "add-vertices", "remove-vertices")
 
@@ -246,10 +316,6 @@ def evaluate_mse(
     return _mse(est, *draw_test_set(model, trials, seed))
 
 
-def _reduced(config: ExperimentConfig, sg: SpectralGraph):
-    return reduce_spectrum(sg, float(config.reduced_fraction))
-
-
 def fit_by_label(
     label: str,
     m: SampleMoments,
@@ -257,45 +323,9 @@ def fit_by_label(
     config: ExperimentConfig,
 ):
     """Build the estimator named by ``label`` from moments ``m``."""
-    if label == "sample-lmmse":
-        return sample_lmmse(m)
-    if label == "sample-dlmmse":
-        return sample_diag_lmmse(m)
-    if label == "gsp-lmmse":
-        return gsp_lmmse(m)
-    if label == "lpi-gsp":
-        return fit_lpi(m, sg, config.lpi_order, config.mu)
-    if label == "arma-gsp":
-        return fit_arma(
-            m, sg, config.arma_num_order, config.arma_den_order, config.mu
-        )
-    if label == "lr-arma-gsp":
-        return fit_lr_arma(
-            m, _reduced(config, sg), config.lr_num_order, config.lr_den_order, config.mu
-        )
-    if label == "almmse":
-        return almmse(sg, config.beta, config.sigma2)
-    raise ConfigError(f"unknown estimator label {label!r}")
-
-
-def _coefficient_stage(
-    label: str, m: SampleMoments, sg: SpectralGraph, config: ExperimentConfig
-):
-    """The per-method numerical work timed by measure_runtime (no operator
-    assembly, which is shared overhead)."""
-    if label == "gsp-lmmse":
-        return gsp_response(m)
-    if label == "lpi-gsp":
-        return lpi_coefficients(m, sg, config.lpi_order, config.mu)
-    if label == "arma-gsp":
-        return arma_coefficients(
-            m, sg, config.arma_num_order, config.arma_den_order, config.mu
-        )
-    if label == "lr-arma-gsp":
-        return lr_arma_coefficients(
-            m, _reduced(config, sg), config.lr_num_order, config.lr_den_order, config.mu
-        )
-    return fit_by_label(label, m, sg, config)
+    if label not in _BY_LABEL:
+        raise ConfigError(f"unknown estimator label {label!r}")
+    return _BY_LABEL[label].fit(m, sg, config)
 
 
 def experiment_a(config: ExperimentConfig) -> MseReport:
@@ -345,24 +375,13 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
     }
 
     vertex_mode = config.perturb_mode.endswith("vertices")
-
-    def retune(label, fit, new_sg, vmap):
-        if label in ("lpi-gsp", "arma-gsp", "lr-arma-gsp"):
-            return update_for_topology(fit, new_sg, vmap if vertex_mode else None)
-        if label == "gsp-lmmse" and not vertex_mode:
-            v = new_sg.eigenvectors
-            gain = (v * gsp_response(m)) @ v.T
-            return LinearEstimator(fit.label, fit.x_mean, gain, fit.y_center)
-        if label == "almmse":
-            return almmse(new_sg, config.beta, config.sigma2)
-        return remap_estimator(fit, vmap, new_sg.n_vertices) if vertex_mode else fit
-
     report = MseReport()
     for count in config.perturb_counts:
         for rep in range(config.perturb_repetitions):
             new_grid, vmap = perturb_grid(
                 grid, count, config.perturb_mode, derive(config.seed, "perturb", count, rep)
             )
+            vmap = vmap if vertex_mode else None
             new_sg = build_laplacian(new_grid.graph())
             new_model = ac_measurement_model(
                 new_grid, config.beta, config.sigma2, sg=new_sg
@@ -376,8 +395,9 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
                 if fit is None:
                     report.add(_failed_row(label, "experiment-b", param, count, status, rep))
                     continue
+                retune = _BY_LABEL[label].retune
                 report.add(_fit_and_score(
-                    lambda: retune(label, fit, new_sg, vmap), x_test, y_test,
+                    lambda: retune(fit, m, new_sg, vmap, config), x_test, y_test,
                     label, "experiment-b", param, count, rep,
                 ))
     return report
@@ -393,10 +413,12 @@ def measure_runtime(config: ExperimentConfig) -> MseReport:
     m = stream_moments(model, p, derive(config.seed, "train", p))
     report = MseReport()
     for label in config.estimators:
+        family = _BY_LABEL[label]
+        stage = family.coefficients or family.fit
         times = []
         for _ in range(config.runtime_repeats):
             t0 = time.perf_counter()
-            _, status = _attempt(lambda: _coefficient_stage(label, m, sg, config))
+            _, status = _attempt(lambda: stage(m, sg, config))
             if status != "ok":
                 break
             times.append((time.perf_counter() - t0) * 1e3)

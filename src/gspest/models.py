@@ -21,6 +21,7 @@ from .errors import DisconnectedGraphError, InvalidGraphError
 from .graphs import (
     SpectralGraph,
     WeightedGraph,
+    _filter_operator,
     build_laplacian,
     gft,
     perturb_edges,
@@ -68,8 +69,7 @@ class SmoothPrior:
         return np.zeros(self.sg.n_vertices)
 
     def covariance(self) -> np.ndarray:
-        v = self.sg.eigenvectors
-        return (v * self.frequency_variances) @ v.T
+        return _filter_operator(self.sg.eigenvectors, self.frequency_variances)
 
 
 def sample_prior(prior: SmoothPrior, count: int, seed: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from gspest.cli import main
 from gspest.estimators import estimator_from_json
 from gspest.graphs import build_laplacian, read_edge_list
+from gspest.harness import FAMILIES
 from gspest.moments import read_training_csv
 from gspest.rng import generator
 from tests.test_harness import small_config, write_grid_csv
@@ -161,6 +162,37 @@ def test_fit_from_seeded_draws(tmp_path, config_path):
     est = estimator_from_json(est_path.read_text())
     assert est.label == "gsp-lmmse"
     assert est.gain.shape == (12, 12)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.cli_name)
+def test_fit_filter_names_write_their_family(tmp_path, config_path, family):
+    est_path = tmp_path / "est.json"
+    code = main([
+        "fit", "--filter", family.cli_name, "--out", str(est_path),
+        "--config", config_path,
+    ])
+    assert code == 0
+    assert estimator_from_json(est_path.read_text()).label == family.label
+
+
+def test_fit_filter_names_are_stable():
+    assert sorted(f.cli_name for f in FAMILIES) == [
+        "almmse", "arma", "dlmmse", "gsp", "lmmse", "lpi", "lrarma",
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dataset", "generate", "--count", "1"],
+    ["dataset", "generate", "--count", "0"],
+    ["graph", "perturb", "--mode", "add-edges", "--count", "-1"],
+], ids=["generate-1", "generate-0", "perturb-minus-1"])
+def test_bad_counts_are_usage_errors(tmp_path, config_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out), "--config", config_path])
+    assert exc.value.code == 1
+    assert "--count: must be at least" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_fit_singular_exits_two(tmp_path, capsys):
