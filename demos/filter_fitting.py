@@ -47,7 +47,7 @@ def coefficient_count(spec):
 
 print(f"target response range: [{target.min():.3f}, {target.max():.3f}]")
 for fit in (lpi, arma, lr):
-    err = np.abs(fit.fitted_response - target)
+    err = np.abs(fit.response - target)
     print(
         f"{fit.label:12s} kind={fit.spec.kind:7s} "
         f"coefficients={coefficient_count(fit.spec):2d} "
@@ -56,7 +56,7 @@ for fit in (lpi, arma, lr):
 
 # the low-rank fit is exactly zero above its cutoff
 print(f"lr cutoff {reduced.n_kept}: response above cutoff "
-      f"max {np.abs(lr.fitted_response[reduced.n_kept:]).max():.1e}")
+      f"max {np.abs(lr.response[reduced.n_kept:]).max():.1e}")
 
 # coefficients are small and interpretable
 print("lpi taps:", np.array2string(lpi.spec.taps, precision=3))

@@ -6,6 +6,8 @@ pipelines, linear and spectral MMSE estimators with parametric filter fits,
 topology-change updates, and Monte Carlo experiment protocols.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     DisconnectedGraphError,
@@ -16,8 +18,8 @@ from .errors import (
     UnstableFilterError,
 )
 from .estimators import (
-    FittedGspEstimator,
     LinearEstimator,
+    SpectralEstimator,
     almmse,
     arma_coefficients,
     estimator_from_json,
@@ -101,84 +103,8 @@ from .rng import derive, generator
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcGridModel",
-    "ConfigError",
-    "DisconnectedGraphError",
-    "ExperimentConfig",
-    "FilterSpec",
-    "FittedGspEstimator",
-    "GspestError",
-    "InvalidGraphError",
-    "LinearEstimator",
-    "MeasurementModel",
-    "MseReport",
-    "MseRow",
-    "NoiseModel",
-    "PerturbationInfeasibleError",
-    "ReducedSpectrum",
-    "SampleMoments",
-    "SingularMomentsError",
-    "SmoothPrior",
-    "SpectralGraph",
-    "TrainingSet",
-    "UnstableFilterError",
-    "WeightedGraph",
-    "ac_measurement_model",
-    "ac_power",
-    "almmse",
-    "apply_filter",
-    "arma_coefficients",
-    "audit_model_structure",
-    "build_laplacian",
-    "build_model",
-    "bundled_ieee118",
-    "compute_moments",
-    "denominator_tolerance",
-    "derive",
-    "draw_test_set",
-    "estimator_from_json",
-    "estimator_to_json",
-    "evaluate_mse",
-    "experiment_a",
-    "experiment_b",
-    "filter_matrix",
-    "fit_arma",
-    "fit_by_label",
-    "fit_lpi",
-    "fit_lr_arma",
-    "generate",
-    "generator",
-    "gft",
-    "gsp_lmmse",
-    "gsp_response",
-    "igft",
-    "linear_filter_model",
-    "load_grid",
-    "lpi_basis",
-    "lpi_basis_from_eigenvalues",
-    "lpi_coefficients",
-    "lr_arma_coefficients",
-    "measure_runtime",
-    "numerical_rank",
-    "perturb_edges",
-    "perturb_grid",
-    "perturb_vertices",
-    "read_edge_list",
-    "read_training_csv",
-    "reduce_spectrum",
-    "remap_estimator",
-    "require_positive_freq_var",
-    "response",
-    "response_at",
-    "sample_diag_lmmse",
-    "sample_lmmse",
-    "sample_prior",
-    "spec_from_json",
-    "spec_to_json",
-    "stream_moments",
-    "squared_errors",
-    "update_for_topology",
-    "vandermonde",
-    "write_edge_list",
-]
+# Every public name imported above; the submodules are left out.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

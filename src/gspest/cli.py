@@ -148,7 +148,11 @@ def _cmd_eval(args) -> int:
     config = _load_config(args)
     model = build_model(config)
     with open(args.estimator) as fh:
-        est = estimator_from_json(fh.read())
+        text = fh.read()
+    try:
+        est = estimator_from_json(text, model.sg)
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+        raise ConfigError(f"bad estimator {args.estimator}: {exc!r}") from exc
     mse, stderr = evaluate_mse(
         est, model, config.trials, derive(config.seed, "test", 0, 0)
     )

@@ -1,14 +1,21 @@
 """Linear and spectral estimators of graph signals from noisy measurements.
 
 All estimators here are affine maps ``xhat = x_mean + A (y - y_center)``.
-The unconstrained sample estimator inverts the full measurement covariance;
-the spectral family constrains ``A`` to be a graph filter
-``V diag(h) V^T``, which needs only the per-frequency moment diagonals. The
+The unconstrained sample estimators store ``A`` as an N x N gain; the
+spectral family constrains ``A`` to be a graph filter ``V diag(h) V^T``,
+which needs only the per-frequency moment diagonals, and stores only ``h``
+(:class:`SpectralEstimator`, applied in the frequency domain). The
 per-frequency gain that minimizes the mean squared error is the ratio of the
 cross diagonal to the variance diagonal; parametric filters (``lpi``,
 ``arma``, ``linear``, ``lr-arma``) are fitted to the same objective, which
 for any filter family reduces to variance-weighted least squares against
 that ratio.
+
+JSON: a :class:`LinearEstimator` is written with its ``gain``, a spectral
+estimator with its ``response`` (no ``gain``, no graph: reading it takes
+the graph it was fitted on). A document with a ``gain``, which includes
+fitted estimators written when they still stored one, loads as a
+:class:`LinearEstimator`.
 
 Coefficient fits: the pseudo-inverse polynomial fit is a regularized normal
 equation (with a least-squares fallback when ill-conditioned); rational fits
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -43,7 +51,7 @@ from .filters import (
     vandermonde,
     lpi_basis,
 )
-from .graphs import ReducedSpectrum, SpectralGraph, _filter_operator
+from .graphs import ReducedSpectrum, SpectralGraph, _filter_operator, gft, igft
 from .moments import SampleMoments, require_positive_freq_var
 
 # Condition-number ceiling for direct solves of moment systems.
@@ -82,29 +90,50 @@ class LinearEstimator:
 
 
 @dataclass(frozen=True)
-class FittedGspEstimator:
-    """A spectral estimator whose frequency response comes from a fitted
-    parametric filter; behaves like its ``base`` affine estimator."""
+class SpectralEstimator:
+    """Graph filter ``xhat = x_mean + V diag(response) V^T (y - y_center)``
+    on the eigenbasis ``V`` of ``sg``. A fitted filter family also keeps its
+    ``spec`` (None for gsp-lmmse and almmse), ``mu`` and ``converged``."""
 
-    base: LinearEstimator
-    spec: FilterSpec
-    fitted_response: np.ndarray = field(repr=False)
+    label: str
+    sg: SpectralGraph = field(repr=False)
+    response: np.ndarray = field(repr=False)
+    x_mean: np.ndarray = field(repr=False)
+    y_center: np.ndarray = field(repr=False)
+    spec: FilterSpec | None = None
     mu: float = 0.0
     converged: bool = True
 
-    @property
-    def label(self) -> str:
-        return self.base.label
+    def __post_init__(self):
+        n = self.sg.n_vertices
+        for name in ("response", "x_mean", "y_center"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != (n,):
+                raise ValueError(f"{name} has shape {value.shape}, not ({n},)")
+            object.__setattr__(self, name, value)
+
+    def frequency_estimate(self, y_freq: np.ndarray) -> np.ndarray:
+        """Graph Fourier coefficients ``xhat V`` of the estimate from those
+        of the measurements, ``y V``."""
+        v = self.sg.eigenvectors
+        return (y_freq - self.y_center @ v) * self.response + self.x_mean @ v
 
     def estimate(self, y: np.ndarray) -> np.ndarray:
-        return self.base.estimate(y)
+        """Estimate from one measurement vector or rows of them."""
+        return igft(self.sg, self.frequency_estimate(gft(self.sg, y)))
+
+    @cached_property
+    def dense(self) -> LinearEstimator:
+        """The same estimator with its N x N gain, built on first use only."""
+        gain = _filter_operator(self.sg.eigenvectors, self.response)
+        return LinearEstimator(self.label, self.x_mean, gain, self.y_center)
 
 
-def _spectral_estimator(
-    m: SampleMoments, response: np.ndarray, label: str
-) -> LinearEstimator:
-    gain = _filter_operator(m.sg.eigenvectors, response)
-    return LinearEstimator(label, m.x_mean, gain, m.y_mean)
+def _symmetric_cond(a: np.ndarray) -> float:
+    """2-norm condition number of a symmetric matrix from its eigenvalues
+    (what ``np.linalg.cond`` gets from an SVD); inf when singular."""
+    mags = np.abs(np.linalg.eigvalsh(a))
+    return float(mags.max() / mags.min()) if mags.min() > 0 else np.inf
 
 
 def sample_lmmse(m: SampleMoments, label: str = "sample-lmmse") -> LinearEstimator:
@@ -113,7 +142,7 @@ def sample_lmmse(m: SampleMoments, label: str = "sample-lmmse") -> LinearEstimat
     Raises SingularMomentsError when the measurement covariance is too
     ill-conditioned for a direct solve; no pseudo-inverse is substituted.
     """
-    cond = np.linalg.cond(m.y_cov)
+    cond = _symmetric_cond(m.y_cov)
     if not np.isfinite(cond) or cond >= COND_LIMIT:
         raise SingularMomentsError(
             f"measurement covariance condition number {cond:.3e} exceeds "
@@ -138,9 +167,9 @@ def gsp_response(m: SampleMoments) -> np.ndarray:
     return m.freq_cross_diag / m.freq_var_diag
 
 
-def gsp_lmmse(m: SampleMoments, label: str = "gsp-lmmse") -> LinearEstimator:
+def gsp_lmmse(m: SampleMoments, label: str = "gsp-lmmse") -> SpectralEstimator:
     """Spectral estimator with the nonparametric per-frequency gain."""
-    return _spectral_estimator(m, gsp_response(m), label)
+    return SpectralEstimator(label, m.sg, gsp_response(m), m.x_mean, m.y_mean)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -190,7 +219,7 @@ def lpi_coefficients(
     dvar = m.freq_var_diag
     normal = basis.T @ (dvar[:, None] * basis) + mu * reg
     rhs = basis.T @ dvec
-    cond = np.linalg.cond(normal)
+    cond = _symmetric_cond(normal)
     if np.isfinite(cond) and cond < COND_LIMIT:
         return np.linalg.solve(normal, rhs)
     sqrt_w = np.sqrt(dvar)
@@ -207,12 +236,12 @@ def fit_lpi(
     mu: float = 1e-3,
     reg: np.ndarray | None = None,
     label: str = "lpi-gsp",
-) -> FittedGspEstimator:
+) -> SpectralEstimator:
     """Spectral estimator with :func:`lpi_coefficients` taps."""
     taps = lpi_coefficients(m, sg, order, mu, reg)
     resp = lpi_basis(sg, order) @ taps
-    return FittedGspEstimator(
-        _spectral_estimator(m, resp, label), FilterSpec.lpi(taps), resp, mu
+    return SpectralEstimator(
+        label, m.sg, resp, m.x_mean, m.y_mean, FilterSpec.lpi(taps), mu
     )
 
 
@@ -328,7 +357,7 @@ def fit_arma(
     den_order: int = 3,
     mu: float = 1e-3,
     label: str = "arma-gsp",
-) -> FittedGspEstimator:
+) -> SpectralEstimator:
     """Spectral estimator with :func:`arma_coefficients` (kind ``linear``
     when ``den_order=0``)."""
     numer, denom, converged = arma_coefficients(m, sg, num_order, den_order, mu)
@@ -337,9 +366,7 @@ def fit_arma(
     else:
         spec = FilterSpec.arma(numer, denom)
     resp = response_at(spec, sg.eigenvalues, sg.zero_tolerance())
-    return FittedGspEstimator(
-        _spectral_estimator(m, resp, label), spec, resp, mu, converged
-    )
+    return SpectralEstimator(label, m.sg, resp, m.x_mean, m.y_mean, spec, mu, converged)
 
 
 def lr_arma_coefficients(
@@ -369,21 +396,19 @@ def fit_lr_arma(
     den_order: int = 2,
     mu: float = 1e-3,
     label: str = "lr-arma-gsp",
-) -> FittedGspEstimator:
+) -> SpectralEstimator:
     """Spectral estimator whose response is the reduced rational fit below
     the cutoff and identically zero above it."""
     numer, denom, converged = lr_arma_coefficients(m, reduced, num_order, den_order, mu)
     spec = FilterSpec.lr_arma(numer, denom, reduced.n_kept)
     sg = reduced.parent
     resp = response_at(spec, sg.eigenvalues, sg.zero_tolerance())
-    return FittedGspEstimator(
-        _spectral_estimator(m, resp, label), spec, resp, mu, converged
-    )
+    return SpectralEstimator(label, m.sg, resp, m.x_mean, m.y_mean, spec, mu, converged)
 
 
 def almmse(
     sg: SpectralGraph, beta: float, sigma2: float, label: str = "almmse"
-) -> LinearEstimator:
+) -> SpectralEstimator:
     """Training-free baseline: the exact MMSE estimator of the linearized
     measurement model (identity graph filter) under the smooth prior, applied
     around zero."""
@@ -391,9 +416,8 @@ def almmse(
     pos = lam > sg.zero_tolerance()
     resp = np.zeros_like(lam)
     resp[pos] = beta / (beta * lam[pos] + sigma2)
-    gain = _filter_operator(sg.eigenvectors, resp)
     n = sg.n_vertices
-    return LinearEstimator(label, np.zeros(n), gain, np.zeros(n))
+    return SpectralEstimator(label, sg, resp, np.zeros(n), np.zeros(n))
 
 
 def _carry(values: np.ndarray, vertex_map: dict[int, int], n_new: int) -> np.ndarray:
@@ -408,10 +432,10 @@ def _carry(values: np.ndarray, vertex_map: dict[int, int], n_new: int) -> np.nda
 
 
 def update_for_topology(
-    fit: FittedGspEstimator,
+    fit: SpectralEstimator,
     new_sg: SpectralGraph,
     vertex_map: dict[int, int] | None = None,
-) -> FittedGspEstimator:
+) -> SpectralEstimator:
     """Re-evaluate a fitted filter's response on a new spectrum without new
     training data.
 
@@ -421,69 +445,63 @@ def update_for_topology(
     the prior mean.
     """
     resp = response_at(fit.spec, new_sg.eigenvalues, new_sg.zero_tolerance())
-    gain = _filter_operator(new_sg.eigenvectors, resp)
     n_new = new_sg.n_vertices
     if vertex_map is None:
-        if fit.base.y_center.size != n_new:
+        if fit.y_center.size != n_new:
             raise ValueError("vertex_map required when the vertex set changes")
-        x_mean, y_center = fit.base.x_mean, fit.base.y_center
+        x_mean, y_center = fit.x_mean, fit.y_center
     else:
-        x_mean = _carry(fit.base.x_mean, vertex_map, n_new)
-        y_center = _carry(fit.base.y_center, vertex_map, n_new)
-    base = LinearEstimator(fit.base.label, x_mean, gain, y_center)
-    return replace(fit, base=base, fitted_response=resp)
+        x_mean = _carry(fit.x_mean, vertex_map, n_new)
+        y_center = _carry(fit.y_center, vertex_map, n_new)
+    return replace(fit, sg=new_sg, response=resp, x_mean=x_mean, y_center=y_center)
 
 
 def remap_estimator(
-    est: LinearEstimator, vertex_map: dict[int, int], n_new: int
+    est: LinearEstimator | SpectralEstimator, vertex_map: dict[int, int], n_new: int
 ) -> LinearEstimator:
     """Carry a stale estimator onto a changed vertex set: gain entries are
     kept where both endpoints survive and zero elsewhere (so removed vertices
-    are dropped and added vertices are estimated by the prior mean, here 0)."""
+    are dropped and added vertices are estimated by the prior mean, here 0).
+    A spectral estimator is carried through its ``dense`` gain."""
+    if isinstance(est, SpectralEstimator):
+        est = est.dense
     x_mean, gain, y_center = (
         _carry(a, vertex_map, n_new) for a in (est.x_mean, est.gain, est.y_center)
     )
     return LinearEstimator(est.label, x_mean, gain, y_center)
 
 
-def estimator_to_json(est) -> str:
-    """Serialize a LinearEstimator or FittedGspEstimator."""
-    if isinstance(est, FittedGspEstimator):
-        doc = {
-            "label": est.base.label,
-            "x_mean": est.base.x_mean.tolist(),
-            "gain": est.base.gain.tolist(),
-            "y_center": est.base.y_center.tolist(),
-            "filter": json.loads(spec_to_json(est.spec)),
-            "fitted_response": est.fitted_response.tolist(),
-            "mu": est.mu,
-            "converged": est.converged,
-        }
-    else:
-        doc = {
-            "label": est.label,
-            "x_mean": est.x_mean.tolist(),
-            "gain": est.gain.tolist(),
-            "y_center": est.y_center.tolist(),
-        }
+def estimator_to_json(est: LinearEstimator | SpectralEstimator) -> str:
+    """Serialize an estimator (see the module docstring)."""
+    doc = {"label": est.label, "x_mean": est.x_mean.tolist(),
+           "y_center": est.y_center.tolist()}
+    if isinstance(est, LinearEstimator):
+        doc["gain"] = est.gain.tolist()
+        return json.dumps(doc)
+    doc.update(response=est.response.tolist(), mu=est.mu, converged=est.converged)
+    if est.spec is not None:
+        doc["filter"] = json.loads(spec_to_json(est.spec))
     return json.dumps(doc)
 
 
-def estimator_from_json(text: str):
-    """Inverse of :func:`estimator_to_json`; round trips bit-exactly."""
+def estimator_from_json(text: str, sg: SpectralGraph | None = None):
+    """Inverse of :func:`estimator_to_json`; round trips bit-exactly. A
+    spectral estimator is rebuilt on ``sg``; given ``sg``, a linear one must
+    have its vertex count. Raises KeyError for a missing field and ValueError
+    for any other bad document."""
     doc = json.loads(text)
-    base = LinearEstimator(
-        doc["label"],
-        np.asarray(doc["x_mean"], float),
-        np.asarray(doc["gain"], float),
-        np.asarray(doc["y_center"], float),
-    )
-    if "filter" not in doc:
-        return base
-    return FittedGspEstimator(
-        base,
-        spec_from_json(json.dumps(doc["filter"])),
-        np.asarray(doc["fitted_response"], float),
-        float(doc["mu"]),
-        bool(doc["converged"]),
+    if not isinstance(doc, dict):
+        raise ValueError("an estimator must be a JSON object")
+    label = doc["label"]
+    x_mean, y_center = (np.asarray(doc[k], float) for k in ("x_mean", "y_center"))
+    if "gain" in doc:
+        if sg is not None and not x_mean.size == y_center.size == sg.n_vertices:
+            raise ValueError(f"estimator is not on the graph's {sg.n_vertices} vertices")
+        return LinearEstimator(label, x_mean, np.asarray(doc["gain"], float), y_center)
+    if sg is None:
+        raise ValueError("a spectral estimator needs the graph it was fitted on")
+    spec = spec_from_json(json.dumps(doc["filter"])) if "filter" in doc else None
+    return SpectralEstimator(
+        label, sg, np.asarray(doc["response"], float), x_mean, y_center, spec,
+        float(doc["mu"]), bool(doc["converged"]),
     )

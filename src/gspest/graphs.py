@@ -9,9 +9,10 @@ synthesis is ``V xt``.
 
 Eigenvectors are canonicalized so repeated builds of the same graph give
 bit-identical bases: within each group of equal eigenvalues the basis is
-re-derived by Gram-Schmidt of the canonical unit vectors projected onto the
-eigenspace (in index order), and every eigenvector is signed so its
-largest-magnitude entry (lowest index on ties) is positive.
+re-derived by Gram-Schmidt (a QR, re-orthogonalized once) of the canonical
+unit vectors projected onto the eigenspace (in index order), and every
+eigenvector is signed so its largest-magnitude entry (lowest index on ties)
+is positive.
 """
 
 from __future__ import annotations
@@ -176,9 +177,38 @@ def _canonical_sign(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _positive_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram-Schmidt basis of the columns of ``a`` and their residual
+    norms, from a QR factorization."""
+    q, r = np.linalg.qr(a)
+    d = np.diag(r)
+    return q * np.sign(d), np.abs(d)
+
+
+def _eigenspace_basis(block: np.ndarray) -> np.ndarray:
+    """Basis of the span of the orthonormal columns ``block``: Gram-Schmidt
+    of the projected unit vectors in index order, skipping each whose
+    residual is at most 1e-8. Row ``k`` of ``block`` holds the coordinates of
+    the projection of unit vector ``k``. A QR stays orthonormal where
+    Gram-Schmidt of nearly dependent vectors does not, and a second one
+    removes the rounding of ``block`` ("twice is enough", Giraud, Langou &
+    Rozloznik 2005)."""
+    size = block.shape[1]
+    # a row no longer than 1e-8 has a residual no longer than that either
+    cand = np.flatnonzero(np.linalg.norm(block, axis=1) > 1e-8)
+    while cand.size >= size:
+        q, resid = _positive_qr(block[cand[:size]].T)
+        weak = np.flatnonzero(resid <= 1e-8)
+        if not weak.size:
+            return _positive_qr(block @ q)[0]
+        # later candidates were measured against the skipped one: redo them
+        cand = np.delete(cand, weak[0])
+    raise InvalidGraphError("degenerate eigenspace canonicalization failed")
+
+
 def _canonicalize_eigenvectors(eigvals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Deterministic basis per eigenspace: Gram-Schmidt of projected canonical
-    unit vectors in index order, then the sign rule."""
+    """Deterministic basis per eigenspace (:func:`_eigenspace_basis`), then
+    the sign rule."""
     n = vecs.shape[0]
     scale = max(float(eigvals[-1]) - float(eigvals[0]), 1.0)
     out = vecs.copy()
@@ -188,21 +218,7 @@ def _canonicalize_eigenvectors(eigvals: np.ndarray, vecs: np.ndarray) -> np.ndar
         while stop < n and eigvals[stop] - eigvals[start] <= _DEGENERACY_RTOL * scale:
             stop += 1
         if stop - start > 1:
-            block = vecs[:, start:stop]
-            proj = block @ block.T
-            basis = []
-            for k in range(n):
-                cand = proj[:, k].copy()
-                for b in basis:
-                    cand -= (b @ cand) * b
-                nrm = np.linalg.norm(cand)
-                if nrm > 1e-8:
-                    basis.append(cand / nrm)
-                    if len(basis) == stop - start:
-                        break
-            if len(basis) != stop - start:
-                raise InvalidGraphError("degenerate eigenspace canonicalization failed")
-            out[:, start:stop] = np.column_stack(basis)
+            out[:, start:stop] = _eigenspace_basis(vecs[:, start:stop])
         start = stop
     for k in range(n):
         out[:, k] = _canonical_sign(out[:, k])

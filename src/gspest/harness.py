@@ -3,13 +3,19 @@
 Experiments share one seeded test set per scenario so estimator comparisons
 are paired (common random numbers). Estimator failures (singular moments,
 unstable filters) are recorded as report rows with NaN values, not raised.
+
+Spectral estimators are scored in the frequency domain of the test graph,
+on one transform of the draws per graph: Parseval's identity makes that the
+vertex-domain squared error, as ``build_laplacian`` checks that the
+eigenbasis is orthonormal to 1e-10.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -29,9 +35,9 @@ from .estimators import (
     sample_diag_lmmse,
     sample_lmmse,
     update_for_topology,
-    LinearEstimator,
+    SpectralEstimator,
 )
-from .graphs import SpectralGraph, _filter_operator, build_laplacian, reduce_spectrum
+from .graphs import SpectralGraph, build_laplacian, gft, reduce_spectrum
 from .models import (
     AcGridModel,
     MeasurementModel,
@@ -59,8 +65,7 @@ def _rebasis(fit, m, new_sg, vmap, config):
     changes, which leave no frequency-by-frequency counterpart."""
     if vmap is not None:
         return _stale(fit, m, new_sg, vmap, config)
-    gain = _filter_operator(new_sg.eigenvectors, gsp_response(m))
-    return LinearEstimator(fit.label, fit.x_mean, gain, fit.y_center)
+    return replace(fit, sg=new_sg)
 
 
 @dataclass(frozen=True)
@@ -274,9 +279,35 @@ def squared_errors(est, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=-1)
 
 
-def _mse(est, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    err = squared_errors(est, x, y)
-    return float(err.mean()), float(err.std(ddof=1) / np.sqrt(len(err)))
+@dataclass(frozen=True)
+class _Draws:
+    """Test draws ``(x, y)`` of a model on ``sg``."""
+
+    sg: SpectralGraph
+    x: np.ndarray
+    y: np.ndarray
+
+    @classmethod
+    def of(cls, model: MeasurementModel, trials: int, seed: int) -> "_Draws":
+        return cls(model.sg, *draw_test_set(model, trials, seed))
+
+    @cached_property
+    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(x V, y V)``, made on first use and shared by every estimator."""
+        return gft(self.sg, self.x), gft(self.sg, self.y)
+
+    def errors(self, est) -> np.ndarray:
+        """:func:`squared_errors`; for a spectral estimator on ``sg``, in
+        the frequency domain."""
+        if not (isinstance(est, SpectralEstimator) and est.sg is self.sg):
+            return squared_errors(est, self.x, self.y)
+        x_freq, y_freq = self.spectra
+        diff = est.frequency_estimate(y_freq) - x_freq
+        return np.sum(diff * diff, axis=-1)
+
+    def mse(self, est) -> tuple[float, float]:
+        err = self.errors(est)
+        return float(err.mean()), float(err.std(ddof=1) / np.sqrt(len(err)))
 
 
 def _attempt(build):
@@ -294,15 +325,15 @@ def _failed_row(label, scenario, param, value, status, rep=None) -> MseRow:
     return MseRow(label, scenario, param, float(value), nan, nan, nan, status, rep)
 
 
-def _fit_and_score(build, x, y, label, scenario, param, value, rep=None) -> MseRow:
-    """Time ``build()`` and score its estimator on the draws ``(x, y)``; a
-    numerical failure gives a row with its status and ``nan`` values."""
+def _fit_and_score(build, draws, label, scenario, param, value, rep=None) -> MseRow:
+    """Time ``build()`` and score its estimator on ``draws``; a numerical
+    failure gives a row with its status and ``nan`` values."""
     t0 = time.perf_counter()
     est, status = _attempt(build)
     if est is None:
         return _failed_row(label, scenario, param, value, status, rep)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    mse, stderr = _mse(est, x, y)
+    mse, stderr = draws.mse(est)
     return MseRow(label, scenario, param, float(value), mse, stderr, wall_ms, rep=rep)
 
 
@@ -313,7 +344,7 @@ def evaluate_mse(
     seed: int,
 ) -> tuple[float, float]:
     """Empirical MSE and its standard error over seeded draws."""
-    return _mse(est, *draw_test_set(model, trials, seed))
+    return _Draws.of(model, trials, seed).mse(est)
 
 
 def fit_by_label(
@@ -333,20 +364,20 @@ def experiment_a(config: ExperimentConfig) -> MseReport:
     seeded test set, plus a large-sample unconstrained benchmark row."""
     model = build_model(config)
     sg = model.sg
-    x_test, y_test = draw_test_set(model, config.trials, derive(config.seed, "test", 0, 0))
+    draws = _Draws.of(model, config.trials, derive(config.seed, "test", 0, 0))
     report = MseReport()
     for p in config.p_values:
         m = stream_moments(model, p, derive(config.seed, "train", p))
         for label in config.estimators:
             report.add(_fit_and_score(
-                lambda: fit_by_label(label, m, sg, config), x_test, y_test,
+                lambda: fit_by_label(label, m, sg, config), draws,
                 label, "experiment-a", "P", p,
             ))
 
     p = config.p_infinity
     m = stream_moments(model, p, derive(config.seed, "train", p))
     report.add(_fit_and_score(
-        lambda: sample_lmmse(m), x_test, y_test,
+        lambda: sample_lmmse(m), draws,
         "sample-lmmse", "experiment-a", "P-infinity", p,
     ))
     return report
@@ -386,7 +417,7 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
             new_model = ac_measurement_model(
                 new_grid, config.beta, config.sigma2, sg=new_sg
             )
-            x_test, y_test = draw_test_set(
+            draws = _Draws.of(
                 new_model, config.trials, derive(config.seed, "test", count, rep)
             )
             param = f"{config.perturb_mode}/rep{rep}"
@@ -397,9 +428,10 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
                     continue
                 retune = _BY_LABEL[label].retune
                 report.add(_fit_and_score(
-                    lambda: retune(fit, m, new_sg, vmap, config), x_test, y_test,
+                    lambda: retune(fit, m, new_sg, vmap, config), draws,
                     label, "experiment-b", param, count, rep,
                 ))
+            del draws  # frees the draws and their transform before the next graph
     return report
 
 
@@ -411,6 +443,7 @@ def measure_runtime(config: ExperimentConfig) -> MseReport:
     sg = model.sg
     p = config.training_size
     m = stream_moments(model, p, derive(config.seed, "train", p))
+    draws = _Draws.of(model, config.trials, derive(config.seed, "test", 0, 0))
     report = MseReport()
     for label in config.estimators:
         family = _BY_LABEL[label]
@@ -428,8 +461,7 @@ def measure_runtime(config: ExperimentConfig) -> MseReport:
             ))
             continue
         median_ms = float(np.median(times))
-        est = fit_by_label(label, m, sg, config)
-        mse, stderr = evaluate_mse(est, model, config.trials, derive(config.seed, "test", 0, 0))
+        mse, stderr = draws.mse(fit_by_label(label, m, sg, config))
         report.add(
             MseRow(
                 label, "runtime", "median-fit", float(config.runtime_repeats),

@@ -222,7 +222,7 @@ def test_03_objective_forms_share_gradients_and_argmin():
 
 def _gain_gap(m):
     a = sample_lmmse(m).gain
-    b = gsp_lmmse(m).gain
+    b = gsp_lmmse(m).dense.gain
     return float(np.max(np.abs(a - b))), float(
         np.linalg.norm(a - b) / np.linalg.norm(a)
     )

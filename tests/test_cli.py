@@ -29,6 +29,12 @@ def config_path(tmp_path):
     return str(path)
 
 
+def _config_sg(config_path):
+    from gspest.harness import ExperimentConfig, build_model
+
+    return build_model(ExperimentConfig.from_file(config_path)).sg
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         ["gspest", "--help"], capture_output=True, text=True
@@ -117,7 +123,7 @@ def test_dataset_fit_eval_flow(tmp_path, config_path, capsys):
          "--config", config_path]
     )
     assert code == 0
-    est = estimator_from_json(est_path.read_text())
+    est = estimator_from_json(est_path.read_text(), model.sg)
     assert est.label == "lpi-gsp"
     assert est.spec.kind == "lpi"
 
@@ -126,6 +132,56 @@ def test_dataset_fit_eval_flow(tmp_path, config_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "lpi-gsp" in out and "mse" in out
+
+
+def _bad_estimator(tmp_path, config_path, case):
+    """Text of an estimator file that does not fit the config's graph."""
+    if case == "not-an-estimator":
+        return '{"a": 1}'
+    est_path = tmp_path / "est.json"
+    family = "lmmse" if case == "linear-short" else "gsp"
+    main(["fit", "--filter", family, "--out", str(est_path), "--config", config_path])
+    text = est_path.read_text()
+    if case == "truncated":
+        return text[: len(text) // 2]
+    doc = json.loads(text)
+    # one vertex short of the config's graph
+    for key in ("x_mean", "y_center", "response"):
+        if key in doc:
+            doc[key] = doc[key][:-1]
+    if "gain" in doc:
+        doc["gain"] = [row[:-1] for row in doc["gain"][:-1]]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "case", ["not-an-estimator", "truncated", "linear-short", "spectral-short"]
+)
+def test_eval_bad_estimator_is_usage_error(tmp_path, config_path, capsys, case):
+    est_path = tmp_path / "bad.json"
+    est_path.write_text(_bad_estimator(tmp_path, config_path, case))
+    capsys.readouterr()
+    code = main(["eval", "--estimator", str(est_path), "--config", config_path])
+    assert code == 1
+    assert "gspest: error: bad estimator" in capsys.readouterr().err
+
+
+def test_eval_reads_a_fit_written_with_its_gain(tmp_path, config_path, capsys):
+    # fitted estimators used to be written with their dense gain
+    est_path = tmp_path / "est.json"
+    main(["fit", "--filter", "lpi", "--out", str(est_path), "--config", config_path])
+    est = estimator_from_json(est_path.read_text(), _config_sg(config_path))
+    doc = json.loads(est_path.read_text())
+    doc["gain"] = est.dense.gain.tolist()
+    doc["fitted_response"] = doc.pop("response")
+    old_path = tmp_path / "old.json"
+    old_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for path in (est_path, old_path):
+        assert main(["eval", "--estimator", str(path), "--config", config_path]) == 0
+    new_out, old_out = capsys.readouterr().out.splitlines()
+    assert new_out.startswith("lpi-gsp: mse ")
+    assert float(new_out.split()[2]) == pytest.approx(float(old_out.split()[2]), rel=1e-12)
 
 
 def test_dataset_generate_streams_the_same_bytes(tmp_path, config_path, monkeypatch):
@@ -159,9 +215,10 @@ def test_fit_from_seeded_draws(tmp_path, config_path):
         ["fit", "--filter", "gsp", "--out", str(est_path), "--config", config_path]
     )
     assert code == 0
-    est = estimator_from_json(est_path.read_text())
+    assert "gain" not in json.loads(est_path.read_text())
+    est = estimator_from_json(est_path.read_text(), _config_sg(config_path))
     assert est.label == "gsp-lmmse"
-    assert est.gain.shape == (12, 12)
+    assert est.response.shape == (12,)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.cli_name)
@@ -172,7 +229,8 @@ def test_fit_filter_names_write_their_family(tmp_path, config_path, family):
         "--config", config_path,
     ])
     assert code == 0
-    assert estimator_from_json(est_path.read_text()).label == family.label
+    est = estimator_from_json(est_path.read_text(), _config_sg(config_path))
+    assert est.label == family.label
 
 
 def test_fit_filter_names_are_stable():

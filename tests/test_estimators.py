@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from scipy.optimize import minimize
 from gspest.errors import SingularMomentsError
 from gspest.estimators import (
     COND_LIMIT,
-    FittedGspEstimator,
     LinearEstimator,
+    SpectralEstimator,
     _profiled_numerator,
+    _symmetric_cond,
     almmse,
     arma_coefficients,
     estimator_from_json,
@@ -32,9 +34,20 @@ from gspest.filters import (
     response_at,
     vandermonde,
 )
-from gspest.graphs import ReducedSpectrum, build_laplacian, perturb_edges
-from gspest.models import linear_filter_model
-from gspest.moments import SampleMoments, compute_moments, generate
+from gspest.graphs import (
+    ReducedSpectrum,
+    build_laplacian,
+    perturb_edges,
+    perturb_vertices,
+    reduce_spectrum,
+)
+from gspest.models import (
+    ac_measurement_model,
+    bundled_ieee118,
+    linear_filter_model,
+    perturb_grid,
+)
+from gspest.moments import SampleMoments, compute_moments, generate, stream_moments
 from gspest.rng import generator
 from tests.test_graphs import random_connected_graph
 
@@ -138,8 +151,8 @@ def test_gsp_equals_lmmse_on_diagonal_frequency_moments():
     m = moments_from_diags(sg, d, big_d)
     a = sample_lmmse(m)
     b = gsp_lmmse(m)
-    assert np.max(np.abs(a.gain - b.gain)) < 1e-8
-    assert np.max(np.abs(np.diag(sg.eigenvectors.T @ b.gain @ sg.eigenvectors) - d / big_d)) < 1e-12
+    assert np.max(np.abs(a.gain - b.dense.gain)) < 1e-8
+    assert np.max(np.abs(np.diag(sg.eigenvectors.T @ b.dense.gain @ sg.eigenvectors) - d / big_d)) < 1e-12
 
 
 def test_wiener_gain_from_exact_moments():
@@ -188,7 +201,7 @@ def test_lpi_recovers_representable_response():
     got = lpi_coefficients(m, sg, order=3, mu=0.0)
     assert np.max(np.abs(got - taps)) < 1e-8
     fit = fit_lpi(m, sg, order=3, mu=0.0)
-    assert np.max(np.abs(fit.fitted_response - resp)) < 1e-8
+    assert np.max(np.abs(fit.response - resp)) < 1e-8
     assert fit.spec.kind == "lpi"
     assert fit.mu == 0.0
 
@@ -227,7 +240,7 @@ def test_lpi_heavy_regularization_shrinks_taps():
 def test_lpi_response_at_zero_is_first_tap():
     m, sg, _ = sampled_moments(11)
     fit = fit_lpi(m, sg, order=3)
-    assert fit.fitted_response[0] == fit.spec.taps[0]
+    assert fit.response[0] == fit.spec.taps[0]
 
 
 def test_lpi_regularizer_shape_checked():
@@ -308,13 +321,13 @@ def test_arma_recovers_representable_response():
 def test_fit_arma_estimator_structure():
     m, sg, _ = sampled_moments(17)
     fit = fit_arma(m, sg, num_order=2, den_order=1, mu=1e-3)
-    assert isinstance(fit, FittedGspEstimator)
+    assert isinstance(fit, SpectralEstimator)
     assert fit.spec.kind == "arma"
     assert fit.spec.denominator[0] == 1.0
     want = response_at(fit.spec, sg.eigenvalues, sg.zero_tolerance())
-    assert np.array_equal(fit.fitted_response, want)
+    assert np.array_equal(fit.response, want)
     v = sg.eigenvectors
-    assert np.max(np.abs(fit.base.gain - (v * want) @ v.T)) < 1e-14
+    assert np.max(np.abs(fit.dense.gain - (v * want) @ v.T)) < 1e-14
 
 
 # ------------------------------------------------------------- LR-ARMA fits
@@ -327,7 +340,7 @@ def test_lr_arma_with_full_band_matches_arma():
     b = fit_lr_arma(m, rs, num_order=2, den_order=2, mu=1e-3)
     assert np.array_equal(a.spec.numerator, b.spec.numerator)
     assert np.array_equal(a.spec.denominator, b.spec.denominator)
-    assert np.max(np.abs(a.fitted_response - b.fitted_response)) < 1e-14
+    assert np.max(np.abs(a.response - b.response)) < 1e-14
 
 
 def test_lr_arma_recovers_bandlimited_response():
@@ -342,17 +355,17 @@ def test_lr_arma_recovers_bandlimited_response():
     big_d = rng.uniform(0.5, 2.0, 12)
     m = moments_from_diags(sg, resp * big_d, big_d)
     fit = fit_lr_arma(m, ReducedSpectrum(sg, kept), num_order=1, den_order=1, mu=0.0)
-    assert np.max(np.abs(fit.fitted_response - resp)) < 1e-5
+    assert np.max(np.abs(fit.response - resp)) < 1e-5
 
 
 def test_lr_arma_structural_zeros_above_cutoff():
     m, sg, _ = sampled_moments(20, n=10)
     kept = 4
     fit = fit_lr_arma(m, ReducedSpectrum(sg, kept), num_order=1, den_order=1)
-    assert np.all(fit.fitted_response[kept:] == 0.0)
+    assert np.all(fit.response[kept:] == 0.0)
     # the gain annihilates every high-frequency eigenvector
     high = sg.eigenvectors[:, kept:]
-    assert np.max(np.abs(fit.base.gain @ high)) < 1e-12
+    assert np.max(np.abs(fit.dense.gain @ high)) < 1e-12
     assert fit.spec.cutoff == kept
 
 
@@ -362,14 +375,14 @@ def test_lr_arma_structural_zeros_above_cutoff():
 def test_almmse_annihilates_constant():
     sg = random_sg(21, 9)
     est = almmse(sg, beta=3.0, sigma2=0.05)
-    assert np.max(np.abs(est.gain @ np.ones(9))) < 1e-12
+    assert np.max(np.abs(est.dense.gain @ np.ones(9))) < 1e-12
     assert np.max(np.abs(est.estimate(np.zeros(9)))) == 0.0
 
 
 def test_almmse_vanishes_with_large_noise():
     sg = random_sg(22, 8)
     est = almmse(sg, beta=3.0, sigma2=1e12)
-    assert np.max(np.abs(est.gain)) < 1e-9
+    assert np.max(np.abs(est.dense.gain)) < 1e-9
 
 
 def test_almmse_noiseless_limit_inverts_laplacian():
@@ -390,7 +403,7 @@ def test_almmse_gain_formula():
     lam = sg.eigenvalues
     resp = np.where(lam > sg.zero_tolerance(), beta / (beta * lam + sigma2), 0.0)
     v = sg.eigenvectors
-    assert np.max(np.abs(est.gain - (v * resp) @ v.T)) < 1e-14
+    assert np.max(np.abs(est.dense.gain - (v * resp) @ v.T)) < 1e-14
 
 
 # ----------------------------------------------------------- topology updates
@@ -400,9 +413,11 @@ def test_update_on_same_graph_changes_nothing():
     m, sg, _ = sampled_moments(25)
     fit = fit_lpi(m, sg, order=3)
     upd = update_for_topology(fit, sg)
-    assert np.array_equal(upd.base.gain, fit.base.gain)
-    assert np.array_equal(upd.base.y_center, fit.base.y_center)
-    assert np.array_equal(upd.base.x_mean, fit.base.x_mean)
+    assert upd.sg is sg
+    assert np.array_equal(upd.response, fit.response)
+    assert np.array_equal(upd.dense.gain, fit.dense.gain)
+    assert np.array_equal(upd.y_center, fit.y_center)
+    assert np.array_equal(upd.x_mean, fit.x_mean)
     assert upd.spec is fit.spec
 
 
@@ -414,8 +429,8 @@ def test_update_after_edge_change_reevaluates_response():
     upd = update_for_topology(fit, sg2)
     resp2 = response_at(fit.spec, sg2.eigenvalues, sg2.zero_tolerance())
     v2 = sg2.eigenvectors
-    assert np.max(np.abs(upd.base.gain - (v2 * resp2) @ v2.T)) < 1e-14
-    assert np.array_equal(upd.base.y_center, fit.base.y_center)
+    assert np.max(np.abs(upd.dense.gain - (v2 * resp2) @ v2.T)) < 1e-14
+    assert np.array_equal(upd.y_center, fit.y_center)
     assert np.array_equal(upd.spec.numerator, fit.spec.numerator)
 
 
@@ -429,10 +444,10 @@ def test_update_requires_map_on_size_change():
     with pytest.raises(ValueError):
         update_for_topology(fit, sg2)
     upd = update_for_topology(fit, sg2, vmap)
-    assert upd.base.y_center.shape == (9,)
-    assert np.array_equal(upd.base.y_center[:8], fit.base.y_center)
-    assert upd.base.y_center[8] == 0.0
-    assert upd.base.x_mean[8] == 0.0
+    assert upd.y_center.shape == (9,)
+    assert np.array_equal(upd.y_center[:8], fit.y_center)
+    assert upd.y_center[8] == 0.0
+    assert upd.x_mean[8] == 0.0
 
 
 def test_update_after_vertex_removal_restricts_center():
@@ -443,9 +458,9 @@ def test_update_after_vertex_removal_restricts_center():
     g2, vmap = perturb_vertices(model.sg.graph, 2, "remove", seed=7)
     sg2 = build_laplacian(g2)
     upd = update_for_topology(fit, sg2, vmap)
-    assert upd.base.y_center.shape == (8,)
+    assert upd.y_center.shape == (8,)
     for old, new in vmap.items():
-        assert upd.base.y_center[new] == fit.base.y_center[old]
+        assert upd.y_center[new] == fit.y_center[old]
 
 
 def test_remap_estimator_submatrix_semantics():
@@ -465,11 +480,89 @@ def test_remap_estimator_zero_pads_added_vertices():
     est = gsp_lmmse(m)
     vmap = {i: i for i in range(6)}
     out = remap_estimator(est, vmap, 8)
-    assert np.array_equal(out.gain[:6, :6], est.gain)
+    assert np.array_equal(out.gain[:6, :6], est.dense.gain)
     assert np.all(out.gain[6:, :] == 0.0)
     assert np.all(out.gain[:, 6:] == 0.0)
     assert np.all(out.y_center[6:] == 0.0)
     assert np.all(out.x_mean[6:] == 0.0)
+
+
+# ------------------------------------------- frequency domain against dense
+
+
+def _assert_matches_dense_gain(est, y):
+    v = est.sg.eigenvectors
+    want = est.x_mean + (y - est.y_center) @ ((v * est.response) @ v.T).T
+    got = est.estimate(y)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), est.label
+
+
+def _check_spectral_families(m, sg, perturbed, rng):
+    """Every spectral family on ``sg`` and, refitted or retuned, on each
+    ``(graph, vertex_map)`` of ``perturbed``, against its dense gain."""
+    def y_on(g):
+        return rng.standard_normal((6, g.n_vertices))
+
+    fits = (
+        gsp_lmmse(m),
+        fit_lpi(m, sg, order=3),
+        fit_arma(m, sg, num_order=2, den_order=1),
+        fit_lr_arma(m, reduce_spectrum(sg, 0.5), num_order=1, den_order=1),
+        almmse(sg, beta=3.0, sigma2=0.05),
+    )
+    for est in fits:
+        assert isinstance(est, SpectralEstimator)
+        _assert_matches_dense_gain(est, y_on(sg))
+    for graph, vmap in perturbed:
+        sg2 = build_laplacian(graph)
+        y2 = y_on(sg2)
+        for fit in fits[1:4]:
+            _assert_matches_dense_gain(update_for_topology(fit, sg2, vmap), y2)
+        _assert_matches_dense_gain(almmse(sg2, beta=3.0, sigma2=0.05), y2)
+        if vmap is None:  # gsp-lmmse's response on the new eigenbasis
+            _assert_matches_dense_gain(replace(fits[0], sg=sg2), y2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_spectral_families_match_dense_gain_on_random_graphs(seed):
+    m, sg, _ = sampled_moments(40 + seed, n=8 + 5 * seed)
+    rng = generator(seed, "dense-check")
+    perturbed = (
+        (perturb_edges(sg.graph, 3, "add", seed), None),
+        (perturb_edges(sg.graph, 2, "remove", seed), None),
+        perturb_vertices(sg.graph, 2, "add", seed),
+        perturb_vertices(sg.graph, 2, "remove", seed),
+    )
+    _check_spectral_families(m, sg, perturbed, rng)
+
+
+def test_spectral_families_match_dense_gain_on_ieee118():
+    grid = bundled_ieee118()
+    model = ac_measurement_model(grid, 3.0, 0.05)
+    m = stream_moments(model, 300, 7)
+    perturbed = []
+    for mode in ("add-edges", "remove-vertices"):
+        new_grid, vmap = perturb_grid(grid, 4, mode, 11)
+        perturbed.append((new_grid.graph(), vmap if mode.endswith("vertices") else None))
+    _check_spectral_families(m, model.sg, perturbed, generator(8, "ieee-y"))
+
+
+def test_spectral_estimator_validates_sizes():
+    m, sg, _ = sampled_moments(41, n=6)
+    with pytest.raises(ValueError):
+        SpectralEstimator("x", sg, np.ones(5), np.zeros(6), np.zeros(6))
+    with pytest.raises(ValueError):
+        SpectralEstimator("x", sg, np.ones(6), np.zeros(6), np.zeros(7))
+
+
+def test_remapped_spectral_estimator_builds_its_gain_once():
+    m, sg, _ = sampled_moments(42, n=8)
+    est = gsp_lmmse(m)
+    a = remap_estimator(est, {i: i for i in range(8)}, 9)
+    b = remap_estimator(est, {i: i - 1 for i in range(1, 8)}, 7)
+    assert est.dense is est.dense
+    assert np.array_equal(a.gain[:8, :8], est.dense.gain)
+    assert np.array_equal(b.gain[:7, :7], est.dense.gain[1:, 1:])
 
 
 # ------------------------------------------------------------- serialization
@@ -493,11 +586,11 @@ def test_fitted_estimator_json_round_trip():
         fit_arma(m, sg, num_order=2, den_order=1),
         fit_lr_arma(m, ReducedSpectrum(sg, 4), num_order=1, den_order=1),
     ):
-        back = estimator_from_json(estimator_to_json(fit))
-        assert isinstance(back, FittedGspEstimator)
+        back = estimator_from_json(estimator_to_json(fit), sg)
+        assert isinstance(back, SpectralEstimator)
         assert back.spec.kind == fit.spec.kind
-        assert np.array_equal(back.fitted_response, fit.fitted_response)
-        assert np.array_equal(back.base.gain, fit.base.gain)
+        assert np.array_equal(back.response, fit.response)
+        assert np.array_equal(back.dense.gain, fit.dense.gain)
         assert back.mu == fit.mu
         assert back.converged == fit.converged
         if fit.spec.kind == "lpi":
@@ -507,9 +600,36 @@ def test_fitted_estimator_json_round_trip():
             assert np.array_equal(back.spec.denominator, fit.spec.denominator)
     doc = json.loads(estimator_to_json(fit_lpi(m, sg, order=2)))
     assert set(doc) == {
-        "label", "x_mean", "gain", "y_center", "filter", "fitted_response",
-        "mu", "converged",
+        "label", "x_mean", "y_center", "filter", "response", "mu", "converged",
     }
+
+
+def test_estimators_without_a_gain_need_their_graph():
+    m, sg, _ = sampled_moments(43)
+    for est in (gsp_lmmse(m), almmse(sg, 3.0, 0.05)):
+        text = estimator_to_json(est)
+        assert "gain" not in json.loads(text)
+        with pytest.raises(ValueError):
+            estimator_from_json(text)
+        back = estimator_from_json(text, sg)
+        assert back.spec is None and back.label == est.label
+        assert np.array_equal(back.response, est.response)
+    with pytest.raises(ValueError):
+        estimator_from_json(estimator_to_json(gsp_lmmse(m)), random_sg(44, 9))
+
+
+def test_json_with_a_gain_loads_as_linear_estimator():
+    # a fitted estimator as written when fits stored their dense gain
+    m, sg, _ = sampled_moments(45)
+    fit = fit_lpi(m, sg, order=2)
+    doc = json.loads(estimator_to_json(fit))
+    doc["gain"] = fit.dense.gain.tolist()
+    doc["fitted_response"] = doc.pop("response")
+    back = estimator_from_json(json.dumps(doc))
+    assert isinstance(back, LinearEstimator)
+    assert np.array_equal(back.gain, fit.dense.gain)
+    y = generator(45, "y").standard_normal((5, 8))
+    assert np.max(np.abs(back.estimate(y) - fit.estimate(y))) < 1e-12
 
 
 # ------------------------------------------------------------ singular input
@@ -535,6 +655,23 @@ def test_condition_number_threshold():
     sample_lmmse(with_floor(10.0 / COND_LIMIT))
     with pytest.raises(SingularMomentsError):
         sample_lmmse(with_floor(0.1 / COND_LIMIT))
+
+
+def test_symmetric_condition_number_matches_svd():
+    rng = generator(46, "cond")
+    q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+    for lam in (
+        np.linspace(1.0, 5.0, 9),
+        np.geomspace(1e-9, 2.0, 9),
+        np.concatenate([[-3.0, -1e-4], np.linspace(0.5, 2.0, 7)]),
+    ):
+        a = (q * lam) @ q.T
+        a = (a + a.T) / 2
+        want = np.linalg.cond(a)
+        assert abs(_symmetric_cond(a) - want) <= 1e-6 * want
+    u = np.ones(9)
+    assert _symmetric_cond(np.outer(u, u)) >= COND_LIMIT
+    assert _symmetric_cond(np.zeros((3, 3))) == np.inf
 
 
 def test_diag_lmmse_rejects_nonpositive_variance():
@@ -572,6 +709,6 @@ def test_exact_linear_gaussian_moments_match_training_free_gain():
         cx @ lap.T,
         lap @ cx @ lap.T + sigma2 * np.eye(n),
     )
-    want = almmse(sg, beta, sigma2).gain
+    want = almmse(sg, beta, sigma2).dense.gain
     assert np.max(np.abs(sample_lmmse(m).gain - want)) < 1e-8
-    assert np.max(np.abs(gsp_lmmse(m).gain - want)) < 1e-8
+    assert np.max(np.abs(gsp_lmmse(m).dense.gain - want)) < 1e-8

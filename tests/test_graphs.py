@@ -4,6 +4,8 @@ import pytest
 from gspest.errors import InvalidGraphError, PerturbationInfeasibleError
 from gspest.graphs import (
     WeightedGraph,
+    _canonical_sign,
+    _canonicalize_eigenvectors,
     build_laplacian,
     gft,
     igft,
@@ -13,6 +15,7 @@ from gspest.graphs import (
     reduce_spectrum,
     write_edge_list,
 )
+from gspest.models import bundled_ieee118
 from gspest.rng import generator
 
 
@@ -128,6 +131,87 @@ def test_degenerate_eigenspace_deterministic():
     jit = WeightedGraph(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0 + 1e-15)))
     sg2 = build_laplacian(jit)
     assert np.max(np.abs(sg1.eigenvectors - sg2.eigenvectors)) < 1e-6
+
+
+def _gram_schmidt_canonicalization(eigvals, vecs):
+    """The Gram-Schmidt loop that ``_canonicalize_eigenvectors`` replaced,
+    kept as the reference for graphs whose clusters it handled."""
+    n = vecs.shape[0]
+    scale = max(float(eigvals[-1]) - float(eigvals[0]), 1.0)
+    out = vecs.copy()
+    start = 0
+    while start < n:
+        stop = start + 1
+        while stop < n and eigvals[stop] - eigvals[start] <= 1e-8 * scale:
+            stop += 1
+        if stop - start > 1:
+            block = vecs[:, start:stop]
+            proj = block @ block.T
+            basis = []
+            for k in range(n):
+                cand = proj[:, k].copy()
+                for b in basis:
+                    cand -= (b @ cand) * b
+                nrm = np.linalg.norm(cand)
+                if nrm > 1e-8:
+                    basis.append(cand / nrm)
+                    if len(basis) == stop - start:
+                        break
+            out[:, start:stop] = np.column_stack(basis)
+        start = stop
+    for k in range(n):
+        out[:, k] = _canonical_sign(out[:, k])
+    return out
+
+
+def _cycle(n):
+    return WeightedGraph(n, tuple((i, (i + 1) % n, 1.0) for i in range(n)))
+
+
+@pytest.mark.parametrize("graph", [
+    _cycle(8),
+    _cycle(13),
+    WeightedGraph(9, tuple((0, i, 1.5) for i in range(1, 9))),
+    WeightedGraph(7, tuple((i, j, 1.0) for i in range(7) for j in range(i + 1, 7))),
+    WeightedGraph(16, tuple(
+        (u, u ^ (1 << b), 1.0) for u in range(16) for b in range(4) if u < u ^ (1 << b)
+    )),
+    # twins 0, 1 and 2, 3: unit vector 1 projects onto minus unit vector 0
+    WeightedGraph(4, ((0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0))),
+], ids=["cycle8", "cycle13", "star9", "complete7", "hypercube4", "twins4"])
+def test_eigenspace_basis_matches_gram_schmidt(graph):
+    w = graph.adjacency()
+    lam, vecs = np.linalg.eigh(np.diag(w.sum(axis=1)) - w)
+    assert np.sum(np.diff(lam) < 1e-8 * lam[-1]) > 0  # has a repeated eigenvalue
+    got = _canonicalize_eigenvectors(lam, vecs)
+    want = _gram_schmidt_canonicalization(lam, vecs)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+# (from, to, susceptance) of the ties between neighbouring copies, 1-based
+_TIES = (
+    (8, 151, 75.9581616803578), (28, 133, 213.26739302898395),
+    (57, 149, 183.3167203177813), (205, 249, 144.10791647681546),
+    (220, 311, 135.76791915595305), (233, 282, 188.11417811277093),
+    (265, 442, 219.62514228010778), (290, 454, 235.21582872574),
+    (293, 418, 62.365516049366256),
+)
+
+
+def test_exact_copies_of_a_grid_decompose():
+    # four identical copies of the bundled grid joined by a few ties have
+    # clusters of eigenvalues within 1e-8 of each other; Gram-Schmidt left
+    # that basis 1.7e-9 away from orthonormal, and the build was rejected
+    base = bundled_ieee118().graph()
+    n = base.n_vertices
+    edges = [(i + c * n, j + c * n, w) for c in range(4) for i, j, w in base.edges]
+    graph = WeightedGraph(4 * n, tuple(edges + [(f - 1, t - 1, w) for f, t, w in _TIES]))
+    sg = build_laplacian(graph)
+    lam, v = sg.eigenvalues, sg.eigenvectors
+    assert np.sum(np.diff(lam) <= 1e-8 * lam[-1]) > 0
+    assert np.max(np.abs(v.T @ v - np.eye(4 * n))) <= 1e-10
+    assert sg.is_connected()
+    assert np.array_equal(build_laplacian(graph).eigenvectors, v)
 
 
 def test_zero_eigenvector_is_constant_vector():

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from gspest.errors import ConfigError
-from gspest.estimators import LinearEstimator, fit_arma, fit_lpi, gsp_lmmse, sample_lmmse
+from gspest.estimators import (
+    LinearEstimator,
+    SpectralEstimator,
+    fit_arma,
+    fit_lpi,
+    gsp_lmmse,
+    sample_lmmse,
+)
 from gspest.filters import FilterSpec, filter_matrix
 from gspest.graphs import build_laplacian
 from gspest.harness import (
@@ -24,7 +31,7 @@ from gspest.harness import (
     squared_errors,
 )
 from gspest.models import ac_measurement_model, linear_filter_model
-from gspest.moments import SampleMoments, compute_moments, generate
+from gspest.moments import SampleMoments, compute_moments, generate, stream_moments
 from gspest.rng import generator
 from tests.test_graphs import random_connected_graph
 from tests.test_models import random_grid
@@ -300,6 +307,49 @@ def test_family_table_reaches_estimators_by_module_name(tmp_path, monkeypatch):
         if family.coefficients is not None:
             family.coefficients(None, sg, config)
     assert sorted(calls) == sorted(names)
+
+
+SPECTRAL = ("gsp-lmmse", "lpi-gsp", "arma-gsp", "lr-arma-gsp", "almmse")
+
+
+def test_parseval_scores_match_squared_errors(tmp_path):
+    from gspest.harness import _Draws
+
+    config = small_config(tmp_path)
+    model = build_model(config)
+    m = stream_moments(model, 60, 2)
+    draws = _Draws(model.sg, *draw_test_set(model, 300, 4))
+    for label in SPECTRAL:
+        est = fit_by_label(label, m, model.sg, config)
+        assert isinstance(est, SpectralEstimator), label
+        want = squared_errors(est.dense, draws.x, draws.y)
+        got = draws.errors(est)
+        assert np.max(np.abs(got - want) / want) <= 1e-12, label
+    assert draws.spectra is draws.spectra
+    # an estimator fitted on another graph is scored in the vertex domain
+    other = replace(est, sg=build_laplacian(model.sg.graph))
+    assert np.array_equal(draws.errors(other), squared_errors(other, draws.x, draws.y))
+
+
+def test_spectral_families_build_no_dense_gain(tmp_path, monkeypatch):
+    from gspest import estimators
+
+    built = []
+    dense = estimators._filter_operator
+    monkeypatch.setattr(
+        estimators, "_filter_operator", lambda v, h: built.append(v.shape) or dense(v, h)
+    )
+    config = small_config(tmp_path, perturb_counts=(1, 2), perturb_repetitions=2)
+    experiment_a(config)
+    measure_runtime(config)
+    for mode in ("add-edges", "remove-edges"):
+        experiment_b(replace(config, perturb_mode=mode))
+    assert built == []
+    # on vertex modes the stale gsp-lmmse is remapped through its gain,
+    # built once for all four perturbations
+    for mode in ("add-vertices", "remove-vertices"):
+        experiment_b(replace(config, perturb_mode=mode))
+    assert built == [(12, 12), (12, 12)]
 
 
 def test_experiment_b_reads_grid_once(tmp_path, monkeypatch):
