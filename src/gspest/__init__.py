@@ -57,6 +57,7 @@ from .graphs import (
     build_laplacian,
     gft,
     igft,
+    perturb,
     perturb_edges,
     perturb_vertices,
     read_edge_list,

@@ -9,7 +9,9 @@ per-frequency gain that minimizes the mean squared error is the ratio of the
 cross diagonal to the variance diagonal; parametric filters (``lpi``,
 ``arma``, ``linear``, ``lr-arma``) are fitted to the same objective, which
 for any filter family reduces to variance-weighted least squares against
-that ratio.
+that ratio. A fitted filter's response is always ``filters.response`` of its
+``spec`` on the graph, when it is fitted and when
+:func:`update_for_topology` re-evaluates it on a changed graph.
 
 JSON: a :class:`LinearEstimator` is written with its ``gain``, a spectral
 estimator with its ``response`` (no ``gain``, no graph: reading it takes
@@ -45,7 +47,7 @@ from .errors import SingularMomentsError, UnstableFilterError
 from .filters import (
     FilterSpec,
     denominator_tolerance,
-    response_at,
+    response,
     spec_from_json,
     spec_to_json,
     vandermonde,
@@ -172,16 +174,13 @@ def gsp_lmmse(m: SampleMoments, label: str = "gsp-lmmse") -> SpectralEstimator:
     return SpectralEstimator(label, m.sg, gsp_response(m), m.x_mean, m.y_mean)
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    d = np.diag(mat)
-    if np.array_equal(mat, np.diag(d)):
-        if np.any(d < 0):
-            raise ValueError("regularizer must be positive semidefinite")
-        return np.diag(np.sqrt(d))
-    w, u = np.linalg.eigh(mat)
-    if np.any(w < -1e-12 * max(w.max(), 1.0)):
-        raise ValueError("regularizer must be positive semidefinite")
-    return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
+def _filtered(
+    label: str, m: SampleMoments, spec: FilterSpec, mu: float, converged: bool
+) -> SpectralEstimator:
+    """The spectral estimator of a fitted ``spec`` on the moments' graph."""
+    return SpectralEstimator(
+        label, m.sg, response(spec, m.sg), m.x_mean, m.y_mean, spec, mu, converged
+    )
 
 
 def default_lpi_regularizer(sg: SpectralGraph, order: int) -> np.ndarray:
@@ -200,21 +199,19 @@ def lpi_coefficients(
     sg: SpectralGraph,
     order: int = 6,
     mu: float = 1e-3,
-    reg: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pseudo-inverse polynomial taps by regularized weighted least squares
     against the per-frequency optimal gain.
 
     Closed form: solve ``(B^T D B + mu R) taps = B^T d`` with ``B`` the
-    inverse-power basis, ``D``/``d`` the moment diagonals. Falls back to a
-    stacked least-squares solve of the same quadratic program when the
-    normal matrix is ill-conditioned.
+    inverse-power basis, ``D``/``d`` the moment diagonals and ``R`` the
+    :func:`default_lpi_regularizer`. Falls back to a stacked least-squares
+    solve of the same quadratic program when the normal matrix is
+    ill-conditioned.
     """
     require_positive_freq_var(m)
     basis = lpi_basis(sg, order)
-    reg = default_lpi_regularizer(sg, order) if reg is None else np.asarray(reg, float)
-    if reg.shape != (order + 1, order + 1):
-        raise ValueError("regularizer has wrong shape")
+    reg = default_lpi_regularizer(sg, order)
     dvec = m.freq_cross_diag
     dvar = m.freq_var_diag
     normal = basis.T @ (dvar[:, None] * basis) + mu * reg
@@ -223,7 +220,8 @@ def lpi_coefficients(
     if np.isfinite(cond) and cond < COND_LIMIT:
         return np.linalg.solve(normal, rhs)
     sqrt_w = np.sqrt(dvar)
-    rows = np.vstack([sqrt_w[:, None] * basis, np.sqrt(mu) * _psd_sqrt(reg)])
+    # the regularizer is diagonal, so its square root is elementwise
+    rows = np.vstack([sqrt_w[:, None] * basis, np.sqrt(mu) * np.sqrt(reg)])
     target = np.concatenate([dvec / sqrt_w, np.zeros(order + 1)])
     taps, *_ = np.linalg.lstsq(rows, target, rcond=None)
     return taps
@@ -234,15 +232,11 @@ def fit_lpi(
     sg: SpectralGraph,
     order: int = 6,
     mu: float = 1e-3,
-    reg: np.ndarray | None = None,
     label: str = "lpi-gsp",
 ) -> SpectralEstimator:
     """Spectral estimator with :func:`lpi_coefficients` taps."""
-    taps = lpi_coefficients(m, sg, order, mu, reg)
-    resp = lpi_basis(sg, order) @ taps
-    return SpectralEstimator(
-        label, m.sg, resp, m.x_mean, m.y_mean, FilterSpec.lpi(taps), mu
-    )
+    taps = lpi_coefficients(m, sg, order, mu)
+    return _filtered(label, m, FilterSpec.lpi(taps), mu, True)
 
 
 def _profiled_numerator(
@@ -365,8 +359,7 @@ def fit_arma(
         spec = FilterSpec.linear(numer)
     else:
         spec = FilterSpec.arma(numer, denom)
-    resp = response_at(spec, sg.eigenvalues, sg.zero_tolerance())
-    return SpectralEstimator(label, m.sg, resp, m.x_mean, m.y_mean, spec, mu, converged)
+    return _filtered(label, m, spec, mu, converged)
 
 
 def lr_arma_coefficients(
@@ -401,9 +394,7 @@ def fit_lr_arma(
     the cutoff and identically zero above it."""
     numer, denom, converged = lr_arma_coefficients(m, reduced, num_order, den_order, mu)
     spec = FilterSpec.lr_arma(numer, denom, reduced.n_kept)
-    sg = reduced.parent
-    resp = response_at(spec, sg.eigenvalues, sg.zero_tolerance())
-    return SpectralEstimator(label, m.sg, resp, m.x_mean, m.y_mean, spec, mu, converged)
+    return _filtered(label, m, spec, mu, converged)
 
 
 def almmse(
@@ -444,7 +435,9 @@ def update_for_topology(
     survivors / zero at added vertices when ``vertex_map`` is given), as does
     the prior mean.
     """
-    resp = response_at(fit.spec, new_sg.eigenvalues, new_sg.zero_tolerance())
+    if fit.spec is None:
+        raise ValueError(f"{fit.label} has no filter to re-evaluate")
+    resp = response(fit.spec, new_sg)
     n_new = new_sg.n_vertices
     if vertex_map is None:
         if fit.y_center.size != n_new:

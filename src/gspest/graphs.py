@@ -13,6 +13,11 @@ re-derived by Gram-Schmidt (a QR, re-orthogonalized once) of the canonical
 unit vectors projected onto the eigenspace (in index order), and every
 eigenvector is signed so its largest-magnitude entry (lowest index on ties)
 is positive.
+
+This module makes every topology decision of the package: the Laplacian
+above, connectivity (second eigenvalue above :data:`CONNECTIVITY_TOL`), and
+the seeded perturbations, which :func:`perturb` selects from a mode string in
+:data:`PERTURB_MODES`.
 """
 
 from __future__ import annotations
@@ -24,11 +29,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (
-    DisconnectedGraphError,
-    InvalidGraphError,
-    PerturbationInfeasibleError,
-)
+from .errors import InvalidGraphError, PerturbationInfeasibleError
 from .rng import generator
 
 # Relative tolerance for treating an eigenvalue as zero (scaled by lam[-1]).
@@ -37,6 +38,10 @@ ZERO_EIGENVALUE_RTOL = 1e-9
 CONNECTIVITY_TOL = 1e-6
 # Retry budget per edge/vertex for constrained perturbations.
 MAX_PERTURB_RETRIES = 100
+# Existing vertices each added vertex is joined to.
+K_ATTACH = 2
+# The ``mode`` values of :func:`perturb`.
+PERTURB_MODES = ("add-edges", "remove-edges", "add-vertices", "remove-vertices")
 # Relative tolerance for grouping equal eigenvalues before canonicalization.
 _DEGENERACY_RTOL = 1e-8
 
@@ -122,10 +127,8 @@ class SpectralGraph:
         lam_max = float(self.eigenvalues[-1])
         return ZERO_EIGENVALUE_RTOL * max(lam_max, 1.0)
 
-    def is_connected(self, tol: float = CONNECTIVITY_TOL) -> bool:
-        if self.n_vertices == 1:
-            return True
-        return float(self.eigenvalues[1]) > tol
+    def is_connected(self) -> bool:
+        return _connected_spectrum(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -225,6 +228,17 @@ def _canonicalize_eigenvectors(eigvals: np.ndarray, vecs: np.ndarray) -> np.ndar
     return out
 
 
+def _connected_spectrum(eigenvalues: np.ndarray) -> bool:
+    """Whether an ascending Laplacian spectrum has its second eigenvalue
+    above :data:`CONNECTIVITY_TOL` (a single vertex counts as connected)."""
+    return eigenvalues.size < 2 or float(eigenvalues[1]) > CONNECTIVITY_TOL
+
+
+def _laplacian(w: np.ndarray) -> np.ndarray:
+    """``diag(W 1) - W`` for a dense symmetric weight matrix ``W``."""
+    return np.diag(w.sum(axis=1)) - w
+
+
 def build_laplacian(graph: WeightedGraph) -> SpectralGraph:
     """Build ``L = diag(W 1) - W`` and its canonical eigendecomposition.
 
@@ -232,8 +246,7 @@ def build_laplacian(graph: WeightedGraph) -> SpectralGraph:
     the eigenpair residual ``max|L v - lam v|`` must not exceed 1e-8 relative
     to the spectral scale; both are enforced here, not just tested.
     """
-    w = graph.adjacency()
-    lap = np.diag(w.sum(axis=1)) - w
+    lap = _laplacian(graph.adjacency())
     eigvals, vecs = np.linalg.eigh(lap)
     vecs = _canonicalize_eigenvectors(eigvals, vecs)
 
@@ -286,16 +299,15 @@ def reduce_spectrum(sg: SpectralGraph, size: int | float) -> ReducedSpectrum:
     return ReducedSpectrum(sg, n_kept)
 
 
-def _stays_connected(graph: WeightedGraph, tol: float) -> bool:
-    """Whether the second Laplacian eigenvalue exceeds ``tol``. A graph whose
+def _stays_connected(graph: WeightedGraph) -> bool:
+    """:func:`_connected_spectrum` of the graph's Laplacian. A graph whose
     nonzero-weight edges do not connect it has a zero second eigenvalue, so
     it is rejected before any eigendecomposition."""
     w = graph.adjacency()
     # the sparse copy keeps only the nonzero weights
     if connected_components(csr_array(w), directed=False, return_labels=False) > 1:
         return False
-    lam = np.linalg.eigvalsh(np.diag(w.sum(axis=1)) - w)
-    return lam.size < 2 or float(lam[1]) > tol
+    return _connected_spectrum(np.linalg.eigvalsh(_laplacian(w)))
 
 
 def _absent_pairs(graph: WeightedGraph) -> np.ndarray:
@@ -308,12 +320,20 @@ def _absent_pairs(graph: WeightedGraph) -> np.ndarray:
     return np.flatnonzero(absent)
 
 
+def _perturb_rng(stream: str, count: int, mode: str, seed: int) -> np.random.Generator:
+    """The seeded stream of ``count`` "add" or "remove" steps."""
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    if mode not in ("add", "remove"):
+        raise ValueError(f"unknown perturbation mode {mode!r}")
+    return generator(seed, stream, ("add", "remove").index(mode))
+
+
 def perturb_edges(
     graph: WeightedGraph,
     count: int,
     mode: str,
     seed: int,
-    connectivity_tol: float = CONNECTIVITY_TOL,
 ) -> WeightedGraph:
     """Add or remove ``count`` edges at random.
 
@@ -321,12 +341,10 @@ def perturb_edges(
     lexicographic ``(i, j)`` order (a seeded contract), then the weight is
     uniform over the existing weight range. Adding edges can only raise the
     algebraic connectivity. mode "remove": edges drawn uniformly; a removal
-    that drops the second eigenvalue below ``connectivity_tol`` is rejected
-    and redrawn, up to :data:`MAX_PERTURB_RETRIES` attempts per edge.
+    that leaves the second eigenvalue at or below :data:`CONNECTIVITY_TOL` is
+    rejected and redrawn, up to :data:`MAX_PERTURB_RETRIES` attempts per edge.
     """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    rng = generator(seed, "perturb-edges", {"add": 0, "remove": 1}[mode])
+    rng = _perturb_rng("perturb-edges", count, mode, seed)
     current = graph
     for k in range(count):
         if mode == "add":
@@ -345,7 +363,7 @@ def perturb_edges(
                 pick = int(rng.integers(current.n_edges))
                 kept = tuple(e for m, e in enumerate(current.edges) if m != pick)
                 cand = WeightedGraph(current.n_vertices, kept)
-                if _stays_connected(cand, connectivity_tol):
+                if _stays_connected(cand):
                     current = cand
                     placed = True
                     break
@@ -361,8 +379,6 @@ def perturb_vertices(
     count: int,
     mode: str,
     seed: int,
-    k_attach: int = 2,
-    connectivity_tol: float = CONNECTIVITY_TOL,
 ) -> tuple[WeightedGraph, dict[int, int]]:
     """Add or remove ``count`` vertices at random.
 
@@ -370,23 +386,20 @@ def perturb_vertices(
     vertices (removed vertices are absent from the map; added vertices get
     fresh indices appended after the old ones).
 
-    mode "add": each new vertex attaches to ``k_attach`` distinct uniformly
+    mode "add": each new vertex attaches to :data:`K_ATTACH` distinct uniformly
     chosen existing vertices with weights uniform over the existing weight
     range. mode "remove": vertex subsets are redrawn until the induced graph
     stays connected, up to :data:`MAX_PERTURB_RETRIES` attempts per vertex.
     """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    rng = generator(seed, "perturb-vertices", {"add": 0, "remove": 1}[mode])
+    rng = _perturb_rng("perturb-vertices", count, mode, seed)
     n = graph.n_vertices
     if mode == "add":
         edges = list(graph.edges)
+        # weight_range needs an edge, so the K_ATTACH = 2 targets exist
         lo, hi = graph.weight_range()
         for m in range(count):
             new = n + m
-            if k_attach > new:
-                raise PerturbationInfeasibleError("not enough vertices to attach to")
-            targets = rng.choice(new, size=k_attach, replace=False)
+            targets = rng.choice(new, size=K_ATTACH, replace=False)
             for t in sorted(int(t) for t in targets):
                 edges.append((t, new, float(rng.uniform(lo, hi))))
         out = WeightedGraph(n + count, tuple(edges))
@@ -404,11 +417,30 @@ def perturb_vertices(
             if i not in drop and j not in drop
         )
         cand = WeightedGraph(len(keep), edges)
-        if _stays_connected(cand, connectivity_tol):
+        if _stays_connected(cand):
             return cand, remap
     raise PerturbationInfeasibleError(
         "no vertex subset keeps the graph connected within the retry budget"
     )
+
+
+def perturb(
+    graph: WeightedGraph, count: int, mode: str, seed: int
+) -> tuple[WeightedGraph, dict[int, int]]:
+    """Apply ``count`` steps of one of :data:`PERTURB_MODES`.
+
+    ``"add-edges"``/``"remove-edges"`` run :func:`perturb_edges` and
+    ``"add-vertices"``/``"remove-vertices"`` :func:`perturb_vertices`, with
+    the same seed. Returns the new graph and the old->new vertex map, which
+    is the identity on the edge modes.
+    """
+    if mode not in PERTURB_MODES:
+        raise ValueError(f"unknown perturbation mode {mode!r}")
+    kind, what = mode.split("-")
+    if what == "edges":
+        vmap = {i: i for i in range(graph.n_vertices)}
+        return perturb_edges(graph, count, kind, seed), vmap
+    return perturb_vertices(graph, count, kind, seed)
 
 
 def write_edge_list(graph: WeightedGraph, path) -> None:

@@ -37,7 +37,7 @@ from .estimators import (
     update_for_topology,
     SpectralEstimator,
 )
-from .graphs import SpectralGraph, build_laplacian, gft, reduce_spectrum
+from .graphs import PERTURB_MODES, SpectralGraph, build_laplacian, gft, reduce_spectrum
 from .models import (
     AcGridModel,
     MeasurementModel,
@@ -126,8 +126,6 @@ FAMILIES = (
 )
 _BY_LABEL = {f.label: f for f in FAMILIES}
 ESTIMATOR_LABELS = tuple(_BY_LABEL)
-
-PERTURB_MODES = ("add-edges", "remove-edges", "add-vertices", "remove-vertices")
 
 
 @dataclass(frozen=True)

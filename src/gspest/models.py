@@ -5,7 +5,8 @@ is independent across graph frequencies, an additive noise model, and the
 (possibly nonlinear) forward map from state to noiseless measurements. The
 grid model follows the per-unit AC power-flow equations over branch
 conductances/susceptances with the graph Laplacian built from the branch
-susceptance matrix.
+susceptance matrix. Its Laplacian, its connectivity check and its topology
+perturbations are those of :mod:`gspest.graphs`.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from .graphs import (
     SpectralGraph,
     WeightedGraph,
     _filter_operator,
+    _laplacian,
+    _stays_connected,
     build_laplacian,
     gft,
-    perturb_edges,
-    perturb_vertices,
+    perturb,
 )
 from .rng import generator
 
@@ -157,8 +159,7 @@ class AcGridModel:
         return self.susceptance.shape[0]
 
     def laplacian(self) -> np.ndarray:
-        b = self.susceptance
-        return np.diag(b.sum(axis=1)) - b
+        return _laplacian(self.susceptance)
 
     def graph(self) -> WeightedGraph:
         """Susceptance-weighted graph over the branches."""
@@ -241,8 +242,7 @@ def load_grid(path) -> AcGridModel:
         gmat[i, j] = gmat[j, i] = g
         bmat[i, j] = bmat[j, i] = b
     grid = AcGridModel(gmat, bmat)
-    lam = np.linalg.eigvalsh(grid.laplacian())
-    if n > 1 and lam[1] <= 1e-6:
+    if not _stays_connected(grid.graph()):
         raise DisconnectedGraphError(f"network in {path} is not connected")
     return grid
 
@@ -319,28 +319,18 @@ def perturb_grid(
     count: int,
     mode: str,
     seed: int,
-    k_attach: int = 2,
 ) -> tuple[AcGridModel, dict[int, int]]:
-    """Randomly change the grid topology, mirroring the susceptance-graph
-    perturbation onto the branch list.
+    """Randomly change the grid topology: :func:`gspest.graphs.perturb` of
+    the susceptance graph, mirrored onto the branch list.
 
-    mode is one of "add-edges", "remove-edges", "add-vertices",
-    "remove-vertices". Added branches draw susceptance from the empirical
-    susceptance range (the graph-weight rule) and are purely reactive
-    (conductance 0), so a new bus's expected injection stays 0 and matches
-    the zero-centering the topology-updated estimators use. Returns the new
-    grid and the old->new vertex map (identity except for vertex modes).
+    mode is one of :data:`gspest.graphs.PERTURB_MODES`. Added branches draw
+    susceptance from the empirical susceptance range (the graph-weight rule)
+    and are purely reactive (conductance 0), so a new bus's expected
+    injection stays 0 and matches the zero-centering the topology-updated
+    estimators use. Returns the new grid and the old->new vertex map
+    (identity except for vertex modes).
     """
-    graph = grid.graph()
-    if mode in ("add-edges", "remove-edges"):
-        new_graph = perturb_edges(graph, count, mode.split("-")[0], seed)
-        vmap = {i: i for i in range(graph.n_vertices)}
-    elif mode in ("add-vertices", "remove-vertices"):
-        new_graph, vmap = perturb_vertices(
-            graph, count, mode.split("-")[0], seed, k_attach=k_attach
-        )
-    else:
-        raise ValueError(f"unknown perturbation mode {mode!r}")
+    new_graph, vmap = perturb(grid.graph(), count, mode, seed)
 
     # old index of each new bus; a bus added by the perturbation has none
     # (-1), so it gets unit voltage and its branches get no conductance

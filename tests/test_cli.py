@@ -7,8 +7,9 @@ import pytest
 
 from gspest.cli import main
 from gspest.estimators import estimator_from_json
-from gspest.graphs import build_laplacian, read_edge_list
+from gspest.graphs import PERTURB_MODES, build_laplacian, perturb, read_edge_list
 from gspest.harness import FAMILIES
+from gspest.models import bundled_ieee118, perturb_grid
 from gspest.moments import read_training_csv
 from gspest.rng import generator
 from tests.test_harness import small_config, write_grid_csv
@@ -101,6 +102,19 @@ def test_graph_perturb_vertices(tmp_path, config_path):
     )
     assert code == 0
     assert read_edge_list(out).n_vertices == 13
+
+
+@pytest.mark.parametrize("mode", PERTURB_MODES)
+def test_graph_perturb_routes_agree(tmp_path, mode):
+    """The command, graphs.perturb and perturb_grid draw the same edges from
+    the bundled grid for one seed."""
+    out = tmp_path / "new.csv"
+    argv = ["graph", "perturb", "--mode", mode, "--count", "3", "--seed", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    grid = bundled_ieee118()
+    graph, _ = perturb(grid.graph(), 3, mode, 5)
+    assert read_edge_list(out) == graph
+    assert perturb_grid(grid, 3, mode, 5)[0].graph() == graph
 
 
 def test_dataset_fit_eval_flow(tmp_path, config_path, capsys):
@@ -312,6 +326,12 @@ def test_seed_override_changes_dataset(tmp_path, config_path):
     xc = np.loadtxt(f"{c}-x.csv", delimiter=",")
     assert not np.array_equal(xa, xb)
     assert np.array_equal(xb, xc)
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert main(["graph", "build", "--out", str(out), "--seed", "-1"]) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
 
 
 def test_bundled_grid_is_default(tmp_path):

@@ -243,12 +243,6 @@ def test_lpi_response_at_zero_is_first_tap():
     assert fit.response[0] == fit.spec.taps[0]
 
 
-def test_lpi_regularizer_shape_checked():
-    m, sg, _ = sampled_moments(12)
-    with pytest.raises(ValueError):
-        lpi_coefficients(m, sg, order=3, reg=np.eye(2))
-
-
 # ---------------------------------------------------------------- ARMA fits
 
 
@@ -432,6 +426,14 @@ def test_update_after_edge_change_reevaluates_response():
     assert np.max(np.abs(upd.dense.gain - (v2 * resp2) @ v2.T)) < 1e-14
     assert np.array_equal(upd.y_center, fit.y_center)
     assert np.array_equal(upd.spec.numerator, fit.spec.numerator)
+
+
+def test_update_needs_a_fitted_filter():
+    m, sg, _ = sampled_moments(29, n=8)
+    for est in (gsp_lmmse(m), almmse(sg, 3.0, 0.05)):
+        message = f"^{est.label} has no filter to re-evaluate$"
+        with pytest.raises(ValueError, match=message):
+            update_for_topology(est, sg)
 
 
 def test_update_requires_map_on_size_change():

@@ -9,6 +9,7 @@ from gspest.graphs import (
     build_laplacian,
     gft,
     igft,
+    perturb,
     perturb_edges,
     perturb_vertices,
     read_edge_list,
@@ -362,7 +363,7 @@ def test_zero_count_is_identity():
 def test_add_vertices_attachment():
     rng = generator(10, "perturb")
     g = random_connected_graph(rng, 9)
-    out, vmap = perturb_vertices(g, 2, "add", 5, k_attach=2)
+    out, vmap = perturb_vertices(g, 2, "add", 5)
     assert out.n_vertices == 11
     assert vmap == {i: i for i in range(9)}
     assert out.n_edges == g.n_edges + 4
@@ -393,6 +394,16 @@ def test_remove_vertices_infeasible():
     g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
     with pytest.raises(PerturbationInfeasibleError):
         perturb_vertices(g, 3, "remove", 0)
+
+
+@pytest.mark.parametrize(
+    "call, mode",
+    [(perturb_edges, "bogus"), (perturb_vertices, "bogus"), (perturb, "bogus"),
+     (perturb, "add"), (perturb, "add-vertex")],
+)
+def test_unknown_perturbation_mode_is_a_value_error(call, mode):
+    with pytest.raises(ValueError, match=repr(mode)):
+        call(PATH3, 1, mode, 0)
 
 
 # ------------------------------------------------------------------ I/O

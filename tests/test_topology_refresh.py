@@ -176,9 +176,7 @@ def test_connectivity_precheck_agrees_with_lambda2():
         cand = WeightedGraph(25, g.edges[:pick] + g.edges[pick + 1:])
         lap = np.diag(cand.adjacency().sum(axis=1)) - cand.adjacency()
         lam2 = np.linalg.eigvalsh(lap)[1]
-        assert graphs._stays_connected(cand, graphs.CONNECTIVITY_TOL) == (
-            lam2 > graphs.CONNECTIVITY_TOL
-        )
+        assert graphs._stays_connected(cand) == (lam2 > graphs.CONNECTIVITY_TOL)
 
 
 def test_connectivity_precheck_skips_eigvalsh_when_split(monkeypatch):
@@ -187,12 +185,10 @@ def test_connectivity_precheck_skips_eigvalsh_when_split(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
     # held together only by a zero-weight edge, so lambda_2 is 0
     split = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0)))
-    assert not graphs._stays_connected(split, graphs.CONNECTIVITY_TOL)
+    assert not graphs._stays_connected(split)
     assert calls == []
-    assert graphs._stays_connected(WeightedGraph(1, ()), graphs.CONNECTIVITY_TOL)
-    assert graphs._stays_connected(
-        WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0))), graphs.CONNECTIVITY_TOL
-    )
+    assert graphs._stays_connected(WeightedGraph(1, ()))
+    assert graphs._stays_connected(WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0))))
     assert calls == [1, 1]
 
 
