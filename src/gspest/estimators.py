@@ -183,6 +183,13 @@ def _filtered(
     )
 
 
+def _require_moments_graph(m: SampleMoments, sg: SpectralGraph) -> None:
+    """The taps are fitted on ``sg`` but the estimator is built on ``m.sg``;
+    reject a graph whose spectrum differs from the moments' one."""
+    if sg is not m.sg and not np.array_equal(sg.eigenvalues, m.sg.eigenvalues):
+        raise ValueError("sg does not match the graph of the moments")
+
+
 def default_lpi_regularizer(sg: SpectralGraph, order: int) -> np.ndarray:
     """Diagonal penalty growing as powers of the largest eigenvalue, damping
     high pseudo-inverse powers."""
@@ -209,6 +216,7 @@ def lpi_coefficients(
     solve of the same quadratic program when the normal matrix is
     ill-conditioned.
     """
+    _require_moments_graph(m, sg)
     require_positive_freq_var(m)
     basis = lpi_basis(sg, order)
     reg = default_lpi_regularizer(sg, order)
@@ -338,6 +346,7 @@ def arma_coefficients(
     the all-zero (polynomial) filter. ``den_order=0`` is the closed-form
     polynomial fit.
     """
+    _require_moments_graph(m, sg)
     require_positive_freq_var(m)
     return _fit_rational(
         sg.eigenvalues, m.freq_cross_diag, m.freq_var_diag, num_order, den_order, mu

@@ -190,12 +190,16 @@ def ac_power(model: AcGridModel, x: np.ndarray) -> np.ndarray:
     c, s = np.cos(rows), np.sin(rows)
     cu, su = c * u, s * u
     gmat, bmat = model.conductance, model.susceptance
-    out = u * (
-        c * (cu @ gmat)
-        + s * (su @ gmat)
-        + s * (cu @ bmat)
-        - c * (su @ bmat)
-    )
+    # u * (c * (cu@G - su@B) + s * (su@G + cu@B)), with at most one
+    # row-sized temporary beside c, s, cu, su and out
+    out = cu @ gmat
+    out -= su @ bmat
+    out *= c
+    q = np.matmul(su, gmat, out=c)  # c is not needed any more
+    q += cu @ bmat
+    q *= s
+    out += q
+    out *= u
     return out[0] if single else out
 
 

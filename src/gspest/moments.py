@@ -3,17 +3,18 @@
 Training data are pairs of prior draws and their noiseless forward values;
 measurement noise never enters the samples and is instead added analytically
 to the second moments (its covariance is known). Moments are accumulated in
-one blockwise pass, centered on the first sample to limit cancellation; the
+one chunked pass, centered on the first sample to limit cancellation; the
 result must match the naive two-pass formulas to high precision.
 
-:func:`stream_moments` is the same pass fed one freshly drawn block at a
-time: O(block * N) memory instead of O(count * N), and moments bitwise equal
-to ``compute_moments(generate(...))``.
+:func:`stream_moments` is the same pass fed one freshly drawn chunk of at
+most ``_CHUNK`` rows at a time: O(chunk * N) memory instead of
+O(count * N), and moments bitwise equal to ``compute_moments(generate(...))``,
+which cuts the materialised set at the same chunk boundaries.
 
-The frequency-domain diagonals are accumulated elementwise (Hadamard
-products of centered GFT coefficients), not extracted from the full
-covariances; agreement of the two routes is an identity that the tests
-check, not something this module assumes.
+The frequency-domain diagonals are extracted from the finished vertex-domain
+covariances as ``diag(V^T C V)`` (:func:`_freq_diag`), once per pass, rather
+than accumulated from per-row graph transforms; the tests check them against
+the naive Hadamard sums of centered GFT coefficients.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from .graphs import SpectralGraph
 from .models import MeasurementModel, NoiseModel, _draw_prior
 from .rng import generator
 
-# Rows per accumulation block; moving the boundaries changes the rounding.
-_BLOCK = 65536
-# Most rows per prior draw and forward map; both act row by row.
+# Most rows per prior draw, forward map and accumulation step; moving the
+# chunk boundaries changes the rounding of the moments.
 _CHUNK = 2048
 
 
@@ -70,9 +70,9 @@ class TrainingSet:
         _write_csv_pair(x_path, g_path, [(self.x, self.g)])
 
 
-def _write_csv_pair(x_path, g_path, blocks) -> None:
+def _write_csv_pair(x_path, g_path, chunks) -> None:
     with open(x_path, "w") as fx, open(g_path, "w") as fg:
-        for x, g in blocks:
+        for x, g in chunks:
             np.savetxt(fx, x, fmt="%.17g", delimiter=",")
             np.savetxt(fg, g, fmt="%.17g", delimiter=",")
 
@@ -100,41 +100,33 @@ def generate(
     return TrainingSet(sg, x, np.asarray(g, dtype=float), model.mean_x, seed=seed)
 
 
-def _training_blocks(model: MeasurementModel, count: int, seed: int):
-    """``generate(model, model.sg, count, seed)`` as ``(x, g)`` blocks of
-    ``_BLOCK`` rows, bit for bit. Each block overwrites the previous one."""
+def _chunk_bounds(count: int):
+    """``(start, stop)`` of near-equal chunks of at most ``_CHUNK`` rows.
+
+    None is short: BLAS multiplies a few rows on another path (gemv for one
+    row), which rounds differently from the product of the whole set.
+    """
+    pieces = -(-count // _CHUNK)
+    edges = [i * count // pieces for i in range(pieces + 1)]
+    return zip(edges[:-1], edges[1:])
+
+
+def _training_chunks(model: MeasurementModel, count: int, seed: int):
+    """``generate(model, model.sg, count, seed)`` as ``(x, g)`` chunks cut at
+    :func:`_chunk_bounds`, bit for bit: each chunk is drawn and pushed
+    through the forward map only when the previous one has been consumed."""
     if count < 2:
         raise ValueError("need at least two samples")
     rng = generator(seed, "prior")
-    bufs = np.empty((2, min(count, _BLOCK), model.sg.n_vertices))
-    # Near-equal chunks, none short: BLAS multiplies a few rows on another
-    # path (gemv for one row), which rounds differently from the product of
-    # the whole set.
-    pieces = -(-count // _CHUNK)
-    sizes = [count // pieces + (i < count % pieces) for i in range(pieces)]
-
-    def blocks(chunks):
-        x_c = g_c = bufs[0, :0]  # drawn rows not yet copied into a block
-        for start in range(0, count, _BLOCK):
-            x, g = bufs[:, : min(_BLOCK, count - start)]
-            filled = 0
-            while filled < len(x):
-                if not len(x_c):
-                    x_c, g_c = next(chunks)
-                take = min(len(x_c), len(x) - filled)
-                x[filled : filled + take] = x_c[:take]
-                g[filled : filled + take] = g_c[:take]
-                x_c, g_c, filled = x_c[take:], g_c[take:], filled + take
-            yield x, g
-
-    xs = (_draw_prior(model.prior, rng, rows) for rows in sizes)
-    return blocks((x, model.forward(x)) for x in xs)
+    for start, stop in _chunk_bounds(count):
+        x = _draw_prior(model.prior, rng, stop - start)
+        yield x, np.asarray(model.forward(x), dtype=float)
 
 
 def write_training_csv(model: MeasurementModel, count: int, seed: int, x_path, g_path) -> None:
-    """Write ``generate(model, model.sg, count, seed)`` one block at a time;
-    the files are byte-identical to :meth:`TrainingSet.write_csv`."""
-    _write_csv_pair(x_path, g_path, _training_blocks(model, count, seed))
+    """Write ``generate(model, model.sg, count, seed)`` one draw chunk at a
+    time; the files are byte-identical to :meth:`TrainingSet.write_csv`."""
+    _write_csv_pair(x_path, g_path, _training_chunks(model, count, seed))
 
 
 @dataclass(frozen=True)
@@ -142,7 +134,7 @@ class SampleMoments:
     """First and second sample moments with analytic noise folded in.
 
     ``cross_cov``/``y_cov`` are the vertex-domain matrices; the frequency
-    diagonals are the elementwise-accumulated GFT counterparts. ``y_cov`` and
+    diagonals are their GFT counterparts ``diag(V^T C V)``. ``y_cov`` and
     ``freq_var_diag`` both include the noise contribution.
     """
 
@@ -169,18 +161,18 @@ class SampleMoments:
     ) -> "SampleMoments":
         """Build a moments object from externally supplied (e.g. analytic)
         covariances; ``y_cov`` must already include any noise term."""
-        v = sg.eigenvectors
         n = sg.n_vertices
         noise = np.zeros((n, n)) if noise_cov is None else np.asarray(noise_cov, float)
+        cross_cov, y_cov = np.asarray(cross_cov, float), np.asarray(y_cov, float)
         return cls(
             sg,
             count,
             np.asarray(x_mean, float),
             np.asarray(y_mean, float),
-            np.asarray(cross_cov, float),
-            np.asarray(y_cov, float),
-            np.diag(v.T @ cross_cov @ v).copy(),
-            np.diag(v.T @ y_cov @ v).copy(),
+            cross_cov,
+            y_cov,
+            _freq_diag(sg.eigenvectors, cross_cov),
+            _freq_diag(sg.eigenvectors, y_cov),
             noise,
         )
 
@@ -204,24 +196,29 @@ def compute_moments(ts: TrainingSet, noise_cov) -> SampleMoments:
     means; the known prior mean never enters them and survives only as the
     estimator base point.
     """
-    blocks = (
-        (ts.x[start : start + _BLOCK].copy(), ts.g[start : start + _BLOCK].copy())
-        for start in range(0, ts.count, _BLOCK)
+    chunks = (
+        (ts.x[start:stop].copy(), ts.g[start:stop].copy())
+        for start, stop in _chunk_bounds(ts.count)
     )
-    return _accumulate(ts.sg, ts.x_mean, noise_cov, blocks)
+    return _accumulate(ts.sg, ts.x_mean, noise_cov, chunks)
 
 
 def stream_moments(model: MeasurementModel, count: int, seed: int) -> SampleMoments:
     """``compute_moments(generate(model, model.sg, count, seed), model.noise)``,
-    bitwise, without ever holding the training set: each block is drawn,
+    bitwise, without ever holding the training set: each chunk is drawn,
     pushed through the forward map and accumulated before the next."""
-    blocks = _training_blocks(model, count, seed)
-    return _accumulate(model.sg, model.mean_x, model.noise, blocks)
+    chunks = _training_chunks(model, count, seed)
+    return _accumulate(model.sg, model.mean_x, model.noise, chunks)
 
 
-def _accumulate(sg, x_mean, noise_cov, blocks) -> SampleMoments:
-    """One moment pass over ``(x, g)`` row blocks, centered on the first row.
-    The blocks are scratch: they are centered in place."""
+def _freq_diag(v: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """``diag(V^T C V)``, the graph-frequency diagonal of ``C``, in O(N^3)."""
+    return np.sum(v * (cov @ v), axis=0)
+
+
+def _accumulate(sg, x_mean, noise_cov, chunks) -> SampleMoments:
+    """One moment pass over ``(x, g)`` row chunks, centered on the first row.
+    The chunks are scratch: they are centered in place."""
     if isinstance(noise_cov, NoiseModel):
         noise_cov = noise_cov.covariance
     noise_cov = np.asarray(noise_cov, dtype=float)
@@ -229,15 +226,12 @@ def _accumulate(sg, x_mean, noise_cov, blocks) -> SampleMoments:
     if noise_cov.shape != (n, n):
         raise ValueError("noise covariance has wrong shape")
 
-    v = sg.eigenvectors
     p = 0
     sum_dx = np.zeros(n)
     sum_dg = np.zeros(n)
     ss_xg = np.zeros((n, n))
     ss_gg = np.zeros((n, n))
-    ss_xtgt = np.zeros(n)
-    ss_gt2 = np.zeros(n)
-    for x, g in blocks:
+    for x, g in chunks:
         if p == 0:
             x_ref, g_ref = x[0].copy(), g[0].copy()
         dx = np.subtract(x, x_ref, out=x)
@@ -247,26 +241,17 @@ def _accumulate(sg, x_mean, noise_cov, blocks) -> SampleMoments:
         sum_dg += dg.sum(axis=0)
         ss_xg += dx.T @ dg
         ss_gg += dg.T @ dg
-        dxt = dx @ v
-        dgt = dg @ v
-        ss_xtgt += np.sum(np.multiply(dxt, dgt, out=dxt), axis=0)
-        ss_gt2 += np.sum(np.multiply(dgt, dgt, out=dgt), axis=0)
-        del dxt, dgt  # free them before the next block is drawn
 
     mean_dx = sum_dx / p
     mean_dg = sum_dg / p
-    y_mean = g_ref + mean_dg
-    cross_cov = ss_xg / p - np.outer(mean_dx, mean_dg)
-    y_cov = ss_gg / p - np.outer(mean_dg, mean_dg) + noise_cov
-    mean_dxt = mean_dx @ v
-    mean_dgt = mean_dg @ v
-    freq_noise = np.diag(v.T @ noise_cov @ v)
-    freq_cross = ss_xtgt / p - mean_dxt * mean_dgt
-    freq_var = ss_gt2 / p - mean_dgt * mean_dgt + freq_noise
-
-    return SampleMoments(
-        sg, p, np.array(x_mean, dtype=float), y_mean, cross_cov, y_cov,
-        freq_cross, freq_var, noise_cov,
+    return SampleMoments.from_covariances(
+        sg,
+        np.array(x_mean, dtype=float),
+        g_ref + mean_dg,
+        ss_xg / p - np.outer(mean_dx, mean_dg),
+        ss_gg / p - np.outer(mean_dg, mean_dg) + noise_cov,
+        noise_cov,
+        p,
     )
 
 

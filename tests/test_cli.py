@@ -199,14 +199,13 @@ def test_eval_reads_a_fit_written_with_its_gain(tmp_path, config_path, capsys):
 
 
 def test_dataset_generate_streams_the_same_bytes(tmp_path, config_path, monkeypatch):
-    # 200 rows span four 64-row blocks, each filled from 24-row draws; the
+    # 200 rows are written as nine near-equal draws of at most 24 rows; the
     # reference is the materialised set written in one np.savetxt call
     import gspest.moments as mod
     from gspest.harness import ExperimentConfig, build_model
     from gspest.moments import generate
     from gspest.rng import derive
 
-    monkeypatch.setattr(mod, "_BLOCK", 64)
     monkeypatch.setattr(mod, "_CHUNK", 24)
     prefix = tmp_path / "streamed"
     code = main(

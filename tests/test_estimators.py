@@ -206,6 +206,23 @@ def test_lpi_recovers_representable_response():
     assert fit.mu == 0.0
 
 
+def test_fits_reject_a_graph_other_than_the_moments_graph():
+    m, sg, _ = sampled_moments(12, n=8)
+    other = random_sg(99, 8)
+    with pytest.raises(ValueError, match="graph of the moments"):
+        fit_lpi(m, other, order=2)
+    with pytest.raises(ValueError, match="graph of the moments"):
+        lpi_coefficients(m, other, order=2)
+    with pytest.raises(ValueError, match="graph of the moments"):
+        fit_arma(m, other, num_order=2, den_order=1)
+    with pytest.raises(ValueError, match="graph of the moments"):
+        arma_coefficients(m, other, num_order=2, den_order=1)
+    # a rebuilt copy of the same graph is accepted
+    same = build_laplacian(random_connected_graph(generator(12, "est-graph"), 8))
+    want = fit_lpi(m, sg, order=2).response
+    assert np.array_equal(fit_lpi(m, same, order=2).response, want)
+
+
 def test_lpi_closed_form_matches_iterative_solve():
     m, sg, _ = sampled_moments(9, n=10, count=300)
     order, mu = 3, 1e-3

@@ -69,14 +69,14 @@ def test_one_pass_matches_two_pass():
 
 
 def test_block_boundary_crossing():
-    # counts straddling the accumulation block size must agree with naive
+    # counts straddling the accumulation chunk size must agree with naive
     import gspest.moments as mod
 
     model, sg = small_model(2, n=4)
     noise = model.noise.covariance
-    old = mod._BLOCK
+    old = mod._CHUNK
     try:
-        mod._BLOCK = 64
+        mod._CHUNK = 64
         for p in (63, 64, 65, 200):
             ts = generate(model, sg, p, seed=p)
             m = compute_moments(ts, noise)
@@ -86,7 +86,7 @@ def test_block_boundary_crossing():
             assert np.max(np.abs(m.freq_cross_diag - fcross)) < 1e-12
             assert np.max(np.abs(m.freq_var_diag - fvar)) < 1e-12
     finally:
-        mod._BLOCK = old
+        mod._CHUNK = old
 
 
 def test_frequency_diagonals_equal_projected_covariances():
@@ -98,6 +98,21 @@ def test_frequency_diagonals_equal_projected_covariances():
     v = sg.eigenvectors
     assert np.max(np.abs(m.freq_cross_diag - np.diag(v.T @ m.cross_cov @ v))) < 1e-12
     assert np.max(np.abs(m.freq_var_diag - np.diag(v.T @ m.y_cov @ v))) < 1e-12
+
+
+def test_from_covariances_reproduces_accumulated_diagonals():
+    # the moment pass and from_covariances share one diag(V^T C V) formula
+    model, sg = small_model(3)
+    for m in (
+        compute_moments(generate(model, sg, 500, seed=9), model.noise.covariance),
+        stream_moments(model, 5000, seed=10),
+    ):
+        back = SampleMoments.from_covariances(
+            sg, m.x_mean, m.y_mean, m.cross_cov, m.y_cov, m.noise_cov, m.count
+        )
+        for name in MOMENT_ARRAYS:
+            assert np.array_equal(getattr(back, name), getattr(m, name)), name
+        assert back.count == m.count
 
 
 def test_moments_converge_to_analytic():
@@ -317,11 +332,9 @@ def same_bits(a, b):
 
 @pytest.fixture(params=[24, 8192], ids=["chunked-blocks", "whole-blocks"])
 def small_blocks(request, monkeypatch):
-    # 64-row accumulation blocks, filled from draws of at most 24 rows that
-    # straddle them, or from one draw of the whole set
+    # draws and accumulation steps of at most 24 rows, or one of the whole set
     import gspest.moments as mod
 
-    monkeypatch.setattr(mod, "_BLOCK", 64)
     monkeypatch.setattr(mod, "_CHUNK", request.param)
 
 
@@ -347,13 +360,15 @@ def test_stream_moments_validates_count():
 
 
 def test_stream_moments_memory_is_per_block():
-    # the materialised x and g pair alone would take 2 * count * N * 8 bytes
+    # the materialised x and g pair alone would take 2 * count * N * 8 bytes;
+    # one chunk holds the normals, the draw, its forward values and a few
+    # product temporaries of _CHUNK * N doubles each
     import tracemalloc
 
     import gspest.moments as mod
 
     model, sg = small_model(22)
-    count = 16 * mod._BLOCK
+    count = 64 * mod._CHUNK
     tracemalloc.start()
     try:
         m = stream_moments(model, count, seed=1)
@@ -362,10 +377,11 @@ def test_stream_moments_memory_is_per_block():
         tracemalloc.stop()
     assert m.count == count
     assert peak < 2 * count * sg.n_vertices * 8 / 4
+    assert peak < 8 * mod._CHUNK * sg.n_vertices * 8
 
 
 def test_experiment_a_streamed_matches_materialised(small_blocks, tmp_path, monkeypatch):
-    # p_infinity = 200 spans four 64-row blocks
+    # p_infinity = 200 spans nine chunks of at most 24 rows, or one whole chunk
     from gspest import harness
     from tests.test_harness import small_config
 
