@@ -17,7 +17,10 @@ is positive.
 This module makes every topology decision of the package: the Laplacian
 above, connectivity (second eigenvalue above :data:`CONNECTIVITY_TOL`), and
 the seeded perturbations, which :func:`perturb` selects from a mode string in
-:data:`PERTURB_MODES`.
+:data:`PERTURB_MODES`. Connectivity is decided by the components of the
+positive-weight edges, then by ``lam[1] >= 4 w_min / (n (n - 1))`` (Mohar 1991,
+"Eigenvalues, diameter, and mean distance in graphs": ``4 / (n diam)`` when
+unweighted), and by ``eigvalsh`` only where that bound is <= the tolerance.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ K_ATTACH = 2
 PERTURB_MODES = ("add-edges", "remove-edges", "add-vertices", "remove-vertices")
 # Relative tolerance for grouping equal eigenvalues before canonicalization.
 _DEGENERACY_RTOL = 1e-8
+# Eigenvector columns signed per block by the sign rule.
+_SIGN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -60,24 +65,31 @@ class WeightedGraph:
     def __post_init__(self):
         if self.n_vertices < 1:
             raise InvalidGraphError("graph needs at least one vertex")
-        canon = []
-        seen = set()
-        for i, j, w in self.edges:
-            i, j, w = int(i), int(j), float(w)
-            if i == j:
-                raise InvalidGraphError(f"self loop at vertex {i}")
-            if not (0 <= i < self.n_vertices and 0 <= j < self.n_vertices):
-                raise InvalidGraphError(f"edge ({i},{j}) out of range")
-            if i > j:
-                i, j = j, i
-            if (i, j) in seen:
-                raise InvalidGraphError(f"duplicate edge ({i},{j})")
-            if not np.isfinite(w) or w < 0:
-                raise InvalidGraphError(f"edge ({i},{j}) has invalid weight {w}")
-            seen.add((i, j))
-            canon.append((i, j, w))
-        canon.sort()
-        object.__setattr__(self, "edges", tuple(canon))
+        n = self.n_vertices
+        e = np.array(self.edges, dtype=float).reshape(len(self.edges), 3)
+        ends, w = np.trunc(e[:, :2]), e[:, 2]
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        # the first edge of each pair, in pair order; a pair key collides
+        # only with an out-of-range pair, which is reported first anyway
+        order = np.unique(lo * n + hi, return_index=True)[1]
+        dup = np.bincount(order, minlength=len(e)) == 0
+        in_range = np.all((ends >= 0) & (ends < n), axis=1)
+        faults = (lo == hi, ~in_range, dup, ~np.isfinite(w) | (w < 0))
+        bad = np.any(faults, axis=0)
+        if bad.any():  # the first bad edge in input order, checks in order
+            k = int(np.argmax(bad))
+            i, j, a, b = map(int, (*ends[k], lo[k], hi[k]))
+            raise InvalidGraphError(next(m for f, m in zip(faults, (
+                f"self loop at vertex {i}", f"edge ({i},{j}) out of range",
+                f"duplicate edge ({a},{b})", f"edge ({a},{b}) has invalid weight {float(w[k])}",
+            )) if f[k]))
+        canon = lo[order].astype(int), hi[order].astype(int), w[order]
+        object.__setattr__(self, "edges", tuple(zip(*(c.tolist() for c in canon))))
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges as arrays ``(i, j, weight)``, in their sorted order."""
+        e = np.array(self.edges, dtype=float).reshape(-1, 3)
+        return e[:, 0].astype(np.intp), e[:, 1].astype(np.intp), e[:, 2]
 
     @property
     def n_edges(self) -> int:
@@ -86,17 +98,16 @@ class WeightedGraph:
     def adjacency(self) -> np.ndarray:
         """Dense symmetric weight matrix with zero diagonal."""
         w = np.zeros((self.n_vertices, self.n_vertices))
-        for i, j, wt in self.edges:
-            w[i, j] = wt
-            w[j, i] = wt
+        i, j, wt = self._columns()
+        w[i, j] = w[j, i] = wt
         return w
 
     def weight_range(self) -> tuple[float, float]:
         """(min, max) over existing edge weights; requires at least one edge."""
         if not self.edges:
             raise InvalidGraphError("graph has no edges")
-        ws = [w for _, _, w in self.edges]
-        return min(ws), max(ws)
+        ws = self._columns()[2]
+        return float(ws.min()), float(ws.max())
 
 
 @dataclass(frozen=True)
@@ -169,17 +180,6 @@ def _filter_operator(eigenvectors: np.ndarray, response: np.ndarray) -> np.ndarr
     return (eigenvectors * response) @ eigenvectors.T
 
 
-def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    # largest |entry| must be positive; entries within rounding of the max
-    # count as tied and the lowest index wins, so the rule is stable under
-    # eps-level input jitter
-    mags = np.abs(vec)
-    idx = int(np.argmax(mags >= (1.0 - 1e-8) * mags.max()))
-    if vec[idx] < 0:
-        return -vec
-    return vec
-
-
 def _positive_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Gram-Schmidt basis of the columns of ``a`` and their residual
     norms, from a QR factorization."""
@@ -223,8 +223,15 @@ def _canonicalize_eigenvectors(eigvals: np.ndarray, vecs: np.ndarray) -> np.ndar
         if stop - start > 1:
             out[:, start:stop] = _eigenspace_basis(vecs[:, start:stop])
         start = stop
-    for k in range(n):
-        out[:, k] = _canonical_sign(out[:, k])
+    # the sign rule, a block of columns at a time: the largest |entry| is
+    # made positive; entries within rounding of the max count as tied and the
+    # lowest index wins, so the rule is stable under eps-level input jitter
+    for lo in range(0, n, _SIGN_BLOCK):
+        cols = out[:, lo:lo + _SIGN_BLOCK]
+        mags = np.abs(cols)
+        lead = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=0), axis=0)
+        flip = cols[lead, np.arange(cols.shape[1])] < 0
+        cols[:, flip] = -cols[:, flip]
     return out
 
 
@@ -255,7 +262,7 @@ def build_laplacian(graph: WeightedGraph) -> SpectralGraph:
     if ortho > 1e-10:
         raise InvalidGraphError(f"eigenvector basis not orthonormal ({ortho:.2e})")
     scale = max(float(eigvals[-1]), 1.0)
-    resid = np.max(np.abs(lap @ vecs - vecs * eigvals))
+    resid = np.max(np.abs(csr_array(lap) @ vecs - vecs * eigvals))
     if resid > 1e-8 * scale:
         raise InvalidGraphError(f"eigenpair residual too large ({resid:.2e})")
 
@@ -300,24 +307,17 @@ def reduce_spectrum(sg: SpectralGraph, size: int | float) -> ReducedSpectrum:
 
 
 def _stays_connected(graph: WeightedGraph) -> bool:
-    """:func:`_connected_spectrum` of the graph's Laplacian. A graph whose
-    nonzero-weight edges do not connect it has a zero second eigenvalue, so
-    it is rejected before any eigendecomposition."""
-    w = graph.adjacency()
-    # the sparse copy keeps only the nonzero weights
-    if connected_components(csr_array(w), directed=False, return_labels=False) > 1:
-        return False
-    return _connected_spectrum(np.linalg.eigvalsh(_laplacian(w)))
-
-
-def _absent_pairs(graph: WeightedGraph) -> np.ndarray:
-    """Flat indices ``i * n + j`` of the pairs ``i < j`` that are not in
-    ``graph.edges`` (an edge of weight 0 is present), in lexicographic order."""
+    """:func:`_connected_spectrum` of the graph's Laplacian, by the rule in
+    the module docstring (``w_min`` is the smallest positive weight)."""
     n = graph.n_vertices
-    absent = np.triu(np.ones((n, n), dtype=bool), 1)
-    for i, j, _ in graph.edges:
-        absent[i, j] = False
-    return np.flatnonzero(absent)
+    i, j, w = graph._columns()
+    pos = w > 0
+    adj = csr_array((w[pos], (i[pos], j[pos])), shape=(n, n))
+    if connected_components(adj, directed=False, return_labels=False) > 1:
+        return False
+    if n < 2 or 4.0 * w[pos].min() / (n * (n - 1)) > CONNECTIVITY_TOL:
+        return True
+    return _connected_spectrum(np.linalg.eigvalsh(_laplacian(graph.adjacency())))
 
 
 def _perturb_rng(stream: str, count: int, mode: str, seed: int) -> np.random.Generator:
@@ -345,24 +345,29 @@ def perturb_edges(
     rejected and redrawn, up to :data:`MAX_PERTURB_RETRIES` attempts per edge.
     """
     rng = _perturb_rng("perturb-edges", count, mode, seed)
-    current = graph
+    current, n = graph, graph.n_vertices
     for k in range(count):
         if mode == "add":
-            absent = _absent_pairs(current)
-            if not absent.size:
+            i, j, _ = current._columns()
+            # pairs i < j in lexicographic order: row r starts at start[r], and
+            # gaps[m] absent pairs (weight-0 edges are present) precede edge m
+            start = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
+            gaps = start[i] + (j - i - 1) - np.arange(i.size)
+            n_absent = n * (n - 1) // 2 - i.size
+            if not n_absent:
                 raise PerturbationInfeasibleError("graph is complete, cannot add")
             lo, hi = current.weight_range()
-            i, j = divmod(int(absent[rng.integers(absent.size)]), current.n_vertices)
+            pick = int(rng.integers(n_absent))
+            t = pick + int(np.searchsorted(gaps, pick, "right"))
+            i = int(np.searchsorted(start, t, "right")) - 1
+            j = t - int(start[i]) + i + 1
             w = float(rng.uniform(lo, hi))
-            current = WeightedGraph(
-                current.n_vertices, current.edges + ((i, j, w),)
-            )
+            current = WeightedGraph(n, current.edges + ((i, j, w),))
         else:
             placed = False
             for _ in range(MAX_PERTURB_RETRIES):
                 pick = int(rng.integers(current.n_edges))
-                kept = tuple(e for m, e in enumerate(current.edges) if m != pick)
-                cand = WeightedGraph(current.n_vertices, kept)
+                cand = WeightedGraph(n, current.edges[:pick] + current.edges[pick + 1:])
                 if _stays_connected(cand):
                     current = cand
                     placed = True
@@ -402,23 +407,20 @@ def perturb_vertices(
             targets = rng.choice(new, size=K_ATTACH, replace=False)
             for t in sorted(int(t) for t in targets):
                 edges.append((t, new, float(rng.uniform(lo, hi))))
-        out = WeightedGraph(n + count, tuple(edges))
-        return out, {i: i for i in range(n)}
+        return WeightedGraph(n + count, tuple(edges)), {i: i for i in range(n)}
 
     if count >= n:
         raise PerturbationInfeasibleError("cannot remove all vertices")
+    i, j, w = graph._columns()
     for _ in range(MAX_PERTURB_RETRIES * max(count, 1)):
-        drop = set(int(v) for v in rng.choice(n, size=count, replace=False))
-        keep = [v for v in range(n) if v not in drop]
-        remap = {old: new for new, old in enumerate(keep)}
-        edges = tuple(
-            (remap[i], remap[j], w)
-            for i, j, w in graph.edges
-            if i not in drop and j not in drop
-        )
-        cand = WeightedGraph(len(keep), edges)
+        alive = np.ones(n, dtype=bool)
+        alive[rng.choice(n, size=count, replace=False)] = False
+        new = np.cumsum(alive) - 1
+        kept = alive[i] & alive[j]
+        edges = zip(new[i[kept]].tolist(), new[j[kept]].tolist(), w[kept].tolist())
+        cand = WeightedGraph(n - count, tuple(edges))
         if _stays_connected(cand):
-            return cand, remap
+            return cand, dict(zip(np.flatnonzero(alive).tolist(), range(n - count)))
     raise PerturbationInfeasibleError(
         "no vertex subset keeps the graph connected within the retry budget"
     )

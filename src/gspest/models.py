@@ -6,7 +6,8 @@ is independent across graph frequencies, an additive noise model, and the
 grid model follows the per-unit AC power-flow equations over branch
 conductances/susceptances with the graph Laplacian built from the branch
 susceptance matrix. Its Laplacian, its connectivity check and its topology
-perturbations are those of :mod:`gspest.graphs`.
+perturbations are those of :mod:`gspest.graphs`. The grid and noise matrix
+checks for exact symmetry or diagonality compare exactly, without temporaries.
 """
 
 from __future__ import annotations
@@ -88,19 +89,33 @@ def _draw_prior(prior: SmoothPrior, rng: np.random.Generator, count: int) -> np.
     return (z * np.sqrt(prior.frequency_variances)) @ prior.sg.eigenvectors.T
 
 
+def _symmetric(m: np.ndarray, tol: float) -> bool:
+    """``np.allclose(m, m.T, rtol=0, atol=tol)`` without its temporaries: each
+    pair ``m[i, j], m[j, i]`` is equal, or finite and at most ``tol`` apart."""
+    asym = m != m.T
+    if not asym.any():
+        return True
+    x = m[asym]
+    return bool(np.all(np.isfinite(x) & (np.abs(x - m.T[asym]) <= tol)))
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Additive zero-mean Gaussian measurement noise."""
 
     covariance: np.ndarray
+    # whether the covariance is exactly diagonal, decided once
+    _diagonal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.covariance, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("covariance must be square")
-        if not np.allclose(c, c.T, rtol=0, atol=1e-12 * max(1.0, np.abs(c).max())):
+        if not _symmetric(c, 1e-12 * max(1.0, c.max(), -c.min())):
             raise ValueError("covariance must be symmetric")
         object.__setattr__(self, "covariance", c)
+        off_diagonal = np.count_nonzero(c) - np.count_nonzero(c.diagonal())
+        object.__setattr__(self, "_diagonal", not off_diagonal)
 
     @classmethod
     def white(cls, sigma2: float, n: int) -> "NoiseModel":
@@ -116,9 +131,8 @@ class NoiseModel:
         rng = generator(seed, "noise")
         n = self.covariance.shape[0]
         z = rng.standard_normal((count, n))
-        diag = np.diag(self.covariance)
-        if np.allclose(self.covariance, np.diag(diag), rtol=0, atol=0):
-            return z * np.sqrt(diag)
+        if self._diagonal:
+            return z * np.sqrt(np.diag(self.covariance))
         w, u = np.linalg.eigh(self.covariance)
         w = np.clip(w, 0.0, None)
         return z @ (u * np.sqrt(w)).T
@@ -143,7 +157,7 @@ class AcGridModel:
         if g.shape != b.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise InvalidGraphError("conductance/susceptance must be square, same shape")
         for name, m in (("conductance", g), ("susceptance", b)):
-            if not np.allclose(m, m.T, rtol=0, atol=0):
+            if not _symmetric(m, 0.0):
                 raise InvalidGraphError(f"{name} matrix must be symmetric")
             if np.any(np.diag(m) != 0):
                 raise InvalidGraphError(f"{name} matrix must have zero diagonal")
@@ -343,13 +357,11 @@ def perturb_grid(
     old[list(vmap.values())] = list(vmap.keys())
     gmat = np.zeros((n_new, n_new))
     bmat = np.zeros((n_new, n_new))
-    if new_graph.edges:
-        i, j, w = zip(*new_graph.edges)
-        i, j = np.array(i), np.array(j)
-        bmat[i, j] = bmat[j, i] = w
-        kept = (old[i] >= 0) & (old[j] >= 0)
-        i, j = i[kept], j[kept]
-        gmat[i, j] = gmat[j, i] = grid.conductance[old[i], old[j]]
+    i, j, w = new_graph._columns()
+    bmat[i, j] = bmat[j, i] = w
+    kept = (old[i] >= 0) & (old[j] >= 0)
+    i, j = i[kept], j[kept]
+    gmat[i, j] = gmat[j, i] = grid.conductance[old[i], old[j]]
     voltage = np.where(old >= 0, grid.voltage[old], 1.0)
     return AcGridModel(gmat, bmat, voltage), vmap
 

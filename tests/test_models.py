@@ -8,6 +8,7 @@ from gspest.models import (
     AcGridModel,
     NoiseModel,
     SmoothPrior,
+    _symmetric,
     ac_measurement_model,
     ac_power,
     audit_model_structure,
@@ -102,6 +103,38 @@ def test_colored_noise_sampling():
     w = noise.sample(300_000, seed=4)
     emp = w.T @ w / w.shape[0]
     assert np.max(np.abs(emp - cov)) < 0.05 * np.abs(cov).max()
+
+
+@pytest.mark.filterwarnings("ignore:One of rtol or atol is not valid")
+def test_exact_checks_agree_with_allclose():
+    # the symmetry and diagonal checks compare exactly, with the accept and
+    # reject answers of the allclose expressions they replaced
+    rng = generator(48, "exact-checks")
+    specials = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-13, 1e308, -1e308)
+    for trial in range(400):
+        m = np.diag(rng.uniform(0.5, 2.0, 5))
+        if trial % 2:
+            a = rng.standard_normal((5, 5))
+            m += a + a.T
+        for _ in range(trial % 4):
+            i, j = rng.integers(5, size=2)
+            pick = rng.integers(len(specials) + 2)
+            if pick < len(specials):
+                m[i, j] = specials[pick]
+            else:
+                m[i, j] += (1e-12, 1e-9)[pick - len(specials)] * (1 + m[i, j])
+        scale = np.abs(m).max()
+        tol = 1e-12 * max(1.0, scale)
+        for t in (0.0, tol):
+            assert _symmetric(m, t) == np.allclose(m, m.T, rtol=0, atol=t)
+        try:
+            noise = NoiseModel(m)
+        except ValueError:
+            assert not np.allclose(m, m.T, rtol=0, atol=tol)
+            continue
+        assert np.allclose(m, m.T, rtol=0, atol=tol)
+        want = np.allclose(m, np.diag(np.diag(m)), rtol=0, atol=0)
+        assert noise._diagonal == want
 
 
 def test_noise_frequency_covariance_white_is_diagonal():
