@@ -6,8 +6,9 @@ is independent across graph frequencies, an additive noise model, and the
 grid model follows the per-unit AC power-flow equations over branch
 conductances/susceptances with the graph Laplacian built from the branch
 susceptance matrix. Its Laplacian, its connectivity check and its topology
-perturbations are those of :mod:`gspest.graphs`. The grid and noise matrix
-checks for exact symmetry or diagonality compare exactly, without temporaries.
+perturbations are those of :mod:`gspest.graphs`. One checked scan of a grid finds
+its branches and the sparse stacked admittance that :func:`ac_power` multiplies
+by; the noise matrix checks compare exactly, without temporaries.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from importlib import resources
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DisconnectedGraphError, InvalidGraphError
 from .graphs import (
@@ -150,14 +152,19 @@ class AcGridModel:
     conductance: np.ndarray = field(repr=False)
     susceptance: np.ndarray = field(repr=False)
     voltage: np.ndarray = field(repr=False, default=None)
+    # from one scan: i < j branches (row-major), sparse [[G, -B], [B, G]] * u_n u_m
+    _branches: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _stacked: sparse.csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.conductance, dtype=float)
         b = np.asarray(self.susceptance, dtype=float)
         if g.shape != b.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise InvalidGraphError("conductance/susceptance must be square, same shape")
+        # one row-major scan of both patterns; m is symmetric iff equal to m.T on it
+        i, j = np.divmod(np.flatnonzero((g != 0.0) | (b != 0.0)), g.shape[0])
         for name, m in (("conductance", g), ("susceptance", b)):
-            if not _symmetric(m, 0.0):
+            if not np.array_equal(m[i, j], m[j, i]):
                 raise InvalidGraphError(f"{name} matrix must be symmetric")
             if np.any(np.diag(m) != 0):
                 raise InvalidGraphError(f"{name} matrix must have zero diagonal")
@@ -167,6 +174,11 @@ class AcGridModel:
         object.__setattr__(self, "conductance", g)
         object.__setattr__(self, "susceptance", b)
         object.__setattr__(self, "voltage", v)
+        object.__setattr__(self, "_branches", (i[i < j], j[i < j]))
+        n, gij, bij = len(v), g[i, j], b[i, j]
+        at = np.concatenate((i, i, i + n, i + n)), np.concatenate((j, j + n, j, j + n))
+        data = np.concatenate((gij, -bij, bij, gij)) * np.tile(v[i] * v[j], 4)
+        object.__setattr__(self, "_stacked", sparse.csr_array((data, at), (2 * n, 2 * n)))
 
     @property
     def n_buses(self) -> int:
@@ -177,44 +189,42 @@ class AcGridModel:
 
     def graph(self) -> WeightedGraph:
         """Susceptance-weighted graph over the branches."""
-        b = self.susceptance
-        i, j = np.nonzero(np.triu(b != 0.0, 1))
-        return WeightedGraph(self.n_buses, tuple(zip(i, j, b[i, j])))
+        i, j = self._branches
+        on = self.susceptance[i, j] != 0.0
+        return WeightedGraph(self.n_buses, tuple(zip(i[on], j[on], self.susceptance[i[on], j[on]])))
 
     def branch_values(self) -> tuple[tuple[int, int, float, float], ...]:
-        """(i, j, conductance, susceptance) per branch, 0-based, i < j."""
-        b, g = self.susceptance, self.conductance
-        # row-major over the upper triangle: sorted by (i, j)
-        i, j = np.nonzero(np.triu((b != 0.0) | (g != 0.0), 1))
-        return tuple(zip(i.tolist(), j.tolist(), g[i, j].tolist(), b[i, j].tolist()))
+        """(i, j, conductance, susceptance) per branch, 0-based, sorted by (i, j)."""
+        i, j = self._branches
+        return tuple(zip(i.tolist(), j.tolist(), self.conductance[i, j].tolist(),
+                         self.susceptance[i, j].tolist()))
 
 
 def ac_power(model: AcGridModel, x: np.ndarray) -> np.ndarray:
-    """Active power injections for phase vector(s) ``x`` (radians).
+    """Active power injections for phase vector(s) ``x`` (radians), 1-D or 2-D.
 
     ``p_n = sum_m u_n u_m (G_nm cos(x_n - x_m) + B_nm sin(x_n - x_m))`` over
-    branches; invariant under adding a constant to all phases.
+    branches; invariant under adding a constant to all phases. With a column
+    ``cs = [cos x; sin x]`` per row and ``S`` the sparse ``[[G, -B], [B, G]]``
+    scaled by ``u_n u_m``, it is ``q[:N] + q[N:]`` for ``q = cs * (S @ cs)``:
+    O(branches) per row, no BLAS, each entry summed in one fixed order.
     """
     phases = np.asarray(x, dtype=float)
-    single = phases.ndim == 1
-    rows = np.atleast_2d(phases)
-    if rows.shape[1] != model.n_buses:
-        raise ValueError("phase vector length does not match bus count")
-    u = model.voltage
-    c, s = np.cos(rows), np.sin(rows)
-    cu, su = c * u, s * u
-    gmat, bmat = model.conductance, model.susceptance
-    # u * (c * (cu@G - su@B) + s * (su@G + cu@B)), with at most one
-    # row-sized temporary beside c, s, cu, su and out
-    out = cu @ gmat
-    out -= su @ bmat
-    out *= c
-    q = np.matmul(su, gmat, out=c)  # c is not needed any more
-    q += cu @ bmat
-    q *= s
-    out += q
-    out *= u
-    return out[0] if single else out
+    n = model.n_buses
+    if phases.ndim not in (1, 2) or phases.shape[-1] != n:
+        raise ValueError(f"phases must be 1-D or 2-D with {n} entries per row")
+    # 2**15 phases per block of rows keep its cs and S @ cs in a core's cache
+    rows, step = phases.reshape(-1, n), max(1, (1 << 15) // n)
+    out = np.empty(rows.shape)
+    for a in range(0, len(rows), step):
+        block = rows[a:a + step].T
+        cs = np.empty((2 * n, block.shape[1]))
+        np.cos(block, out=cs[:n])
+        np.sin(block, out=cs[n:])
+        r = model._stacked @ cs
+        r *= cs
+        np.add(r[:n], r[n:], out=out[a:a + step].T)
+    return out[0] if phases.ndim == 1 else out
 
 
 def load_grid(path) -> AcGridModel:

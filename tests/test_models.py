@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +35,25 @@ def random_grid(rng, n, extra=0.5):
     g = np.triu(g, 1)
     g = g + g.T
     return AcGridModel(g, b, np.ones(n))
+
+
+def tiled_grid(k=8, seed=0):
+    """``k`` copies of the bundled grid, every branch value scaled by a seeded
+    factor in [0.99, 1.01], chained by three purely reactive ties per pair of
+    neighbouring copies, with seeded non-unit bus voltages."""
+    base = bundled_ieee118()
+    n = base.n_buses
+    rng = generator(seed, "tiled-grid", k)
+    g, b = np.zeros((k * n, k * n)), np.zeros((k * n, k * n))
+    for c in range(k):
+        block = slice(c * n, (c + 1) * n)
+        for dst, src in ((g, base.conductance), (b, base.susceptance)):
+            s = np.triu(rng.uniform(0.99, 1.01, (n, n)), 1)
+            dst[block, block] = src * (s + s.T)
+    for c in range(k - 1):
+        f, t = c * n + rng.integers(n, size=3), (c + 1) * n + rng.integers(n, size=3)
+        b[f, t] = b[t, f] = rng.uniform(5.0, 40.0, 3)
+    return AcGridModel(g, b, rng.uniform(0.95, 1.05, k * n))
 
 
 # --------------------------------------------------------------------- prior
@@ -201,6 +225,112 @@ def test_ac_power_batched():
     assert out.shape == (4, 7)
     for i in range(4):
         assert np.allclose(out[i], ac_power(grid, x[i]), atol=1e-14)
+
+
+def loop_ac_power(grid, x):
+    """The docstring formula one branch at a time, and per entry the scale
+    ``sum_m u_n u_m (|G_nm| + |B_nm|)`` its rounding is relative to."""
+    rows = np.atleast_2d(x)
+    u = grid.voltage
+    p, scale = np.zeros_like(rows), np.zeros_like(rows)
+    for i, j, g, b in grid.branch_values():
+        for n, m in ((i, j), (j, i)):
+            d = rows[:, n] - rows[:, m]
+            p[:, n] += u[n] * u[m] * (g * np.cos(d) + b * np.sin(d))
+            scale[:, n] += u[n] * u[m] * (abs(g) + abs(b))
+    return p, scale
+
+
+def bundled_with_voltages():
+    grid = bundled_ieee118()
+    v = generator(54, "ac-voltage").uniform(0.95, 1.05, grid.n_buses)
+    return AcGridModel(grid.conductance, grid.susceptance, v)
+
+
+@pytest.mark.parametrize("make", [bundled_with_voltages, tiled_grid])
+def test_ac_power_matches_branch_loop(make):
+    grid = make()
+    assert np.any(grid.conductance) and np.any(grid.voltage != 1.0)
+    x = 2.0 * generator(55, "ac-loop").standard_normal((6, grid.n_buses))
+    for phases in (x, x[3]):
+        got = ac_power(grid, phases)
+        want, scale = loop_ac_power(grid, phases)
+        assert got.shape == phases.shape
+        assert np.all(np.abs(np.atleast_2d(got) - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("make", [bundled_with_voltages, tiled_grid])
+def test_ac_power_rows_do_not_depend_on_the_batch(make):
+    # every output is summed in the same order whatever the batch, so a
+    # batch is bitwise the stack of its rows and of any split of them
+    grid = make()
+    rng = generator(56, "ac-batch")
+    x = 2.0 * rng.standard_normal((37, grid.n_buses))
+    out = ac_power(grid, x)
+    assert out.flags.c_contiguous
+    assert np.array_equal(out, np.stack([ac_power(grid, row) for row in x]))
+    for cut in (1, 16, 36):
+        parts = (ac_power(grid, x[:cut]), ac_power(grid, x[cut:]))
+        assert np.array_equal(out, np.concatenate(parts))
+
+
+def test_ac_power_bits_do_not_depend_on_blas_threads():
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import hashlib; from gspest.models import ac_power; "
+        "from gspest.rng import generator; from tests.test_models import tiled_grid; "
+        "grid = tiled_grid(); x = generator(57, 'ac-threads').standard_normal((300, grid.n_buses)); "
+        "print(hashlib.sha256(ac_power(grid, x).tobytes()).hexdigest())"
+    )
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join((str(root / "src"), str(root))))
+        run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1
+
+
+def test_ac_power_rejects_misshapen_phases():
+    grid = bundled_ieee118()
+    for shape in ((2, 118, 118), (2, 3, 118), (2, 118, 5), (1, 1, 118), (117,), (3, 119), ()):
+        with pytest.raises(ValueError, match="^phases must be 1-D or 2-D with 118 entries per row$"):
+            ac_power(grid, np.zeros(shape))
+    assert ac_power(grid, np.zeros((0, 118))).shape == (0, 118)
+
+
+def dense_grid_error(g, b):
+    """The message of the dense checks the one-scan validation replaced."""
+    for name, m in (("conductance", g), ("susceptance", b)):
+        if not _symmetric(m, 0.0):
+            return f"{name} matrix must be symmetric"
+        if np.any(np.diag(m) != 0):
+            return f"{name} matrix must have zero diagonal"
+    return None
+
+
+def test_grid_checks_agree_with_dense_checks():
+    rng = generator(58, "grid-checks")
+    specials = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, 2.5)
+    outcomes = set()
+    for trial in range(600):
+        grid = random_grid(rng, 5)
+        g, b = grid.conductance.copy(), grid.susceptance.copy()
+        for _ in range(trial % 4):
+            m = (g, b)[rng.integers(2)]
+            i, j = rng.integers(5, size=2)
+            m[i, j] = specials[rng.integers(len(specials))]
+            if rng.integers(2):
+                m[j, i] = m[i, j]
+        want = dense_grid_error(g, b)
+        outcomes.add(want)
+        if want is None:
+            AcGridModel(g, b)
+        else:
+            with pytest.raises(InvalidGraphError, match=f"^{want}$"):
+                AcGridModel(g, b)
+    assert len(outcomes) == 5
 
 
 def test_grid_validation():

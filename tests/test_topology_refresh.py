@@ -23,7 +23,7 @@ from gspest.graphs import (
 from gspest.models import AcGridModel, bundled_ieee118, perturb_grid
 from gspest.rng import generator
 from tests.test_graphs import _TIES, _canonical_sign, random_connected_graph
-from tests.test_models import random_grid
+from tests.test_models import random_grid, tiled_grid
 
 
 def loop_canonical_edges(n, edges):
@@ -151,6 +151,19 @@ def test_graph_and_branch_values_match_loops(make):
     assert grid.branch_values() == loop_branch_values(grid)
     for value in grid.branch_values()[0]:
         assert type(value) in (int, float)
+
+
+@pytest.mark.parametrize("make", [bundled_ieee118, tiled_grid, conductance_only_grid])
+def test_stored_branches_match_dense_scans(make):
+    # the dense upper-triangle scans that graph() and branch_values() ran
+    # on every call before the branches were found once per grid
+    grid = make()
+    b, g = grid.susceptance, grid.conductance
+    i, j = np.nonzero(np.triu(b != 0.0, 1))
+    assert grid.graph() == WeightedGraph(grid.n_buses, tuple(zip(i, j, b[i, j])))
+    i, j = np.nonzero(np.triu((b != 0.0) | (g != 0.0), 1))
+    want = tuple(zip(i.tolist(), j.tolist(), g[i, j].tolist(), b[i, j].tolist()))
+    assert grid.branch_values() == want
 
 
 def test_conductance_only_branch_is_a_branch_but_not_an_edge():
