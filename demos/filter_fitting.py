@@ -29,15 +29,15 @@ model = ac_measurement_model(grid, beta=3.0, sigma2=0.05)
 sg = model.sg
 
 # moments from a 500-sample training set
-ts = generate(model, sg, 500, derive(0, "train", 500))
+ts = generate(model, 500, derive(0, "train", 500))
 m = compute_moments(ts, model.noise.covariance)
 target = gsp_response(m)
 
 # three fits against the same moments
-lpi = fit_lpi(m, sg, order=6, mu=1e-6)
-arma = fit_arma(m, sg, num_order=3, den_order=3, mu=1e-6)
-reduced = reduce_spectrum(sg, 0.3)
-lr = fit_lr_arma(m, reduced, num_order=2, den_order=2, mu=1e-6)
+lpi = fit_lpi(m, order=6, mu=1e-6)
+arma = fit_arma(m, num_order=3, den_order=3, mu=1e-6)
+cutoff = reduce_spectrum(sg, 0.3).n_kept
+lr = fit_lr_arma(m, cutoff, num_order=2, den_order=2, mu=1e-6)
 
 def coefficient_count(spec):
     if spec.kind == "lpi":
@@ -55,8 +55,8 @@ for fit in (lpi, arma, lr):
     )
 
 # the low-rank fit is exactly zero above its cutoff
-print(f"lr cutoff {reduced.n_kept}: response above cutoff "
-      f"max {np.abs(lr.response[reduced.n_kept:]).max():.1e}")
+print(f"lr cutoff {cutoff}: response above cutoff "
+      f"max {np.abs(lr.response[cutoff:]).max():.1e}")
 
 # coefficients are small and interpretable
 print("lpi taps:", np.array2string(lpi.spec.taps, precision=3))

@@ -40,13 +40,13 @@ def mse(est):
 
 print(f"{'P':>6s} {'lmmse':>8s} {'gsp':>8s} {'lpi':>8s} {'arma':>8s}")
 for p in (59, 118, 500, 2000):
-    ts = generate(model, sg, p, derive(SEED, "train", p))
+    ts = generate(model, p, derive(SEED, "train", p))
     m = compute_moments(ts, model.noise.covariance)
     row = [
         mse(sample_lmmse(m)),
         mse(gsp_lmmse(m)),
-        mse(fit_lpi(m, sg, order=6, mu=1e-6)),
-        mse(fit_arma(m, sg, num_order=3, den_order=3, mu=1e-6)),
+        mse(fit_lpi(m, order=6, mu=1e-6)),
+        mse(fit_arma(m, num_order=3, den_order=3, mu=1e-6)),
     ]
     print(f"{p:6d} " + " ".join(f"{v:8.3f}" for v in row))
 
@@ -58,6 +58,6 @@ base = almmse(sg, beta=3.0, sigma2=0.05)
 print(f"training-free linearized baseline: {mse(base):8.3f}")
 
 # and the floor: a large training set makes the two families agree
-ts = generate(model, sg, 100_000, derive(SEED, "train", 100_000))
+ts = generate(model, 100_000, derive(SEED, "train", 100_000))
 m = compute_moments(ts, model.noise.covariance)
 print(f"P=100000 lmmse {mse(sample_lmmse(m)):.3f} vs gsp {mse(gsp_lmmse(m)):.3f}")

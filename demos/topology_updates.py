@@ -29,14 +29,13 @@ from gspest import (
 SEED = 0
 grid = bundled_ieee118()
 model = ac_measurement_model(grid, beta=3.0, sigma2=0.05)
-sg = model.sg
 
 # train once on the original grid
-ts = generate(model, sg, 500, derive(SEED, "train", 500))
+ts = generate(model, 500, derive(SEED, "train", 500))
 m = compute_moments(ts, model.noise.covariance)
 stale_lmmse = sample_lmmse(m)
 stale_gsp = gsp_lmmse(m)
-arma = fit_arma(m, sg, num_order=3, den_order=3, mu=1e-6)
+arma = fit_arma(m, num_order=3, den_order=3, mu=1e-6)
 
 # add 7 transmission lines, ten times; evaluate on the perturbed grid
 print("added lines: stale lmmse vs refreshed arma (paired MSE)")

@@ -107,7 +107,10 @@ _FIT_NAMES = {f.cli_name: f.label for f in FAMILIES}
 def _moments_for(args, config, model):
     if args.dataset:
         x_path, g_path = _dataset_paths(args.dataset)
-        ts = read_training_csv(model.sg, x_path, g_path, model.mean_x)
+        try:
+            ts = read_training_csv(model.sg, x_path, g_path, model.mean_x)
+        except ValueError as exc:  # misshapen or non-numeric CSVs
+            raise ConfigError(f"bad dataset {args.dataset}: {exc}") from exc
         return compute_moments(ts, model.noise.covariance)
     count = config.training_size
     return stream_moments(model, count, derive(config.seed, "train", count))
@@ -118,7 +121,7 @@ def _cmd_fit(args) -> int:
     model = build_model(config)
     m = _moments_for(args, config, model)
     label = _FIT_NAMES[args.filter]
-    est = fit_by_label(label, m, model.sg, config)
+    est = fit_by_label(label, m, config)
     with open(args.out, "w") as fh:
         fh.write(estimator_to_json(est))
     converged = getattr(est, "converged", True)

@@ -53,7 +53,7 @@ from .filters import (
     vandermonde,
     lpi_basis,
 )
-from .graphs import ReducedSpectrum, SpectralGraph, _filter_operator, gft, igft
+from .graphs import SpectralGraph, _filter_operator, gft, igft
 from .moments import SampleMoments, require_positive_freq_var
 
 # Condition-number ceiling for direct solves of moment systems.
@@ -138,7 +138,7 @@ def _symmetric_cond(a: np.ndarray) -> float:
     return float(mags.max() / mags.min()) if mags.min() > 0 else np.inf
 
 
-def sample_lmmse(m: SampleMoments, label: str = "sample-lmmse") -> LinearEstimator:
+def sample_lmmse(m: SampleMoments) -> LinearEstimator:
     """Unconstrained affine estimator from the full sample covariances.
 
     Raises SingularMomentsError when the measurement covariance is too
@@ -151,16 +151,16 @@ def sample_lmmse(m: SampleMoments, label: str = "sample-lmmse") -> LinearEstimat
             f"{COND_LIMIT:.0e}"
         )
     gain = np.linalg.solve(m.y_cov, m.cross_cov.T).T
-    return LinearEstimator(label, m.x_mean, gain, m.y_mean)
+    return LinearEstimator("sample-lmmse", m.x_mean, gain, m.y_mean)
 
 
-def sample_diag_lmmse(m: SampleMoments, label: str = "sample-dlmmse") -> LinearEstimator:
+def sample_diag_lmmse(m: SampleMoments) -> LinearEstimator:
     """Vertex-domain diagonal variant: per-vertex gains only."""
     var = np.diag(m.y_cov)
     if np.any(var <= 0):
         raise SingularMomentsError("non-positive vertex variance")
     gain = np.diag(np.diag(m.cross_cov) / var)
-    return LinearEstimator(label, m.x_mean, gain, m.y_mean)
+    return LinearEstimator("sample-dlmmse", m.x_mean, gain, m.y_mean)
 
 
 def gsp_response(m: SampleMoments) -> np.ndarray:
@@ -169,9 +169,9 @@ def gsp_response(m: SampleMoments) -> np.ndarray:
     return m.freq_cross_diag / m.freq_var_diag
 
 
-def gsp_lmmse(m: SampleMoments, label: str = "gsp-lmmse") -> SpectralEstimator:
+def gsp_lmmse(m: SampleMoments) -> SpectralEstimator:
     """Spectral estimator with the nonparametric per-frequency gain."""
-    return SpectralEstimator(label, m.sg, gsp_response(m), m.x_mean, m.y_mean)
+    return SpectralEstimator("gsp-lmmse", m.sg, gsp_response(m), m.x_mean, m.y_mean)
 
 
 def _filtered(
@@ -181,13 +181,6 @@ def _filtered(
     return SpectralEstimator(
         label, m.sg, response(spec, m.sg), m.x_mean, m.y_mean, spec, mu, converged
     )
-
-
-def _require_moments_graph(m: SampleMoments, sg: SpectralGraph) -> None:
-    """The taps are fitted on ``sg`` but the estimator is built on ``m.sg``;
-    reject a graph whose spectrum differs from the moments' one."""
-    if sg is not m.sg and not np.array_equal(sg.eigenvalues, m.sg.eigenvalues):
-        raise ValueError("sg does not match the graph of the moments")
 
 
 def default_lpi_regularizer(sg: SpectralGraph, order: int) -> np.ndarray:
@@ -201,14 +194,9 @@ def default_lpi_regularizer(sg: SpectralGraph, order: int) -> np.ndarray:
     return np.diag(powers)
 
 
-def lpi_coefficients(
-    m: SampleMoments,
-    sg: SpectralGraph,
-    order: int = 6,
-    mu: float = 1e-3,
-) -> np.ndarray:
+def lpi_coefficients(m: SampleMoments, order: int = 6, mu: float = 1e-3) -> np.ndarray:
     """Pseudo-inverse polynomial taps by regularized weighted least squares
-    against the per-frequency optimal gain.
+    against the per-frequency optimal gain on the moments' graph.
 
     Closed form: solve ``(B^T D B + mu R) taps = B^T d`` with ``B`` the
     inverse-power basis, ``D``/``d`` the moment diagonals and ``R`` the
@@ -216,10 +204,9 @@ def lpi_coefficients(
     solve of the same quadratic program when the normal matrix is
     ill-conditioned.
     """
-    _require_moments_graph(m, sg)
     require_positive_freq_var(m)
-    basis = lpi_basis(sg, order)
-    reg = default_lpi_regularizer(sg, order)
+    basis = lpi_basis(m.sg, order)
+    reg = default_lpi_regularizer(m.sg, order)
     dvec = m.freq_cross_diag
     dvar = m.freq_var_diag
     normal = basis.T @ (dvar[:, None] * basis) + mu * reg
@@ -235,16 +222,10 @@ def lpi_coefficients(
     return taps
 
 
-def fit_lpi(
-    m: SampleMoments,
-    sg: SpectralGraph,
-    order: int = 6,
-    mu: float = 1e-3,
-    label: str = "lpi-gsp",
-) -> SpectralEstimator:
+def fit_lpi(m: SampleMoments, order: int = 6, mu: float = 1e-3) -> SpectralEstimator:
     """Spectral estimator with :func:`lpi_coefficients` taps."""
-    taps = lpi_coefficients(m, sg, order, mu)
-    return _filtered(label, m, FilterSpec.lpi(taps), mu, True)
+    taps = lpi_coefficients(m, order, mu)
+    return _filtered("lpi-gsp", m, FilterSpec.lpi(taps), mu, True)
 
 
 def _profiled_numerator(
@@ -333,58 +314,53 @@ def _fit_rational(
 
 def arma_coefficients(
     m: SampleMoments,
-    sg: SpectralGraph,
     num_order: int = 3,
     den_order: int = 3,
     mu: float = 1e-3,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Rational response coefficients fitted to the per-frequency optimal
-    gain: (numerator, denominator, converged).
+    gain on the moments' graph: (numerator, denominator, converged).
 
     The numerator is profiled out in closed form for each candidate
     denominator tail, and the tail is searched by Nelder-Mead starting from
     the all-zero (polynomial) filter. ``den_order=0`` is the closed-form
     polynomial fit.
     """
-    _require_moments_graph(m, sg)
     require_positive_freq_var(m)
     return _fit_rational(
-        sg.eigenvalues, m.freq_cross_diag, m.freq_var_diag, num_order, den_order, mu
+        m.sg.eigenvalues, m.freq_cross_diag, m.freq_var_diag, num_order, den_order, mu
     )
 
 
 def fit_arma(
-    m: SampleMoments,
-    sg: SpectralGraph,
-    num_order: int = 3,
-    den_order: int = 3,
-    mu: float = 1e-3,
-    label: str = "arma-gsp",
+    m: SampleMoments, num_order: int = 3, den_order: int = 3, mu: float = 1e-3
 ) -> SpectralEstimator:
     """Spectral estimator with :func:`arma_coefficients` (kind ``linear``
     when ``den_order=0``)."""
-    numer, denom, converged = arma_coefficients(m, sg, num_order, den_order, mu)
+    numer, denom, converged = arma_coefficients(m, num_order, den_order, mu)
     if den_order == 0:
         spec = FilterSpec.linear(numer)
     else:
         spec = FilterSpec.arma(numer, denom)
-    return _filtered(label, m, spec, mu, converged)
+    return _filtered("arma-gsp", m, spec, mu, converged)
 
 
 def lr_arma_coefficients(
     m: SampleMoments,
-    reduced: ReducedSpectrum,
+    cutoff: int,
     num_order: int = 2,
     den_order: int = 2,
     mu: float = 1e-3,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Rational coefficients fitted over the kept low frequencies only."""
+    """Rational coefficients fitted over the lowest ``cutoff`` frequencies of
+    the moments' graph only."""
+    if not 1 <= cutoff <= m.sg.n_vertices:
+        raise ValueError(f"cutoff {cutoff} out of range")
     require_positive_freq_var(m)
-    kept = reduced.n_kept
     return _fit_rational(
-        reduced.eigenvalues,
-        m.freq_cross_diag[:kept],
-        m.freq_var_diag[:kept],
+        m.sg.eigenvalues[:cutoff],
+        m.freq_cross_diag[:cutoff],
+        m.freq_var_diag[:cutoff],
         num_order,
         den_order,
         mu,
@@ -393,22 +369,19 @@ def lr_arma_coefficients(
 
 def fit_lr_arma(
     m: SampleMoments,
-    reduced: ReducedSpectrum,
+    cutoff: int,
     num_order: int = 2,
     den_order: int = 2,
     mu: float = 1e-3,
-    label: str = "lr-arma-gsp",
 ) -> SpectralEstimator:
     """Spectral estimator whose response is the reduced rational fit below
     the cutoff and identically zero above it."""
-    numer, denom, converged = lr_arma_coefficients(m, reduced, num_order, den_order, mu)
-    spec = FilterSpec.lr_arma(numer, denom, reduced.n_kept)
-    return _filtered(label, m, spec, mu, converged)
+    numer, denom, converged = lr_arma_coefficients(m, cutoff, num_order, den_order, mu)
+    spec = FilterSpec.lr_arma(numer, denom, cutoff)
+    return _filtered("lr-arma-gsp", m, spec, mu, converged)
 
 
-def almmse(
-    sg: SpectralGraph, beta: float, sigma2: float, label: str = "almmse"
-) -> SpectralEstimator:
+def almmse(sg: SpectralGraph, beta: float, sigma2: float) -> SpectralEstimator:
     """Training-free baseline: the exact MMSE estimator of the linearized
     measurement model (identity graph filter) under the smooth prior, applied
     around zero."""
@@ -417,7 +390,7 @@ def almmse(
     resp = np.zeros_like(lam)
     resp[pos] = beta / (beta * lam[pos] + sigma2)
     n = sg.n_vertices
-    return SpectralEstimator(label, sg, resp, np.zeros(n), np.zeros(n))
+    return SpectralEstimator("almmse", sg, resp, np.zeros(n), np.zeros(n))
 
 
 def _carry(values: np.ndarray, vertex_map: dict[int, int], n_new: int) -> np.ndarray:

@@ -37,6 +37,7 @@ from .estimators import (
     update_for_topology,
     SpectralEstimator,
 )
+# build_laplacian is unused here; the perfbench tracer tests patch it in this module
 from .graphs import PERTURB_MODES, SpectralGraph, build_laplacian, gft, reduce_spectrum
 from .models import (
     AcGridModel,
@@ -50,33 +51,34 @@ from .moments import SampleMoments, stream_moments
 from .rng import derive
 
 
-def _stale(fit, m, new_sg, vmap, config):
+def _stale(fit, new_sg, vmap, config):
     """Keep a trained estimator, remapped when the vertex set changed."""
     return fit if vmap is None else remap_estimator(fit, vmap, new_sg.n_vertices)
 
 
-def _refilter(fit, m, new_sg, vmap, config):
+def _refilter(fit, new_sg, vmap, config):
     """Evaluate the stored filter coefficients at the new eigenvalues."""
     return update_for_topology(fit, new_sg, vmap)
 
 
-def _rebasis(fit, m, new_sg, vmap, config):
+def _rebasis(fit, new_sg, vmap, config):
     """The nonparametric response on the new eigenbasis; stale on vertex
     changes, which leave no frequency-by-frequency counterpart."""
     if vmap is not None:
-        return _stale(fit, m, new_sg, vmap, config)
+        return _stale(fit, new_sg, vmap, config)
     return replace(fit, sg=new_sg)
 
 
 @dataclass(frozen=True)
 class Family:
     """One estimator family: its report label, its ``gspest fit --filter``
-    name, ``fit(m, sg, config)``, the ``coefficients(m, sg, config)`` stage
-    that ``measure_runtime`` times (the whole fit when None) and ``retune(fit,
-    m, new_sg, vmap, config)``, which carries a trained estimator onto a
-    changed topology (``vmap`` is None on edge modes). The callables reach
-    the estimator functions through this module's globals when they run, so
-    a rebound name (a test double, the perfbench tracer) reaches every use."""
+    name, ``fit(m, config)`` on the moments' graph ``m.sg``, the
+    ``coefficients(m, config)`` stage that ``measure_runtime`` times (the
+    whole fit when None) and ``retune(fit, new_sg, vmap, config)``, which
+    carries a trained estimator onto a changed topology (``vmap`` is None on
+    edge modes). The callables reach the estimator functions through this
+    module's globals when they run, so a rebound name (a test double, the
+    perfbench tracer) reaches every use."""
 
     label: str
     cli_name: str
@@ -85,47 +87,51 @@ class Family:
     retune: Callable = _stale
 
 
-def _reduced(config: ExperimentConfig, sg: SpectralGraph):
-    return reduce_spectrum(sg, float(config.reduced_fraction))
+def _cutoff(m: SampleMoments, config: ExperimentConfig) -> int:
+    """Frequencies an lr-arma fit keeps on the moments' graph."""
+    return reduce_spectrum(m.sg, float(config.reduced_fraction)).n_kept
 
 
 # In report order.
 FAMILIES = (
-    Family("sample-lmmse", "lmmse", lambda m, sg, c: sample_lmmse(m)),
-    Family("sample-dlmmse", "dlmmse", lambda m, sg, c: sample_diag_lmmse(m)),
+    Family("sample-lmmse", "lmmse", lambda m, c: sample_lmmse(m)),
+    Family("sample-dlmmse", "dlmmse", lambda m, c: sample_diag_lmmse(m)),
     Family(
-        "gsp-lmmse", "gsp", lambda m, sg, c: gsp_lmmse(m),
-        lambda m, sg, c: gsp_response(m), _rebasis,
+        "gsp-lmmse", "gsp", lambda m, c: gsp_lmmse(m),
+        lambda m, c: gsp_response(m), _rebasis,
     ),
     Family(
-        "lpi-gsp", "lpi", lambda m, sg, c: fit_lpi(m, sg, c.lpi_order, c.mu),
-        lambda m, sg, c: lpi_coefficients(m, sg, c.lpi_order, c.mu), _refilter,
+        "lpi-gsp", "lpi", lambda m, c: fit_lpi(m, c.lpi_order, c.mu),
+        lambda m, c: lpi_coefficients(m, c.lpi_order, c.mu), _refilter,
     ),
     Family(
         "arma-gsp", "arma",
-        lambda m, sg, c: fit_arma(m, sg, c.arma_num_order, c.arma_den_order, c.mu),
-        lambda m, sg, c: arma_coefficients(
-            m, sg, c.arma_num_order, c.arma_den_order, c.mu
-        ),
+        lambda m, c: fit_arma(m, c.arma_num_order, c.arma_den_order, c.mu),
+        lambda m, c: arma_coefficients(m, c.arma_num_order, c.arma_den_order, c.mu),
         _refilter,
     ),
     Family(
         "lr-arma-gsp", "lrarma",
-        lambda m, sg, c: fit_lr_arma(
-            m, _reduced(c, sg), c.lr_num_order, c.lr_den_order, c.mu
-        ),
-        lambda m, sg, c: lr_arma_coefficients(
-            m, _reduced(c, sg), c.lr_num_order, c.lr_den_order, c.mu
+        lambda m, c: fit_lr_arma(m, _cutoff(m, c), c.lr_num_order, c.lr_den_order, c.mu),
+        lambda m, c: lr_arma_coefficients(
+            m, _cutoff(m, c), c.lr_num_order, c.lr_den_order, c.mu
         ),
         _refilter,
     ),
     Family(
-        "almmse", "almmse", lambda m, sg, c: almmse(sg, c.beta, c.sigma2),
-        retune=lambda fit, m, new_sg, vmap, c: almmse(new_sg, c.beta, c.sigma2),
+        "almmse", "almmse", lambda m, c: almmse(m.sg, c.beta, c.sigma2),
+        retune=lambda fit, new_sg, vmap, c: almmse(new_sg, c.beta, c.sigma2),
     ),
 )
 _BY_LABEL = {f.label: f for f in FAMILIES}
 ESTIMATOR_LABELS = tuple(_BY_LABEL)
+
+
+def _integral(name: str, value) -> int:
+    """``value`` as an int; ConfigError unless it has no fractional part."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)) or value % 1:
+        raise ConfigError(f"{name}: {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -156,11 +162,13 @@ class ExperimentConfig:
     runtime_repeats: int = 10
 
     def __post_init__(self):
+        for f in fields(self):  # the integer fields, read off their annotations
+            value = getattr(self, f.name)
+            if f.type == "int":
+                object.__setattr__(self, f.name, _integral(f.name, value))
+            elif f.type == "tuple[int, ...]":
+                object.__setattr__(self, f.name, tuple(_integral(f.name, v) for v in value))
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(self, "p_values", tuple(int(p) for p in self.p_values))
-        object.__setattr__(
-            self, "perturb_counts", tuple(int(c) for c in self.perturb_counts)
-        )
         object.__setattr__(
             self, "runtime_targets", tuple(float(t) for t in self.runtime_targets)
         )
@@ -345,30 +353,25 @@ def evaluate_mse(
     return _Draws.of(model, trials, seed).mse(est)
 
 
-def fit_by_label(
-    label: str,
-    m: SampleMoments,
-    sg: SpectralGraph,
-    config: ExperimentConfig,
-):
-    """Build the estimator named by ``label`` from moments ``m``."""
+def fit_by_label(label: str, m: SampleMoments, config: ExperimentConfig):
+    """Build the estimator named by ``label`` from moments ``m``, on their
+    graph."""
     if label not in _BY_LABEL:
         raise ConfigError(f"unknown estimator label {label!r}")
-    return _BY_LABEL[label].fit(m, sg, config)
+    return _BY_LABEL[label].fit(m, config)
 
 
 def experiment_a(config: ExperimentConfig) -> MseReport:
     """MSE of each configured estimator versus training-set size, on a common
     seeded test set, plus a large-sample unconstrained benchmark row."""
     model = build_model(config)
-    sg = model.sg
     draws = _Draws.of(model, config.trials, derive(config.seed, "test", 0, 0))
     report = MseReport()
     for p in config.p_values:
         m = stream_moments(model, p, derive(config.seed, "train", p))
         for label in config.estimators:
             report.add(_fit_and_score(
-                lambda: fit_by_label(label, m, sg, config), draws,
+                lambda: fit_by_label(label, m, config), draws,
                 label, "experiment-a", "P", p,
             ))
 
@@ -395,11 +398,10 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
     """
     grid = _config_grid(config)
     base_model = ac_measurement_model(grid, config.beta, config.sigma2)
-    sg = base_model.sg
     p = config.training_size
     m = stream_moments(base_model, p, derive(config.seed, "train", p))
     fitted = {
-        label: _attempt(lambda: fit_by_label(label, m, sg, config))
+        label: _attempt(lambda: fit_by_label(label, m, config))
         for label in config.estimators
     }
 
@@ -411,10 +413,7 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
                 grid, count, config.perturb_mode, derive(config.seed, "perturb", count, rep)
             )
             vmap = vmap if vertex_mode else None
-            new_sg = build_laplacian(new_grid.graph())
-            new_model = ac_measurement_model(
-                new_grid, config.beta, config.sigma2, sg=new_sg
-            )
+            new_model = ac_measurement_model(new_grid, config.beta, config.sigma2)
             draws = _Draws.of(
                 new_model, config.trials, derive(config.seed, "test", count, rep)
             )
@@ -426,7 +425,7 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
                     continue
                 retune = _BY_LABEL[label].retune
                 report.add(_fit_and_score(
-                    lambda: retune(fit, m, new_sg, vmap, config), draws,
+                    lambda: retune(fit, new_model.sg, vmap, config), draws,
                     label, "experiment-b", param, count, rep,
                 ))
             del draws  # frees the draws and their transform before the next graph
@@ -438,7 +437,6 @@ def measure_runtime(config: ExperimentConfig) -> MseReport:
     stage), with achieved MSE against any configured targets. Only the
     ordering of the times is meaningful."""
     model = build_model(config)
-    sg = model.sg
     p = config.training_size
     m = stream_moments(model, p, derive(config.seed, "train", p))
     draws = _Draws.of(model, config.trials, derive(config.seed, "test", 0, 0))
@@ -449,7 +447,7 @@ def measure_runtime(config: ExperimentConfig) -> MseReport:
         times = []
         for _ in range(config.runtime_repeats):
             t0 = time.perf_counter()
-            _, status = _attempt(lambda: stage(m, sg, config))
+            _, status = _attempt(lambda: stage(m, config))
             if status != "ok":
                 break
             times.append((time.perf_counter() - t0) * 1e3)
@@ -459,7 +457,7 @@ def measure_runtime(config: ExperimentConfig) -> MseReport:
             ))
             continue
         median_ms = float(np.median(times))
-        mse, stderr = draws.mse(fit_by_label(label, m, sg, config))
+        mse, stderr = draws.mse(fit_by_label(label, m, config))
         report.add(
             MseRow(
                 label, "runtime", "median-fit", float(config.runtime_repeats),

@@ -1,7 +1,7 @@
 """Measurement models: AC power flow, linear graph filters, priors, noise.
 
-A measurement model bundles a spectral graph, a zero-mean Gaussian prior that
-is independent across graph frequencies, an additive noise model, and the
+A measurement model bundles a zero-mean Gaussian prior on a spectral graph,
+independent across its graph frequencies, an additive noise model, and the
 (possibly nonlinear) forward map from state to noiseless measurements. The
 grid model follows the per-unit AC power-flow equations over branch
 conductances/susceptances with the graph Laplacian built from the branch
@@ -284,18 +284,21 @@ def bundled_ieee118() -> AcGridModel:
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Forward map plus generating distributions for one estimation problem."""
+    """Forward map plus generating distributions for one estimation problem,
+    on the graph of its prior."""
 
-    sg: SpectralGraph
     prior: SmoothPrior
     noise: NoiseModel
     forward: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     label: str = "model"
 
     def __post_init__(self):
-        n = self.sg.n_vertices
-        if self.prior.sg.n_vertices != n or self.noise.covariance.shape[0] != n:
+        if self.noise.covariance.shape[0] != self.sg.n_vertices:
             raise ValueError("model components disagree on dimension")
+
+    @property
+    def sg(self) -> SpectralGraph:
+        return self.prior.sg
 
     @property
     def mean_x(self) -> np.ndarray:
@@ -306,19 +309,12 @@ class MeasurementModel:
 
 
 def ac_measurement_model(
-    grid: AcGridModel,
-    beta: float = 3.0,
-    sigma2: float = 0.05,
-    sg: SpectralGraph | None = None,
+    grid: AcGridModel, beta: float = 3.0, sigma2: float = 0.05
 ) -> MeasurementModel:
     """AC power measurements of smooth phase signals with white noise."""
-    if sg is None:
-        sg = build_laplacian(grid.graph())
-    prior = SmoothPrior(sg, beta)
+    prior = SmoothPrior(build_laplacian(grid.graph()), beta)
     noise = NoiseModel.white(sigma2, grid.n_buses)
-    return MeasurementModel(
-        sg, prior, noise, lambda x: ac_power(grid, x), label="ac-power"
-    )
+    return MeasurementModel(prior, noise, lambda x: ac_power(grid, x), label="ac-power")
 
 
 def linear_filter_model(
@@ -338,7 +334,7 @@ def linear_filter_model(
     if noise is None:
         noise = NoiseModel.white(sigma2, sg.n_vertices)
     return MeasurementModel(
-        sg, prior, noise, lambda x: np.asarray(x) @ operator.T, label="linear-filter"
+        prior, noise, lambda x: np.asarray(x) @ operator.T, label="linear-filter"
     )
 
 

@@ -87,17 +87,12 @@ def read_training_csv(
     return TrainingSet(sg, x, g, mean)
 
 
-def generate(
-    model: MeasurementModel, sg: SpectralGraph, count: int, seed: int
-) -> TrainingSet:
-    """Draw ``count`` prior samples and push them through the forward map."""
-    if sg is not model.sg and not np.array_equal(sg.laplacian, model.sg.laplacian):
-        raise ValueError("sg does not match the model's graph")
-    if count < 2:
-        raise ValueError("need at least two samples")
+def generate(model: MeasurementModel, count: int, seed: int) -> TrainingSet:
+    """Draw ``count`` prior samples on the model's graph and push them
+    through the forward map; ``TrainingSet`` rejects fewer than two."""
     x = model.sample_x(count, seed)
     g = model.forward(x)
-    return TrainingSet(sg, x, np.asarray(g, dtype=float), model.mean_x, seed=seed)
+    return TrainingSet(model.sg, x, np.asarray(g, dtype=float), model.mean_x, seed=seed)
 
 
 def _chunk_bounds(count: int):
@@ -112,7 +107,7 @@ def _chunk_bounds(count: int):
 
 
 def _training_chunks(model: MeasurementModel, count: int, seed: int):
-    """``generate(model, model.sg, count, seed)`` as ``(x, g)`` chunks cut at
+    """``generate(model, count, seed)`` as ``(x, g)`` chunks cut at
     :func:`_chunk_bounds`, bit for bit: each chunk is drawn and pushed
     through the forward map only when the previous one has been consumed."""
     if count < 2:
@@ -124,8 +119,8 @@ def _training_chunks(model: MeasurementModel, count: int, seed: int):
 
 
 def write_training_csv(model: MeasurementModel, count: int, seed: int, x_path, g_path) -> None:
-    """Write ``generate(model, model.sg, count, seed)`` one draw chunk at a
-    time; the files are byte-identical to :meth:`TrainingSet.write_csv`."""
+    """Write ``generate(model, count, seed)`` one draw chunk at a time; the
+    files are byte-identical to :meth:`TrainingSet.write_csv`."""
     _write_csv_pair(x_path, g_path, _training_chunks(model, count, seed))
 
 
@@ -204,7 +199,7 @@ def compute_moments(ts: TrainingSet, noise_cov) -> SampleMoments:
 
 
 def stream_moments(model: MeasurementModel, count: int, seed: int) -> SampleMoments:
-    """``compute_moments(generate(model, model.sg, count, seed), model.noise)``,
+    """``compute_moments(generate(model, count, seed), model.noise)``,
     bitwise, without ever holding the training set: each chunk is drawn,
     pushed through the forward map and accumulated before the next."""
     chunks = _training_chunks(model, count, seed)

@@ -70,7 +70,7 @@ def grid_model():
 @lru_cache(maxsize=None)
 def grid_moments(p):
     _, model = grid_model()
-    ts = generate(model, model.sg, p, derive(SEED, "train", p))
+    ts = generate(model, p, derive(SEED, "train", p))
     return compute_moments(ts, model.noise.covariance)
 
 
@@ -171,7 +171,7 @@ def test_03_objective_forms_share_gradients_and_argmin():
     rng = generator(SEED, "accept-objective")
     sg = build_laplacian(random_connected_graph(rng, 10))
     model = linear_filter_model(sg, FilterSpec.linear([1.0, 0.3]), sigma2=SIGMA2)
-    ts = generate(model, sg, 300, seed=3)
+    ts = generate(model, 300, seed=3)
     m = compute_moments(ts, model.noise.covariance)
     dvec, dvar = m.freq_cross_diag, m.freq_var_diag
     j_mse, j_wls = _fit_objectives(dvec, dvar)
@@ -257,13 +257,12 @@ def test_04_coincidence_on_structured_models_fails_on_ac():
     # the cross-frequency second moments vanish
     prior = SmoothPrior.from_variances(sg, s)
     model = MeasurementModel(
-        sg,
         prior,
         NoiseModel.white(SIGMA2, 8),
         lambda x: ((x @ v) * a + ((x @ v) ** 3) * b) @ v.T,
         label="separable-cubic",
     )
-    ts = generate(model, sg, 200_000, seed=11)
+    ts = generate(model, 200_000, seed=11)
     ms = compute_moments(ts, model.noise.covariance)
     freq_cross = v.T @ ms.cross_cov @ v
     assert np.max(np.abs(np.diag(freq_cross) - d)) < 0.05 * np.abs(d).max()
@@ -287,7 +286,7 @@ def test_04_coincidence_on_structured_models_fails_on_ac():
     # the AC power map is neither a graph filter nor separable: the same
     # comparison must fail by a wide margin
     ac = ac_measurement_model(random_grid(generator(SEED, "accept-ac"), 16), BETA, SIGMA2)
-    ts = generate(ac, ac.sg, 100_000, seed=4)
+    ts = generate(ac, 100_000, seed=4)
     m = compute_moments(ts, ac.noise.covariance)
     _, rel = _gain_gap(m)
     assert rel > 0.05
@@ -336,7 +335,7 @@ def test_06_spectral_gain_is_empirical_minimum():
         sg, FilterSpec.linear([2.0, 0.5]), prior=prior, sigma2=SIGMA2
     )
     p = 100_000
-    ts = generate(model, sg, p, seed=5)
+    ts = generate(model, p, seed=5)
     m = compute_moments(ts, model.noise.covariance)
     base = gsp_lmmse(m)
     resp = gsp_response(m)
@@ -418,8 +417,8 @@ def test_09_spectral_advantage_small_p_convergence_large_p():
         err_base = squared_errors(base, x_test, y_test)
         for est in (
             gsp_lmmse(m),
-            fit_lpi(m, sg, LPI_ORDER, MU),
-            fit_arma(m, sg, *ARMA_ORDERS, MU),
+            fit_lpi(m, LPI_ORDER, MU),
+            fit_arma(m, *ARMA_ORDERS, MU),
         ):
             err = squared_errors(est, x_test, y_test)
             assert err.mean() < err_base.mean(), (p, est.label)
@@ -442,7 +441,7 @@ def test_10_fitted_filters_track_spectral_gain():
     x_test, y_test = grid_test_set()
     m = grid_moments(500)
     mse_gsp = squared_errors(gsp_lmmse(m), x_test, y_test).mean()
-    for fit in (fit_lpi(m, sg, LPI_ORDER, MU), fit_arma(m, sg, *ARMA_ORDERS, MU)):
+    for fit in (fit_lpi(m, LPI_ORDER, MU), fit_arma(m, *ARMA_ORDERS, MU)):
         mse = squared_errors(fit, x_test, y_test).mean()
         assert abs(mse - mse_gsp) <= 0.02 * mse_gsp, (fit.label, mse, mse_gsp)
 
@@ -456,7 +455,7 @@ def test_11_updated_filters_beat_stale_lmmse_after_edge_additions():
     sg = model.sg
     m = grid_moments(500)
     stale = sample_lmmse(m)
-    fits = (fit_lpi(m, sg, LPI_ORDER, MU), fit_arma(m, sg, *ARMA_ORDERS, MU))
+    fits = (fit_lpi(m, LPI_ORDER, MU), fit_arma(m, *ARMA_ORDERS, MU))
     count = 7
     diffs = {fit.label: [] for fit in fits}
     for rep in range(20):
@@ -486,7 +485,7 @@ def test_12_updated_filters_beat_stale_fits_after_vertex_additions():
     m = grid_moments(500)
     stale_lmmse = sample_lmmse(m)
     stale_gsp = gsp_lmmse(m)
-    fits = (fit_lpi(m, sg, LPI_ORDER, MU), fit_arma(m, sg, *ARMA_ORDERS, MU))
+    fits = (fit_lpi(m, LPI_ORDER, MU), fit_arma(m, *ARMA_ORDERS, MU))
     for count in (1, 4):
         diffs = {
             (fit.label, base): []

@@ -180,6 +180,27 @@ def test_eval_bad_estimator_is_usage_error(tmp_path, config_path, capsys, case):
     assert "gspest: error: bad estimator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["narrow", "ragged", "unpaired"])
+def test_fit_bad_dataset_is_usage_error(tmp_path, config_path, capsys, case):
+    prefix = tmp_path / "train"
+    main(["dataset", "generate", "--count", "20", "--out", str(prefix),
+          "--config", config_path])
+    x_path, g_path = tmp_path / "train-x.csv", tmp_path / "train-g.csv"
+    x = np.loadtxt(x_path, delimiter=",")
+    if case == "narrow":  # both files one vertex short of the config's graph
+        for path in (x_path, g_path):
+            np.savetxt(path, np.loadtxt(path, delimiter=",")[:, :-1], delimiter=",")
+    elif case == "ragged":  # one row one value short
+        x_path.write_text("\n".join(x_path.read_text().splitlines()[:-1] + ["1,2"]))
+    else:  # x and g of different lengths
+        np.savetxt(x_path, x[:-1], delimiter=",")
+    capsys.readouterr()
+    code = main(["fit", "--filter", "gsp", "--dataset", str(prefix),
+                 "--out", str(tmp_path / "est.json"), "--config", config_path])
+    assert code == 1
+    assert f"gspest: error: bad dataset {prefix}: " in capsys.readouterr().err
+
+
 def test_eval_reads_a_fit_written_with_its_gain(tmp_path, config_path, capsys):
     # fitted estimators used to be written with their dense gain
     est_path = tmp_path / "est.json"
@@ -215,7 +236,7 @@ def test_dataset_generate_streams_the_same_bytes(tmp_path, config_path, monkeypa
     assert code == 0
     config = ExperimentConfig.from_file(config_path)
     model = build_model(config)
-    ts = generate(model, model.sg, 200, derive(config.seed, "train", 200))
+    ts = generate(model, 200, derive(config.seed, "train", 200))
     for part, rows in (("x", ts.x), ("g", ts.g)):
         want = tmp_path / f"want-{part}.csv"
         np.savetxt(want, rows, fmt="%.17g", delimiter=",")

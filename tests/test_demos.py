@@ -1,11 +1,14 @@
-"""Every demo script runs to completion against the installed API."""
+"""Every demo script, and the README quick start, runs to completion against
+the installed API."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_are_found():
@@ -15,4 +18,11 @@ def test_demos_are_found():
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out

@@ -401,6 +401,7 @@ def test_ac_measurement_model_shapes():
     g = model.forward(x)
     assert np.asarray(g).shape == (11, 9)
     assert np.array_equal(model.mean_x, np.zeros(9))
+    assert model.sg is model.prior.sg
 
 
 def test_linear_filter_model_forward_is_filter():
@@ -422,7 +423,7 @@ def test_measurement_model_dimension_check():
     from gspest.models import MeasurementModel
 
     with pytest.raises(ValueError):
-        MeasurementModel(sg, SmoothPrior(sg2, 1.0), NoiseModel.white(0.1, 6), lambda x: x)
+        MeasurementModel(SmoothPrior(sg2, 1.0), NoiseModel.white(0.1, sg.n_vertices), lambda x: x)
 
 
 # --------------------------------------------------------- grid perturbation
