@@ -51,7 +51,6 @@ from .filters import (
     vandermonde,
 )
 from .graphs import (
-    ReducedSpectrum,
     SpectralGraph,
     WeightedGraph,
     build_laplacian,
@@ -61,7 +60,6 @@ from .graphs import (
     perturb_edges,
     perturb_vertices,
     read_edge_list,
-    reduce_spectrum,
     write_edge_list,
 )
 from .harness import (

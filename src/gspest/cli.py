@@ -30,6 +30,7 @@ from .graphs import (
 from .harness import (
     FAMILIES,
     ExperimentConfig,
+    _check_lpi_order,
     _config_grid,
     build_model,
     evaluate_mse,
@@ -119,8 +120,9 @@ def _moments_for(args, config, model):
 def _cmd_fit(args) -> int:
     config = _load_config(args)
     model = build_model(config)
-    m = _moments_for(args, config, model)
     label = _FIT_NAMES[args.filter]
+    _check_lpi_order(config, (label,), model)
+    m = _moments_for(args, config, model)
     est = fit_by_label(label, m, config)
     with open(args.out, "w") as fh:
         fh.write(estimator_to_json(est))

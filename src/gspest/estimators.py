@@ -116,9 +116,11 @@ class SpectralEstimator:
 
     def frequency_estimate(self, y_freq: np.ndarray) -> np.ndarray:
         """Graph Fourier coefficients ``xhat V`` of the estimate from those
-        of the measurements, ``y V``."""
+        of the measurements, ``y V``, in a new array."""
         v = self.sg.eigenvectors
-        return (y_freq - self.y_center @ v) * self.response + self.x_mean @ v
+        out = y_freq - self.y_center @ v
+        np.multiply(out, self.response, out=out)
+        return np.add(out, self.x_mean @ v, out=out)
 
     def estimate(self, y: np.ndarray) -> np.ndarray:
         """Estimate from one measurement vector or rows of them."""

@@ -103,12 +103,6 @@ class FilterSpec:
     def lr_arma(cls, numerator, denominator, cutoff: int) -> "FilterSpec":
         return cls("lr-arma", numerator=numerator, denominator=denominator, cutoff=cutoff)
 
-    def order(self) -> int:
-        """Highest polynomial order appearing in the response."""
-        if self.kind == "lpi":
-            return self.taps.size - 1
-        return max(self.numerator.size, self.denominator.size) - 1
-
 
 def vandermonde(eigenvalues: np.ndarray, order: int) -> np.ndarray:
     """Ascending-power Vandermonde matrix, column ``j`` is ``lam**j``."""

@@ -142,38 +142,6 @@ class SpectralGraph:
         return _connected_spectrum(self.eigenvalues)
 
 
-@dataclass(frozen=True)
-class ReducedSpectrum:
-    """The first ``n_kept`` frequencies of a spectral graph.
-
-    ``reduced_laplacian`` is the rank-deficient matrix assembled from the kept
-    eigenpairs only; ``projector`` is the orthogonal projector onto their
-    span (the zeroth matrix power under the reduced convention).
-    """
-
-    parent: SpectralGraph
-    n_kept: int
-
-    def __post_init__(self):
-        if not (1 <= self.n_kept <= self.parent.n_vertices):
-            raise ValueError(f"n_kept {self.n_kept} out of range")
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.parent.eigenvalues[: self.n_kept]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self.parent.eigenvectors[:, : self.n_kept]
-
-    def reduced_laplacian(self) -> np.ndarray:
-        return _filter_operator(self.eigenvectors, self.eigenvalues)
-
-    def projector(self) -> np.ndarray:
-        v = self.eigenvectors
-        return v @ v.T
-
-
 def _filter_operator(eigenvectors: np.ndarray, response: np.ndarray) -> np.ndarray:
     """Dense graph filter ``V diag(response) V^T`` on eigenvector columns
     ``V``. Private, so that perfbench traces its time to the caller."""
@@ -288,22 +256,6 @@ def igft(sg: SpectralGraph, coeffs: np.ndarray) -> np.ndarray:
     if xt.shape[-1] != sg.n_vertices:
         raise ValueError("coefficient length does not match graph order")
     return xt @ sg.eigenvectors.T
-
-
-def reduce_spectrum(sg: SpectralGraph, size: int | float) -> ReducedSpectrum:
-    """Keep the lowest frequencies: an int is a count, a float in (0, 1] is a
-    fraction mapped to ``floor(fraction * n)`` (at least 1)."""
-    if isinstance(size, (bool,)):
-        raise TypeError("size must be int count or float fraction")
-    if isinstance(size, (int, np.integer)):
-        n_kept = int(size)
-    elif isinstance(size, (float, np.floating)):
-        if not 0.0 < size <= 1.0:
-            raise ValueError("fractional size must be in (0, 1]")
-        n_kept = max(1, int(np.floor(size * sg.n_vertices)))
-    else:
-        raise TypeError("size must be int count or float fraction")
-    return ReducedSpectrum(sg, n_kept)
 
 
 def _stays_connected(graph: WeightedGraph) -> bool:

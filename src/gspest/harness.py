@@ -38,7 +38,7 @@ from .estimators import (
     SpectralEstimator,
 )
 # build_laplacian is unused here; the perfbench tracer tests patch it in this module
-from .graphs import PERTURB_MODES, SpectralGraph, build_laplacian, gft, reduce_spectrum
+from .graphs import PERTURB_MODES, SpectralGraph, build_laplacian, gft
 from .models import (
     AcGridModel,
     MeasurementModel,
@@ -88,8 +88,9 @@ class Family:
 
 
 def _cutoff(m: SampleMoments, config: ExperimentConfig) -> int:
-    """Frequencies an lr-arma fit keeps on the moments' graph."""
-    return reduce_spectrum(m.sg, float(config.reduced_fraction)).n_kept
+    """Frequencies an lr-arma fit keeps on the moments' graph: the lowest
+    ``floor(reduced_fraction * n)``, at least one."""
+    return max(1, int(config.reduced_fraction * m.sg.n_vertices))
 
 
 # In report order.
@@ -308,8 +309,9 @@ class _Draws:
         if not (isinstance(est, SpectralEstimator) and est.sg is self.sg):
             return squared_errors(est, self.x, self.y)
         x_freq, y_freq = self.spectra
-        diff = est.frequency_estimate(y_freq) - x_freq
-        return np.sum(diff * diff, axis=-1)
+        diff = est.frequency_estimate(y_freq)  # a fresh buffer, scratch here
+        np.subtract(diff, x_freq, out=diff)
+        return np.sum(np.square(diff, out=diff), axis=-1)
 
     def mse(self, est) -> tuple[float, float]:
         err = self.errors(est)
@@ -353,6 +355,13 @@ def evaluate_mse(
     return _Draws.of(model, trials, seed).mse(est)
 
 
+def _check_lpi_order(config: ExperimentConfig, labels, model: MeasurementModel) -> None:
+    """ConfigError if ``labels`` fit lpi-gsp with an order the grid cannot
+    carry; every command that may fit it calls this before its training pass."""
+    if "lpi-gsp" in labels and config.lpi_order >= (n := model.sg.n_vertices):
+        raise ConfigError(f"lpi_order {config.lpi_order} must be below the grid's {n} vertices")
+
+
 def fit_by_label(label: str, m: SampleMoments, config: ExperimentConfig):
     """Build the estimator named by ``label`` from moments ``m``, on their
     graph."""
@@ -365,6 +374,7 @@ def experiment_a(config: ExperimentConfig) -> MseReport:
     """MSE of each configured estimator versus training-set size, on a common
     seeded test set, plus a large-sample unconstrained benchmark row."""
     model = build_model(config)
+    _check_lpi_order(config, config.estimators, model)
     draws = _Draws.of(model, config.trials, derive(config.seed, "test", 0, 0))
     report = MseReport()
     for p in config.p_values:
@@ -398,6 +408,7 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
     """
     grid = _config_grid(config)
     base_model = ac_measurement_model(grid, config.beta, config.sigma2)
+    _check_lpi_order(config, config.estimators, base_model)
     p = config.training_size
     m = stream_moments(base_model, p, derive(config.seed, "train", p))
     fitted = {
@@ -437,6 +448,7 @@ def measure_runtime(config: ExperimentConfig) -> MseReport:
     stage), with achieved MSE against any configured targets. Only the
     ordering of the times is meaningful."""
     model = build_model(config)
+    _check_lpi_order(config, config.estimators, model)
     p = config.training_size
     m = stream_moments(model, p, derive(config.seed, "train", p))
     draws = _Draws.of(model, config.trials, derive(config.seed, "test", 0, 0))

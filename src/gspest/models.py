@@ -321,20 +321,21 @@ def linear_filter_model(
     sg: SpectralGraph,
     spec,
     prior: SmoothPrior | None = None,
-    noise: NoiseModel | None = None,
     beta: float = 3.0,
     sigma2: float = 0.05,
 ) -> MeasurementModel:
-    """Measurements through a linear graph filter (see gspest.filters)."""
+    """Measurements through a linear graph filter on ``sg`` (see
+    gspest.filters) with white noise; a given ``prior`` must be on ``sg``."""
     from .filters import filter_matrix
 
-    operator = filter_matrix(spec, sg)
     if prior is None:
         prior = SmoothPrior(sg, beta)
-    if noise is None:
-        noise = NoiseModel.white(sigma2, sg.n_vertices)
+    elif not np.array_equal(prior.sg.laplacian, sg.laplacian):
+        raise ValueError("prior is on another graph than the filter")
+    operator = filter_matrix(spec, sg)
     return MeasurementModel(
-        prior, noise, lambda x: np.asarray(x) @ operator.T, label="linear-filter"
+        prior, NoiseModel.white(sigma2, sg.n_vertices),
+        lambda x: np.asarray(x) @ operator.T, label="linear-filter",
     )
 
 

@@ -19,14 +19,13 @@ the naive Hadamard sums of centered GFT coefficients.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SingularMomentsError
 from .graphs import SpectralGraph
-from .models import MeasurementModel, NoiseModel, _draw_prior
+from .models import MeasurementModel, _draw_prior
 from .rng import generator
 
 # Most rows per prior draw, forward map and accumulation step; moving the
@@ -47,7 +46,6 @@ class TrainingSet:
     x: np.ndarray = field(repr=False)
     g: np.ndarray = field(repr=False)
     x_mean: np.ndarray = field(repr=False)
-    seed: int = 0
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -92,7 +90,7 @@ def generate(model: MeasurementModel, count: int, seed: int) -> TrainingSet:
     through the forward map; ``TrainingSet`` rejects fewer than two."""
     x = model.sample_x(count, seed)
     g = model.forward(x)
-    return TrainingSet(model.sg, x, np.asarray(g, dtype=float), model.mean_x, seed=seed)
+    return TrainingSet(model.sg, x, np.asarray(g, dtype=float), model.mean_x)
 
 
 def _chunk_bounds(count: int):
@@ -130,7 +128,8 @@ class SampleMoments:
 
     ``cross_cov``/``y_cov`` are the vertex-domain matrices; the frequency
     diagonals are their GFT counterparts ``diag(V^T C V)``. ``y_cov`` and
-    ``freq_var_diag`` both include the noise contribution.
+    ``freq_var_diag`` both include the noise covariance, which is not kept
+    on its own.
     """
 
     sg: SpectralGraph
@@ -141,7 +140,6 @@ class SampleMoments:
     y_cov: np.ndarray = field(repr=False)
     freq_cross_diag: np.ndarray = field(repr=False)
     freq_var_diag: np.ndarray = field(repr=False)
-    noise_cov: np.ndarray = field(repr=False)
 
     @classmethod
     def from_covariances(
@@ -151,13 +149,10 @@ class SampleMoments:
         y_mean: np.ndarray,
         cross_cov: np.ndarray,
         y_cov: np.ndarray,
-        noise_cov: np.ndarray | None = None,
         count: int = 0,
     ) -> "SampleMoments":
         """Build a moments object from externally supplied (e.g. analytic)
         covariances; ``y_cov`` must already include any noise term."""
-        n = sg.n_vertices
-        noise = np.zeros((n, n)) if noise_cov is None else np.asarray(noise_cov, float)
         cross_cov, y_cov = np.asarray(cross_cov, float), np.asarray(y_cov, float)
         return cls(
             sg,
@@ -168,28 +163,15 @@ class SampleMoments:
             y_cov,
             _freq_diag(sg.eigenvectors, cross_cov),
             _freq_diag(sg.eigenvectors, y_cov),
-            noise,
         )
 
-    def to_json(self) -> str:
-        # every field after sg and count is an array
-        arrays = {f.name: getattr(self, f.name).tolist() for f in fields(self)[2:]}
-        return json.dumps({"count": int(self.count), **arrays})
 
-    @classmethod
-    def from_json(cls, text: str, sg: SpectralGraph) -> "SampleMoments":
-        doc = json.loads(text)
-        arrays = {f.name: np.asarray(doc[f.name], float) for f in fields(cls)[2:]}
-        return cls(sg, int(doc["count"]), **arrays)
-
-
-def compute_moments(ts: TrainingSet, noise_cov) -> SampleMoments:
+def compute_moments(ts: TrainingSet, noise_cov: np.ndarray) -> SampleMoments:
     """Sample moments of a training set with the noise term added analytically.
 
-    ``noise_cov`` is the measurement-noise covariance matrix (or a
-    NoiseModel). Second moments center both ``x`` and ``g`` on their sample
-    means; the known prior mean never enters them and survives only as the
-    estimator base point.
+    ``noise_cov`` is the measurement-noise covariance matrix. Second moments
+    center both ``x`` and ``g`` on their sample means; the known prior mean
+    never enters them and survives only as the estimator base point.
     """
     chunks = (
         (ts.x[start:stop].copy(), ts.g[start:stop].copy())
@@ -199,11 +181,11 @@ def compute_moments(ts: TrainingSet, noise_cov) -> SampleMoments:
 
 
 def stream_moments(model: MeasurementModel, count: int, seed: int) -> SampleMoments:
-    """``compute_moments(generate(model, count, seed), model.noise)``,
+    """``compute_moments(generate(model, count, seed), model.noise.covariance)``,
     bitwise, without ever holding the training set: each chunk is drawn,
     pushed through the forward map and accumulated before the next."""
     chunks = _training_chunks(model, count, seed)
-    return _accumulate(model.sg, model.mean_x, model.noise, chunks)
+    return _accumulate(model.sg, model.mean_x, model.noise.covariance, chunks)
 
 
 def _freq_diag(v: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -214,8 +196,6 @@ def _freq_diag(v: np.ndarray, cov: np.ndarray) -> np.ndarray:
 def _accumulate(sg, x_mean, noise_cov, chunks) -> SampleMoments:
     """One moment pass over ``(x, g)`` row chunks, centered on the first row.
     The chunks are scratch: they are centered in place."""
-    if isinstance(noise_cov, NoiseModel):
-        noise_cov = noise_cov.covariance
     noise_cov = np.asarray(noise_cov, dtype=float)
     n = sg.n_vertices
     if noise_cov.shape != (n, n):
@@ -245,7 +225,6 @@ def _accumulate(sg, x_mean, noise_cov, chunks) -> SampleMoments:
         g_ref + mean_dg,
         ss_xg / p - np.outer(mean_dx, mean_dg),
         ss_gg / p - np.outer(mean_dg, mean_dg) + noise_cov,
-        noise_cov,
         p,
     )
 

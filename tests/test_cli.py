@@ -303,6 +303,44 @@ def test_fit_singular_exits_two(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+# a triangle 1-2-3 and a pendant bus 4 on bus 3
+TRIANGLE_AND_PENDANT = (
+    "from,to,conductance,susceptance\n1,2,1,10\n2,3,1,8\n1,3,1,12\n3,4,1,9\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "a"], ["experiment", "b"], ["runtime"], ["fit", "--filter", "lpi"],
+], ids=" ".join)
+def test_lpi_order_above_the_grid_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # the default lpi_order 6 on a 4-bus grid: exit 1 before any training draw
+    from gspest import cli, harness
+
+    def no_training(*args):
+        raise AssertionError("training pass reached")
+
+    monkeypatch.setattr(harness, "stream_moments", no_training)
+    monkeypatch.setattr(cli, "stream_moments", no_training)
+    grid_path = tmp_path / "grid.csv"
+    grid_path.write_text(TRIANGLE_AND_PENDANT)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": str(grid_path)}))
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "gspest: error: lpi_order 6 must be below the grid's 4 vertices" in err
+    assert not out.exists()
+
+
+def test_lpi_order_is_not_checked_without_lpi(tmp_path):
+    grid_path = tmp_path / "grid.csv"
+    grid_path.write_text(TRIANGLE_AND_PENDANT)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": str(grid_path), "training_size": 20}))
+    out = tmp_path / "est.json"
+    assert main(["fit", "--filter", "gsp", "--out", str(out), "--config", str(config)]) == 0
+
+
 def test_experiment_a_csv(tmp_path, config_path, capsys):
     out = tmp_path / "exp-a.csv"
     code = main(["experiment", "a", "--out", str(out), "--config", config_path])

@@ -38,7 +38,6 @@ from gspest.graphs import (
     build_laplacian,
     perturb_edges,
     perturb_vertices,
-    reduce_spectrum,
 )
 from gspest.models import (
     ac_measurement_model,
@@ -513,7 +512,7 @@ def _check_spectral_families(m, sg, perturbed, rng):
         gsp_lmmse(m),
         fit_lpi(m, order=3),
         fit_arma(m, num_order=2, den_order=1),
-        fit_lr_arma(m, reduce_spectrum(sg, 0.5).n_kept, num_order=1, den_order=1),
+        fit_lr_arma(m, sg.n_vertices // 2, num_order=1, den_order=1),
         almmse(sg, beta=3.0, sigma2=0.05),
     )
     for est in fits:

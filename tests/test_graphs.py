@@ -12,7 +12,6 @@ from gspest.graphs import (
     perturb_edges,
     perturb_vertices,
     read_edge_list,
-    reduce_spectrum,
     write_edge_list,
 )
 from gspest.models import bundled_ieee118
@@ -266,43 +265,6 @@ def test_gft_of_eigenvector_is_unit_coordinate():
     sg = build_laplacian(PATH3)
     xt = gft(sg, sg.eigenvectors[:, 1])
     assert np.allclose(xt, [0.0, 1.0, 0.0], atol=1e-12)
-
-
-# ------------------------------------------------------------- reduction
-
-
-def test_reduce_spectrum_count_and_fraction():
-    rng = generator(4, "reduce")
-    sg = build_laplacian(random_connected_graph(rng, 20))
-    rs = reduce_spectrum(sg, 5)
-    assert rs.n_kept == 5
-    assert rs.eigenvalues.shape == (5,)
-    assert rs.eigenvectors.shape == (20, 5)
-    assert np.array_equal(rs.eigenvalues, sg.eigenvalues[:5])
-    # float argument is a fraction with floor semantics: 0.3 of 20 keeps 6
-    assert reduce_spectrum(sg, 0.3).n_kept == 6
-    assert reduce_spectrum(sg, 0.01).n_kept == 1
-
-
-def test_reduced_projector_and_laplacian():
-    rng = generator(5, "reduce")
-    sg = build_laplacian(random_connected_graph(rng, 10))
-    rs = reduce_spectrum(sg, 4)
-    p = rs.projector()
-    assert np.max(np.abs(p @ p - p)) < 1e-12
-    assert np.linalg.matrix_rank(p) == 4
-    lr = rs.reduced_laplacian()
-    assert np.max(np.abs(lr - p @ sg.laplacian @ p)) < 1e-10
-
-
-def test_reduce_spectrum_bad_sizes():
-    sg = build_laplacian(PATH3)
-    with pytest.raises(ValueError):
-        reduce_spectrum(sg, 0)
-    with pytest.raises(ValueError):
-        reduce_spectrum(sg, 4)
-    with pytest.raises(ValueError):
-        reduce_spectrum(sg, 1.5)
 
 
 # --------------------------------------------------------- perturbations

@@ -161,6 +161,15 @@ def test_draw_test_set_seeding(tmp_path):
     assert not np.allclose(y1, np.asarray(model.forward(x1)), atol=1e-6)
 
 
+def test_cutoff_keeps_the_floor_of_the_fraction():
+    from gspest.harness import _cutoff
+
+    sg = build_laplacian(random_connected_graph(generator(4, "reduce"), 20))
+    m = SampleMoments.from_covariances(sg, np.zeros(20), np.zeros(20), np.eye(20), np.eye(20))
+    for fraction, kept in ((0.3, 6), (0.01, 1), (1.0, 20)):
+        assert _cutoff(m, ExperimentConfig(reduced_fraction=fraction)) == kept
+
+
 def test_fit_by_label_rejects_unknown(tmp_path):
     config = small_config(tmp_path)
     model = build_model(config)
@@ -332,13 +341,22 @@ def test_parseval_scores_match_squared_errors(tmp_path):
     model = build_model(config)
     m = stream_moments(model, 60, 2)
     draws = _Draws(model.sg, *draw_test_set(model, 300, 4))
+    x_freq, y_freq = (s.copy() for s in draws.spectra)
+    v = model.sg.eigenvectors
     for label in SPECTRAL:
         est = fit_by_label(label, m, config)
         assert isinstance(est, SpectralEstimator), label
         want = squared_errors(est.dense, draws.x, draws.y)
         got = draws.errors(est)
         assert np.max(np.abs(got - want) / want) <= 1e-12, label
+        # the in-place scoring keeps the bits of the out-of-place expressions
+        est_freq = (y_freq - est.y_center @ v) * est.response + est.x_mean @ v
+        assert np.array_equal(est.frequency_estimate(y_freq), est_freq), label
+        diff = est_freq - x_freq
+        assert np.array_equal(got, np.sum(diff * diff, axis=-1)), label
     assert draws.spectra is draws.spectra
+    assert np.array_equal(draws.spectra[0], x_freq)  # scoring never writes into them
+    assert np.array_equal(draws.spectra[1], y_freq)
     # an estimator fitted on another graph is scored in the vertex domain
     other = replace(est, sg=build_laplacian(model.sg.graph))
     assert np.array_equal(draws.errors(other), squared_errors(other, draws.x, draws.y))

@@ -416,6 +416,18 @@ def test_linear_filter_model_forward_is_filter():
     assert np.max(np.abs(model.forward(x) - x @ mat.T)) < 1e-12
 
 
+def test_linear_filter_model_rejects_a_prior_on_another_graph():
+    rng = generator(57, "model")
+    sg = build_laplacian(random_connected_graph(rng, 8))
+    other = build_laplacian(random_connected_graph(rng, 8))
+    spec = FilterSpec.linear([1.0, 0.2])
+    with pytest.raises(ValueError, match="another graph"):
+        linear_filter_model(sg, spec, prior=SmoothPrior(other, 1.0))
+    # a prior on a rebuilt copy of the same graph is on the same graph
+    copy = build_laplacian(sg.graph)
+    assert linear_filter_model(sg, spec, prior=SmoothPrior(copy, 1.0)).sg is copy
+
+
 def test_measurement_model_dimension_check():
     rng = generator(56, "model")
     sg = build_laplacian(random_connected_graph(rng, 6))

@@ -25,7 +25,6 @@ from tests.test_models import random_grid
 
 MOMENT_ARRAYS = (
     "x_mean", "y_mean", "cross_cov", "y_cov", "freq_cross_diag", "freq_var_diag",
-    "noise_cov",
 )
 
 
@@ -108,7 +107,7 @@ def test_from_covariances_reproduces_accumulated_diagonals():
         stream_moments(model, 5000, seed=10),
     ):
         back = SampleMoments.from_covariances(
-            sg, m.x_mean, m.y_mean, m.cross_cov, m.y_cov, m.noise_cov, m.count
+            sg, m.x_mean, m.y_mean, m.cross_cov, m.y_cov, m.count
         )
         for name in MOMENT_ARRAYS:
             assert np.array_equal(getattr(back, name), getattr(m, name)), name
@@ -236,24 +235,6 @@ def test_read_training_csv_default_mean(tmp_path):
     assert np.array_equal(back.x_mean, np.zeros(8))
 
 
-def test_sample_moments_json_round_trip():
-    model, sg = small_model(13)
-    ts = generate(model, 200, seed=8)
-    m = compute_moments(ts, model.noise.covariance)
-    back = SampleMoments.from_json(m.to_json(), sg)
-    assert back.count == m.count
-    for name in (
-        "x_mean",
-        "y_mean",
-        "cross_cov",
-        "y_cov",
-        "freq_cross_diag",
-        "freq_var_diag",
-        "noise_cov",
-    ):
-        assert np.array_equal(getattr(back, name), getattr(m, name)), name
-
-
 def test_from_covariances_diagonals():
     rng = generator(14, "cov")
     sg = build_laplacian(random_connected_graph(rng, 6))
@@ -266,15 +247,6 @@ def test_from_covariances_diagonals():
     assert np.allclose(m.freq_cross_diag, np.diag(v.T @ cross @ v), atol=1e-14)
     assert np.allclose(m.freq_var_diag, np.diag(v.T @ ycov @ v), atol=1e-14)
     assert m.count == 0
-    assert np.array_equal(m.noise_cov, np.zeros((6, 6)))
-
-
-def test_noise_model_accepted_directly():
-    model, sg = small_model(15)
-    ts = generate(model, 100, seed=2)
-    a = compute_moments(ts, model.noise)
-    b = compute_moments(ts, model.noise.covariance)
-    assert np.array_equal(a.y_cov, b.y_cov)
 
 
 def test_compute_moments_rejects_bad_noise_shape():
