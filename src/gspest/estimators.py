@@ -41,7 +41,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import SingularMomentsError, UnstableFilterError
 from .filters import (
@@ -62,6 +61,19 @@ COND_LIMIT = 1e12
 _MAX_ITER = 2000
 _F_TOL = 1e-10
 _SIMPLEX_STEP = 0.1
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first rational fit.
+
+    The first call rebinds this module's ``minimize`` to scipy's own, so
+    importing gspest does not load ``scipy.optimize`` and later fits call
+    scipy directly.
+    """
+    global minimize
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidGraphError, PerturbationInfeasibleError
 from .rng import generator
@@ -258,14 +257,29 @@ def igft(sg: SpectralGraph, coeffs: np.ndarray) -> np.ndarray:
     return xt @ sg.eigenvectors.T
 
 
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The smallest vertex of each vertex's component, for the edges
+    ``(i[k], j[k])`` on vertices ``0..n-1``.
+
+    A union-find in array steps: every edge joining two trees hooks the
+    larger root under the smaller (so ``root[v] <= v`` stays a forest), and
+    pointer jumping then takes every vertex to its root.
+    """
+    root = np.arange(n)
+    while not np.array_equal(ri := root[i], rj := root[j]):
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        while not np.array_equal(up := root[root], root):
+            root = up
+    return root
+
+
 def _stays_connected(graph: WeightedGraph) -> bool:
     """:func:`_connected_spectrum` of the graph's Laplacian, by the rule in
     the module docstring (``w_min`` is the smallest positive weight)."""
     n = graph.n_vertices
     i, j, w = graph._columns()
     pos = w > 0
-    adj = csr_array((w[pos], (i[pos], j[pos])), shape=(n, n))
-    if connected_components(adj, directed=False, return_labels=False) > 1:
+    if _components(n, i[pos], j[pos]).any():
         return False
     if n < 2 or 4.0 * w[pos].min() / (n * (n - 1)) > CONNECTIVITY_TOL:
         return True
@@ -406,12 +420,9 @@ def write_edge_list(graph: WeightedGraph, path) -> None:
             writer.writerow([i, j, format(w, ".17g")])
 
 
-def read_edge_list(path, n_vertices: int | None = None) -> WeightedGraph:
-    """Read a ``from,to,weight`` CSV written by :func:`write_edge_list`.
-
-    Vertex count defaults to ``max index + 1``; pass ``n_vertices`` to keep
-    trailing isolated vertices.
-    """
+def read_edge_list(path) -> WeightedGraph:
+    """Read a ``from,to,weight`` CSV written by :func:`write_edge_list`; the
+    vertex count is ``max index + 1``."""
     edges = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -425,10 +436,6 @@ def read_edge_list(path, n_vertices: int | None = None) -> WeightedGraph:
                 raise InvalidGraphError(f"bad edge-list row {row}")
             edges.append((int(row[0]), int(row[1]), float(row[2])))
     n = max((max(i, j) for i, j, _ in edges), default=-1) + 1
-    if n_vertices is not None:
-        if n_vertices < n:
-            raise InvalidGraphError("n_vertices smaller than max edge index")
-        n = n_vertices
     if n == 0:
         raise InvalidGraphError(f"empty edge list in {path}")
     return WeightedGraph(n, tuple(edges))

@@ -2,7 +2,8 @@
 
 Experiments share one seeded test set per scenario so estimator comparisons
 are paired (common random numbers). Estimator failures (singular moments,
-unstable filters) are recorded as report rows with NaN values, not raised.
+unstable filters) and infeasible topology perturbations are recorded as
+report rows with NaN values, not raised.
 
 Spectral estimators are scored in the frequency domain of the test graph,
 on one transform of the draws per graph: Parseval's identity makes that the
@@ -20,7 +21,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, SingularMomentsError, UnstableFilterError
+from .errors import (
+    ConfigError,
+    PerturbationInfeasibleError,
+    SingularMomentsError,
+    UnstableFilterError,
+)
 from .estimators import (
     almmse,
     arma_coefficients,
@@ -404,7 +410,8 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
     modes) or remapped stale (vertex modes), the unconstrained estimators are
     kept stale (remapped on vertex modes), and the training-free baseline is
     rebuilt. All are scored on the new topology's generating model with
-    paired draws per repetition.
+    paired draws per repetition. A (count, repetition) whose perturbation is
+    infeasible gives one ``infeasible`` row per estimator.
     """
     grid = _config_grid(config)
     base_model = ac_measurement_model(grid, config.beta, config.sigma2)
@@ -420,15 +427,20 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
     report = MseReport()
     for count in config.perturb_counts:
         for rep in range(config.perturb_repetitions):
-            new_grid, vmap = perturb_grid(
-                grid, count, config.perturb_mode, derive(config.seed, "perturb", count, rep)
-            )
+            param = f"{config.perturb_mode}/rep{rep}"
+            try:
+                new_grid, vmap = perturb_grid(
+                    grid, count, config.perturb_mode, derive(config.seed, "perturb", count, rep)
+                )
+            except PerturbationInfeasibleError:
+                for label in config.estimators:
+                    report.add(_failed_row(label, "experiment-b", param, count, "infeasible", rep))
+                continue
             vmap = vmap if vertex_mode else None
             new_model = ac_measurement_model(new_grid, config.beta, config.sigma2)
             draws = _Draws.of(
                 new_model, config.trials, derive(config.seed, "test", count, rep)
             )
-            param = f"{config.perturb_mode}/rep{rep}"
             for label in config.estimators:
                 fit, status = fitted[label]
                 if fit is None:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,40 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "graph" in proc.stdout and "experiment" in proc.stdout
+
+
+# run in a fresh process: the modules `import gspest.cli` loads, then the
+# rational fits' `minimize` before and after the first fit
+LAZY_IMPORT_PROBE = """
+import json, sys
+import gspest.cli
+from gspest import estimators
+loaded = [m for m in ("scipy.optimize", "scipy.sparse.csgraph") if m in sys.modules]
+from tests.test_estimators import sampled_moments
+import scipy.optimize
+before = estimators.minimize is scipy.optimize.minimize
+estimators.arma_coefficients(sampled_moments(3)[0], 1, 1)
+after = estimators.minimize is scipy.optimize.minimize
+print(json.dumps({"loaded": loaded, "before": before, "after": after}))
+"""
+
+
+@pytest.fixture(scope="module")
+def lazy_import_probe():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(root / "src"), str(root))))
+    run = subprocess.run([sys.executable, "-c", LAZY_IMPORT_PROBE], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(run.stdout)
+
+
+def test_import_loads_neither_scipy_optimize_nor_csgraph(lazy_import_probe):
+    assert lazy_import_probe["loaded"] == []
+
+
+def test_first_rational_fit_binds_scipy_minimize(lazy_import_probe):
+    assert not lazy_import_probe["before"]
+    assert lazy_import_probe["after"]
 
 
 def test_missing_subcommand_is_usage_error():
@@ -339,6 +375,34 @@ def test_lpi_order_is_not_checked_without_lpi(tmp_path):
     config.write_text(json.dumps({"grid": str(grid_path), "training_size": 20}))
     out = tmp_path / "est.json"
     assert main(["fit", "--filter", "gsp", "--out", str(out), "--config", str(config)]) == 0
+
+
+def test_experiment_b_records_infeasible_perturbations(tmp_path):
+    # one triangle edge can go; a second removal would cut the graph
+    from gspest.harness import ESTIMATOR_LABELS, ExperimentConfig, experiment_b
+
+    grid_path = tmp_path / "grid.csv"
+    grid_path.write_text(TRIANGLE_AND_PENDANT)
+    doc = dict(
+        grid=str(grid_path), trials=64, training_size=40, lpi_order=2,
+        arma_num_order=1, arma_den_order=1, lr_num_order=1, lr_den_order=0,
+        perturb_mode="remove-edges", perturb_counts=[1, 2], perturb_repetitions=2,
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "exp-b.csv"
+    assert main(["experiment", "b", "--out", str(out), "--config", str(config)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 1 + 2 * 2 * len(ESTIMATOR_LABELS)
+    rows = experiment_b(ExperimentConfig.from_file(config)).rows
+    assert {r.status for r in rows if r.value == 1} == {"ok"}
+    infeasible = [r for r in rows if r.value == 2]
+    assert [(r.estimator, r.rep) for r in infeasible] == [
+        (label, rep) for rep in range(2) for label in ESTIMATOR_LABELS
+    ]
+    assert all(r.status == "infeasible" and np.isnan(r.mse) for r in infeasible)
+    assert all((cells[4] == "nan") == (cells[3] == "2")
+               for cells in (line.split(",") for line in lines[1:]))
 
 
 def test_experiment_a_csv(tmp_path, config_path, capsys):

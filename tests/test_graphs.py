@@ -391,12 +391,3 @@ def test_edge_list_round_trip(tmp_path):
     assert back.edges == g.edges
     header = path.read_text().splitlines()[0]
     assert header == "from,to,weight"
-
-
-def test_edge_list_explicit_vertex_count(tmp_path):
-    g = WeightedGraph(5, ((0, 1, 1.0), (1, 2, 0.5)))
-    path = tmp_path / "g.csv"
-    write_edge_list(g, path)
-    back = read_edge_list(path, n_vertices=5)
-    assert back.n_vertices == 5
-    assert back.edges == g.edges

@@ -273,6 +273,57 @@ def test_connectivity_precheck_skips_eigvalsh_when_split(monkeypatch):
     assert calls == [1, 1]
 
 
+def _scipy_components(graph):
+    """Each vertex's smallest component member by scipy's csgraph, on the
+    positive-weight edges, and the component count."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    n = graph.n_vertices
+    i, j, w = graph._columns()
+    pos = w > 0
+    count, labels = connected_components(
+        csr_array((w[pos], (i[pos], j[pos])), shape=(n, n)), directed=False
+    )
+    smallest = np.full(count, n)
+    np.minimum.at(smallest, labels, np.arange(n))
+    return smallest[labels], count
+
+
+def _relabelled(rng, n, edges):
+    perm = rng.permutation(n)
+    return WeightedGraph(n, tuple((int(perm[i]), int(perm[j]), w) for i, j, w in edges))
+
+
+def test_components_agree_with_scipy_csgraph():
+    rng = generator(17, "components")
+    cases = [WeightedGraph(1, ()), WeightedGraph(2, ()),
+             WeightedGraph(2, ((0, 1, 1.0),)), WeightedGraph(2, ((0, 1, 0.0),))]
+    for _ in range(40):
+        n = int(rng.integers(3, 40))
+        g = random_connected_graph(rng, n)
+        cases.append(_relabelled(rng, n, g.edges))  # connected
+        zeroed = tuple((i, j, w * (rng.random() < 0.7)) for i, j, w in g.edges)
+        cases.append(_relabelled(rng, n, zeroed))  # zero-weight edges
+        h = random_connected_graph(rng, int(rng.integers(1, 10)))
+        pieces = g.edges + tuple((i + n, j + n, w) for i, j, w in h.edges)
+        isolated = int(rng.integers(0, 4))
+        total = n + h.n_vertices + isolated
+        cases.append(_relabelled(rng, total, pieces))  # two pieces, isolated vertices
+        path = tuple((k, k + 1, 1.0) for k in range(n - 1))
+        cases.append(_relabelled(rng, n, path))  # long chains of hooks
+    counts = set()
+    for g in cases:
+        i, j, w = g._columns()
+        pos = w > 0
+        expected, count = _scipy_components(g)
+        assert np.array_equal(graphs._components(g.n_vertices, i[pos], j[pos]), expected)
+        if count > 1:
+            assert not graphs._stays_connected(g)
+        counts.add(min(count, 3))
+    assert counts == {1, 2, 3}
+
+
 # ------------------------------------------------------------ the sign rule
 
 
