@@ -190,6 +190,9 @@ class ExperimentConfig:
             raise ConfigError("training sizes must be at least 2")
         if self.p_infinity < 2:
             raise ConfigError("p_infinity must be at least 2")
+        for name in ("beta", "sigma2", "mu"):  # json reads NaN and Infinity
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.beta <= 0 or self.sigma2 < 0 or self.mu < 0:
             raise ConfigError("beta must be positive, sigma2 and mu non-negative")
         if not 0.0 < self.reduced_fraction <= 1.0:

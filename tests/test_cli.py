@@ -456,6 +456,20 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
     assert "seed must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("beta", float("nan")), ("sigma2", float("inf")), ("mu", float("inf")),
+], ids=["beta-nan", "sigma2-inf", "mu-inf"])
+def test_non_finite_config_values_are_config_errors(tmp_path, config_path, capsys, field, value):
+    # json reads NaN and Infinity; both end in a usage error, not a traceback
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**json.loads(Path(config_path).read_text()), field: value}))
+    for argv in (["experiment", "a"], ["fit", "--filter", "lpi"]):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out), "--config", str(config)]) == 1
+        assert f"gspest: error: {field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_bundled_grid_is_default(tmp_path):
     out = tmp_path / "ieee.csv"
     assert main(["graph", "build", "--out", str(out)]) == 0

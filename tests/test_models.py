@@ -13,6 +13,7 @@ from gspest.models import (
     AcGridModel,
     NoiseModel,
     SmoothPrior,
+    _cos_sin,
     _symmetric,
     ac_measurement_model,
     ac_power,
@@ -161,6 +162,47 @@ def test_exact_checks_agree_with_allclose():
         assert noise._diagonal == want
 
 
+def scanned_noise_checks(m):
+    """The reject message and diagonal flag of the checks that scanned every
+    covariance for symmetry before deciding whether it is diagonal."""
+    if not _symmetric(m, 1e-12 * max(1.0, m.max(), -m.min())):
+        return "covariance must be symmetric", None
+    return None, not (np.count_nonzero(m) - np.count_nonzero(m.diagonal()))
+
+
+def test_diagonal_first_checks_agree_with_the_full_scan():
+    # a covariance known to be diagonal skips the symmetry scan, with the
+    # same answers on special values on and off the diagonal
+    rng = generator(49, "diagonal-first")
+    specials = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e-13, 1e308, -1e308)
+    cases = [NoiseModel.white(s, n).covariance for s in (0.0, 0.05, 1e308) for n in (1, 4)]
+    for trial in range(600):
+        n = 1 + trial % 5
+        m = np.diag(rng.choice(specials + (0.5, 2.0), n))
+        if trial % 3 and n > 1:
+            i, j = rng.choice(n, 2, replace=False)
+            m[i, j] = specials[rng.integers(len(specials))]
+            if trial % 3 == 2:
+                m[j, i] = m[i, j]
+        cases += [m, m.T, np.asfortranarray(m), np.kron(m, np.ones((2, 2)))[::2, ::2]]
+    seen = set()
+    for m in cases:
+        message, diagonal = scanned_noise_checks(m)
+        try:
+            noise = NoiseModel(m)
+        except ValueError as exc:
+            assert str(exc) == message
+            seen.add("rejected")
+            continue
+        assert message is None and noise._diagonal == diagonal
+        seen.add(("diagonal", diagonal))
+    assert seen == {"rejected", ("diagonal", True), ("diagonal", False)}
+    for s in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^covariance must be symmetric$"), \
+                np.errstate(invalid="ignore"):
+            NoiseModel.white(s, 3)
+
+
 def test_noise_frequency_covariance_white_is_diagonal():
     sg = build_laplacian(random_connected_graph(generator(47, "noise"), 7))
     nfc = NoiseModel.white(0.05, 7).frequency_covariance(sg)
@@ -298,6 +340,41 @@ def test_ac_power_rejects_misshapen_phases():
         with pytest.raises(ValueError, match="^phases must be 1-D or 2-D with 118 entries per row$"):
             ac_power(grid, np.zeros(shape))
     assert ac_power(grid, np.zeros((0, 118))).shape == (0, 118)
+
+
+def half_angle_cos_sin(x):
+    out, den = np.empty((2 * len(x), x.shape[1])), np.empty(x.shape)
+    _cos_sin(x, out, den)
+    return out[:len(x)], out[len(x):]
+
+
+def test_half_angle_cos_sin_match_numpy():
+    eps = np.finfo(float).eps
+    rng = generator(58, "half-angle")
+    scales = (1e-3, 0.1, 1.0, np.pi, 10.0, 1e3, 1e8, 1e16, 1e50, 1e100, 1e200, 1e300)
+    seeded = [s * rng.uniform(-1.0, 1.0, (50, 200)) for s in scales]
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310] + [k * np.pi / 2 for k in range(-8, 9)])
+    for x in seeded + [special.reshape(-1, 1), special.reshape(1, -1)]:
+        c, s = half_angle_cos_sin(x)
+        assert np.all(np.abs(c - np.cos(x)) <= 4 * eps)
+        assert np.all(np.abs(s - np.sin(x)) <= 4 * eps)
+    c, s = half_angle_cos_sin(np.array([[0.0, -0.0]]))
+    assert np.array_equal(c, [[1.0, 1.0]]) and np.array_equal(np.signbit(s), [[False, True]])
+
+
+def test_ac_power_non_finite_phases_give_nan():
+    # a non-finite phase makes its bus and every neighbour nan, as the branch
+    # loop does; the other rows keep their bits
+    grid = bundled_with_voltages()
+    x = 2.0 * generator(59, "ac-non-finite").standard_normal((5, grid.n_buses))
+    x[1, 7], x[2, 40], x[3, 90] = np.inf, -np.inf, np.nan
+    x[4] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = ac_power(grid, x)
+        want, _ = loop_ac_power(grid, x)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.all(np.isnan(got[4])) and np.isnan(got[1:4]).any(axis=1).all()
+    assert np.array_equal(got[0], ac_power(grid, x[0]))
 
 
 def dense_grid_error(g, b):
