@@ -29,7 +29,7 @@ sg = model.sg
 
 # moments from a 500-sample training set
 ts = generate(model, 500, derive(0, "train", 500))
-m = compute_moments(ts, model.noise.covariance)
+m = compute_moments(ts, model.sigma2)
 target = gsp_response(m)
 
 # three fits against the same moments

@@ -41,7 +41,7 @@ def mse(est):
 print(f"{'P':>6s} {'lmmse':>8s} {'gsp':>8s} {'lpi':>8s} {'arma':>8s}")
 for p in (59, 118, 500, 2000):
     ts = generate(model, p, derive(SEED, "train", p))
-    m = compute_moments(ts, model.noise.covariance)
+    m = compute_moments(ts, model.sigma2)
     row = [
         mse(sample_lmmse(m)),
         mse(gsp_lmmse(m)),
@@ -59,5 +59,5 @@ print(f"training-free linearized baseline: {mse(base):8.3f}")
 
 # and the floor: a large training set makes the two families agree
 ts = generate(model, 100_000, derive(SEED, "train", 100_000))
-m = compute_moments(ts, model.noise.covariance)
+m = compute_moments(ts, model.sigma2)
 print(f"P=100000 lmmse {mse(sample_lmmse(m)):.3f} vs gsp {mse(gsp_lmmse(m)):.3f}")

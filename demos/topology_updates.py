@@ -32,7 +32,7 @@ model = ac_measurement_model(grid, beta=3.0, sigma2=0.05)
 
 # train once on the original grid
 ts = generate(model, 500, derive(SEED, "train", 500))
-m = compute_moments(ts, model.noise.covariance)
+m = compute_moments(ts, model.sigma2)
 stale_lmmse = sample_lmmse(m)
 stale_gsp = gsp_lmmse(m)
 arma = fit_arma(m, num_order=3, den_order=3, mu=1e-6)

@@ -78,7 +78,6 @@ from .harness import (
 from .models import (
     AcGridModel,
     MeasurementModel,
-    NoiseModel,
     SmoothPrior,
     ac_measurement_model,
     ac_power,

@@ -110,9 +110,9 @@ def _moments_for(args, config, model):
         x_path, g_path = _dataset_paths(args.dataset)
         try:
             ts = read_training_csv(model.sg, x_path, g_path, model.mean_x)
-        except ValueError as exc:  # misshapen or non-numeric CSVs
+        except ValueError as exc:  # misshapen, non-numeric or non-finite CSVs
             raise ConfigError(f"bad dataset {args.dataset}: {exc}") from exc
-        return compute_moments(ts, model.noise.covariance)
+        return compute_moments(ts, model.sigma2)
     count = config.training_size
     return stream_moments(model, count, derive(config.seed, "train", count))
 

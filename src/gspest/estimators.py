@@ -147,8 +147,14 @@ class SpectralEstimator:
 
 def _symmetric_cond(a: np.ndarray) -> float:
     """2-norm condition number of a symmetric matrix from its eigenvalues
-    (what ``np.linalg.cond`` gets from an SVD); inf when singular."""
-    mags = np.abs(np.linalg.eigvalsh(a))
+    (what ``np.linalg.cond`` gets from an SVD); inf when singular, when an
+    entry is not finite, or when the eigenvalues do not converge."""
+    if not np.isfinite(a).all():
+        return np.inf
+    try:
+        mags = np.abs(np.linalg.eigvalsh(a))
+    except np.linalg.LinAlgError:
+        return np.inf
     return float(mags.max() / mags.min()) if mags.min() > 0 else np.inf
 
 
@@ -232,6 +238,8 @@ def lpi_coefficients(m: SampleMoments, order: int = 6, mu: float = 1e-3) -> np.n
     # the regularizer is diagonal, so its square root is elementwise
     rows = np.vstack([sqrt_w[:, None] * basis, np.sqrt(mu) * np.sqrt(reg)])
     target = np.concatenate([dvec / sqrt_w, np.zeros(order + 1)])
+    if not (np.isfinite(rows).all() and np.isfinite(target).all()):
+        raise SingularMomentsError("LPI least-squares system is not finite")
     taps, *_ = np.linalg.lstsq(rows, target, rcond=None)
     return taps
 

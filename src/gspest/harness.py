@@ -285,7 +285,7 @@ def draw_test_set(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded evaluation draws: states and noisy measurements."""
     x = model.sample_x(trials, derive(seed, "test-x"))
-    w = model.noise.sample(trials, derive(seed, "test-w"))
+    w = model.sample_noise(trials, derive(seed, "test-w"))
     return x, np.asarray(model.forward(x)) + w
 
 

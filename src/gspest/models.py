@@ -1,8 +1,10 @@
 """Measurement models: AC power flow, linear graph filters, priors, noise.
 
 A measurement model bundles a zero-mean Gaussian prior on a spectral graph,
-independent across its graph frequencies, an additive noise model, and the
-(possibly nonlinear) forward map from state to noiseless measurements. The
+independent across its graph frequencies, the variance ``sigma2`` of its
+additive white Gaussian noise, and the (possibly nonlinear) forward map from
+state to noiseless measurements. White noise ``sigma2 I`` is diagonal in every
+orthonormal basis, so it is kept as that one scalar, never as a matrix. The
 grid model follows the per-unit AC power-flow equations over branch
 conductances/susceptances with the graph Laplacian built from the branch
 susceptance matrix. Its Laplacian, its connectivity check and its topology
@@ -10,9 +12,7 @@ perturbations are those of :mod:`gspest.graphs`. One checked scan of a grid find
 its branches and the sparse stacked admittance that :func:`ac_power` multiplies
 by. :func:`ac_power` takes the cosines and sines of the phases from one
 ``tan`` by the half-angle identity, because numpy runs float64 ``tan`` on SIMD
-kernels where it runs ``cos`` and ``sin`` as scalar libm calls. The noise
-matrix checks compare exactly, without temporaries, and a covariance found
-diagonal skips the symmetry scan.
+kernels where it runs ``cos`` and ``sin`` as scalar libm calls.
 """
 
 from __future__ import annotations
@@ -93,66 +93,6 @@ def _draw_prior(prior: SmoothPrior, rng: np.random.Generator, count: int) -> np.
     use the same normals as one larger call."""
     z = rng.standard_normal((count, prior.sg.n_vertices))
     return (z * np.sqrt(prior.frequency_variances)) @ prior.sg.eigenvectors.T
-
-
-def _symmetric(m: np.ndarray, tol: float) -> bool:
-    """``np.allclose(m, m.T, rtol=0, atol=tol)`` without its temporaries: each
-    pair ``m[i, j], m[j, i]`` is equal, or finite and at most ``tol`` apart."""
-    asym = m != m.T
-    if not asym.any():
-        return True
-    x = m[asym]
-    return bool(np.all(np.isfinite(x) & (np.abs(x - m.T[asym]) <= tol)))
-
-
-def _off_diagonal(m: np.ndarray) -> np.ndarray:
-    """The off-diagonal entries of square ``m``: its row-major data after the
-    first entry, in rows of ``n + 1`` that each end on a diagonal entry."""
-    n = m.shape[0]
-    return m.reshape(-1)[1:].reshape(max(n - 1, 0), n + 1)[:, :n]
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Additive zero-mean Gaussian measurement noise."""
-
-    covariance: np.ndarray
-    # whether the covariance is exactly diagonal, decided once
-    _diagonal: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.covariance, dtype=float)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError("covariance must be square")
-        diagonal = not _off_diagonal(c).any()
-        if diagonal:  # it differs from its transpose only at a NaN on its diagonal
-            symmetric = not np.isnan(c.diagonal()).any()
-        else:
-            symmetric = _symmetric(c, 1e-12 * max(1.0, c.max(), -c.min()))
-        if not symmetric:
-            raise ValueError("covariance must be symmetric")
-        object.__setattr__(self, "covariance", c)
-        object.__setattr__(self, "_diagonal", diagonal)
-
-    @classmethod
-    def white(cls, sigma2: float, n: int) -> "NoiseModel":
-        if sigma2 < 0:
-            raise ValueError("sigma2 must be non-negative")
-        return cls(sigma2 * np.eye(n))
-
-    def frequency_covariance(self, sg: SpectralGraph) -> np.ndarray:
-        v = sg.eigenvectors
-        return v.T @ self.covariance @ v
-
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        rng = generator(seed, "noise")
-        n = self.covariance.shape[0]
-        z = rng.standard_normal((count, n))
-        if self._diagonal:
-            return z * np.sqrt(np.diag(self.covariance))
-        w, u = np.linalg.eigh(self.covariance)
-        w = np.clip(w, 0.0, None)
-        return z @ (u * np.sqrt(w)).T
 
 
 @dataclass(frozen=True)
@@ -321,16 +261,19 @@ def bundled_ieee118() -> AcGridModel:
 @dataclass(frozen=True)
 class MeasurementModel:
     """Forward map plus generating distributions for one estimation problem,
-    on the graph of its prior."""
+    on the graph of its prior: the prior and white noise of variance
+    ``sigma2`` at every vertex."""
 
     prior: SmoothPrior
-    noise: NoiseModel
+    sigma2: float
     forward: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     label: str = "model"
 
     def __post_init__(self):
-        if self.noise.covariance.shape[0] != self.sg.n_vertices:
-            raise ValueError("model components disagree on dimension")
+        sigma2 = float(self.sigma2)
+        if not 0.0 <= sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2!r}")
+        object.__setattr__(self, "sigma2", sigma2)
 
     @property
     def sg(self) -> SpectralGraph:
@@ -343,14 +286,18 @@ class MeasurementModel:
     def sample_x(self, count: int, seed: int) -> np.ndarray:
         return sample_prior(self.prior, count, seed)
 
+    def sample_noise(self, count: int, seed: int) -> np.ndarray:
+        """``count`` rows of measurement noise."""
+        rng = generator(seed, "noise")
+        return rng.standard_normal((count, self.sg.n_vertices)) * np.sqrt(self.sigma2)
+
 
 def ac_measurement_model(
     grid: AcGridModel, beta: float = 3.0, sigma2: float = 0.05
 ) -> MeasurementModel:
     """AC power measurements of smooth phase signals with white noise."""
     prior = SmoothPrior(build_laplacian(grid.graph()), beta)
-    noise = NoiseModel.white(sigma2, grid.n_buses)
-    return MeasurementModel(prior, noise, lambda x: ac_power(grid, x), label="ac-power")
+    return MeasurementModel(prior, sigma2, lambda x: ac_power(grid, x), label="ac-power")
 
 
 def linear_filter_model(
@@ -370,8 +317,7 @@ def linear_filter_model(
         raise ValueError("prior is on another graph than the filter")
     operator = filter_matrix(spec, sg)
     return MeasurementModel(
-        prior, NoiseModel.white(sigma2, sg.n_vertices),
-        lambda x: np.asarray(x) @ operator.T, label="linear-filter",
+        prior, sigma2, lambda x: np.asarray(x) @ operator.T, label="linear-filter",
     )
 
 
@@ -422,7 +368,9 @@ def audit_model_structure(
     - ``independent_input_spectrum``: input GFT coefficients are mutually
       independent (checked through second moments of values and squares).
     - ``diagonal_noise_spectrum``: the noise covariance is diagonal in the
-      graph frequency basis (analytic check).
+      graph frequency basis. Always true: the model's noise is white,
+      ``sigma2 I``, and ``V^T (sigma2 I) V = sigma2 I`` for the orthonormal
+      eigenvectors ``V``.
     - ``linear_graph_filter``: the forward map is a linear graph filter
       (diagonal linear action per frequency).
     - ``diagonal_input_spectrum``: input GFT coefficients are uncorrelated.
@@ -448,10 +396,6 @@ def audit_model_structure(
     xt_centered = xt - xt.mean(axis=0)
     diag_input = max_offdiag_corr(xt) < corr_tol
     indep_input = diag_input and max_offdiag_corr(xt_centered**2) < corr_tol
-
-    nfc = model.noise.frequency_covariance(sg)
-    off = np.abs(nfc - np.diag(np.diag(nfc)))
-    diag_noise = float(off.max()) <= 1e-10 * max(float(np.abs(np.diag(nfc)).max()), 1e-300)
 
     # separability: frequency n of the output must be reproduced by feeding
     # only frequency n of the input through the forward map; channels whose
@@ -480,7 +424,7 @@ def audit_model_structure(
     return {
         "separable_frequency_map": bool(separable),
         "independent_input_spectrum": bool(indep_input),
-        "diagonal_noise_spectrum": bool(diag_noise),
+        "diagonal_noise_spectrum": True,
         "linear_graph_filter": linear,
         "diagonal_input_spectrum": bool(diag_input),
     }

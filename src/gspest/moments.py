@@ -1,8 +1,9 @@
 """Training sets and sample moments for estimator construction.
 
 Training data are pairs of prior draws and their noiseless forward values;
-measurement noise never enters the samples and is instead added analytically
-to the second moments (its covariance is known). Moments are accumulated in
+measurement noise never enters the samples. It is white with a known variance
+``sigma2``, so it is added analytically, in place, to the diagonal of the
+measurement covariance; no noise matrix is built. Moments are accumulated in
 one chunked pass, centered on the first sample to limit cancellation; the
 result must match the naive two-pass formulas to high precision.
 
@@ -78,9 +79,12 @@ def _write_csv_pair(x_path, g_path, chunks) -> None:
 def read_training_csv(
     sg: SpectralGraph, x_path, g_path, x_mean: np.ndarray | None = None
 ) -> TrainingSet:
-    """Read back a CSV pair written by :meth:`TrainingSet.write_csv`."""
+    """Read back a CSV pair written by :meth:`TrainingSet.write_csv`;
+    ``ValueError`` if a value is not finite."""
     x = np.loadtxt(x_path, delimiter=",", ndmin=2)
     g = np.loadtxt(g_path, delimiter=",", ndmin=2)
+    if not (np.isfinite(x).all() and np.isfinite(g).all()):
+        raise ValueError("training data must be finite")
     mean = np.zeros(sg.n_vertices) if x_mean is None else x_mean
     return TrainingSet(sg, x, g, mean)
 
@@ -127,9 +131,9 @@ class SampleMoments:
     """First and second sample moments with analytic noise folded in.
 
     ``cross_cov``/``y_cov`` are the vertex-domain matrices; the frequency
-    diagonals are their GFT counterparts ``diag(V^T C V)``. ``y_cov`` and
-    ``freq_var_diag`` both include the noise covariance, which is not kept
-    on its own.
+    diagonals are their GFT counterparts ``diag(V^T C V)``. The white-noise
+    variance ``sigma2`` is in every diagonal entry of ``y_cov`` and so in
+    every entry of ``freq_var_diag``; it is not kept on its own.
     """
 
     sg: SpectralGraph
@@ -166,26 +170,27 @@ class SampleMoments:
         )
 
 
-def compute_moments(ts: TrainingSet, noise_cov: np.ndarray) -> SampleMoments:
+def compute_moments(ts: TrainingSet, sigma2: float) -> SampleMoments:
     """Sample moments of a training set with the noise term added analytically.
 
-    ``noise_cov`` is the measurement-noise covariance matrix. Second moments
-    center both ``x`` and ``g`` on their sample means; the known prior mean
-    never enters them and survives only as the estimator base point.
+    ``sigma2`` is the variance of the white measurement noise; it is added
+    to the diagonal of ``y_cov``. Second moments center both ``x`` and ``g``
+    on their sample means; the known prior mean never enters them and
+    survives only as the estimator base point.
     """
     chunks = (
         (ts.x[start:stop].copy(), ts.g[start:stop].copy())
         for start, stop in _chunk_bounds(ts.count)
     )
-    return _accumulate(ts.sg, ts.x_mean, noise_cov, chunks)
+    return _accumulate(ts.sg, ts.x_mean, sigma2, chunks)
 
 
 def stream_moments(model: MeasurementModel, count: int, seed: int) -> SampleMoments:
-    """``compute_moments(generate(model, count, seed), model.noise.covariance)``,
+    """``compute_moments(generate(model, count, seed), model.sigma2)``,
     bitwise, without ever holding the training set: each chunk is drawn,
     pushed through the forward map and accumulated before the next."""
     chunks = _training_chunks(model, count, seed)
-    return _accumulate(model.sg, model.mean_x, model.noise.covariance, chunks)
+    return _accumulate(model.sg, model.mean_x, model.sigma2, chunks)
 
 
 def _freq_diag(v: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -193,13 +198,10 @@ def _freq_diag(v: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return np.sum(v * (cov @ v), axis=0)
 
 
-def _accumulate(sg, x_mean, noise_cov, chunks) -> SampleMoments:
+def _accumulate(sg, x_mean, sigma2, chunks) -> SampleMoments:
     """One moment pass over ``(x, g)`` row chunks, centered on the first row.
     The chunks are scratch: they are centered in place."""
-    noise_cov = np.asarray(noise_cov, dtype=float)
     n = sg.n_vertices
-    if noise_cov.shape != (n, n):
-        raise ValueError("noise covariance has wrong shape")
 
     p = 0
     sum_dx = np.zeros(n)
@@ -219,12 +221,14 @@ def _accumulate(sg, x_mean, noise_cov, chunks) -> SampleMoments:
 
     mean_dx = sum_dx / p
     mean_dg = sum_dg / p
+    y_cov = ss_gg / p - np.outer(mean_dg, mean_dg)
+    y_cov.flat[::n + 1] += sigma2
     return SampleMoments.from_covariances(
         sg,
         np.array(x_mean, dtype=float),
         g_ref + mean_dg,
         ss_xg / p - np.outer(mean_dx, mean_dg),
-        ss_gg / p - np.outer(mean_dg, mean_dg) + noise_cov,
+        y_cov,
         p,
     )
 

@@ -38,7 +38,6 @@ from gspest.harness import ExperimentConfig, draw_test_set, measure_runtime, squ
 from gspest.models import (
     AcGridModel,
     MeasurementModel,
-    NoiseModel,
     SmoothPrior,
     ac_measurement_model,
     ac_power,
@@ -71,7 +70,7 @@ def grid_model():
 def grid_moments(p):
     _, model = grid_model()
     ts = generate(model, p, derive(SEED, "train", p))
-    return compute_moments(ts, model.noise.covariance)
+    return compute_moments(ts, model.sigma2)
 
 
 @lru_cache(maxsize=1)
@@ -172,7 +171,7 @@ def test_03_objective_forms_share_gradients_and_argmin():
     sg = build_laplacian(random_connected_graph(rng, 10))
     model = linear_filter_model(sg, FilterSpec.linear([1.0, 0.3]), sigma2=SIGMA2)
     ts = generate(model, 300, seed=3)
-    m = compute_moments(ts, model.noise.covariance)
+    m = compute_moments(ts, model.sigma2)
     dvec, dvar = m.freq_cross_diag, m.freq_var_diag
     j_mse, j_wls = _fit_objectives(dvec, dvar)
     basis = lpi_basis(sg, 3)
@@ -258,12 +257,12 @@ def test_04_coincidence_on_structured_models_fails_on_ac():
     prior = SmoothPrior.from_variances(sg, s)
     model = MeasurementModel(
         prior,
-        NoiseModel.white(SIGMA2, 8),
+        SIGMA2,
         lambda x: ((x @ v) * a + ((x @ v) ** 3) * b) @ v.T,
         label="separable-cubic",
     )
     ts = generate(model, 200_000, seed=11)
-    ms = compute_moments(ts, model.noise.covariance)
+    ms = compute_moments(ts, model.sigma2)
     freq_cross = v.T @ ms.cross_cov @ v
     assert np.max(np.abs(np.diag(freq_cross) - d)) < 0.05 * np.abs(d).max()
     off = freq_cross - np.diag(np.diag(freq_cross))
@@ -287,7 +286,7 @@ def test_04_coincidence_on_structured_models_fails_on_ac():
     # comparison must fail by a wide margin
     ac = ac_measurement_model(random_grid(generator(SEED, "accept-ac"), 16), BETA, SIGMA2)
     ts = generate(ac, 100_000, seed=4)
-    m = compute_moments(ts, ac.noise.covariance)
+    m = compute_moments(ts, ac.sigma2)
     _, rel = _gain_gap(m)
     assert rel > 0.05
     assert time.perf_counter() - t0 < 60.0
@@ -336,7 +335,7 @@ def test_06_spectral_gain_is_empirical_minimum():
     )
     p = 100_000
     ts = generate(model, p, seed=5)
-    m = compute_moments(ts, model.noise.covariance)
+    m = compute_moments(ts, model.sigma2)
     base = gsp_lmmse(m)
     resp = gsp_response(m)
 

@@ -216,7 +216,9 @@ def test_eval_bad_estimator_is_usage_error(tmp_path, config_path, capsys, case):
     assert "gspest: error: bad estimator" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["narrow", "ragged", "unpaired"])
+@pytest.mark.parametrize(
+    "case", ["narrow", "ragged", "unpaired", "non-finite-x", "non-finite-g"]
+)
 def test_fit_bad_dataset_is_usage_error(tmp_path, config_path, capsys, case):
     prefix = tmp_path / "train"
     main(["dataset", "generate", "--count", "20", "--out", str(prefix),
@@ -228,13 +230,21 @@ def test_fit_bad_dataset_is_usage_error(tmp_path, config_path, capsys, case):
             np.savetxt(path, np.loadtxt(path, delimiter=",")[:, :-1], delimiter=",")
     elif case == "ragged":  # one row one value short
         x_path.write_text("\n".join(x_path.read_text().splitlines()[:-1] + ["1,2"]))
-    else:  # x and g of different lengths
+    elif case == "unpaired":  # x and g of different lengths
         np.savetxt(x_path, x[:-1], delimiter=",")
-    capsys.readouterr()
-    code = main(["fit", "--filter", "gsp", "--dataset", str(prefix),
-                 "--out", str(tmp_path / "est.json"), "--config", config_path])
-    assert code == 1
-    assert f"gspest: error: bad dataset {prefix}: " in capsys.readouterr().err
+    else:  # one nan in x or g
+        path = x_path if case.endswith("x") else g_path
+        values = np.loadtxt(path, delimiter=",")
+        values[7, 3] = np.nan
+        np.savetxt(path, values, delimiter=",")
+    for family in ("gsp", "lmmse", "lpi"):
+        capsys.readouterr()
+        out = tmp_path / "est.json"
+        code = main(["fit", "--filter", family, "--dataset", str(prefix),
+                     "--out", str(out), "--config", config_path])
+        assert code == 1
+        assert f"gspest: error: bad dataset {prefix}: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_eval_reads_a_fit_written_with_its_gain(tmp_path, config_path, capsys):
@@ -468,6 +478,21 @@ def test_non_finite_config_values_are_config_errors(tmp_path, config_path, capsy
         assert main([*argv, "--out", str(out), "--config", str(config)]) == 1
         assert f"gspest: error: {field} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["beta", "sigma2", "mu"])
+def test_huge_config_values_end_without_a_traceback(tmp_path, field):
+    # overflowing moments are singular rows, not a crash: a non-finite matrix,
+    # or one whose eigenvalues do not converge, has condition number inf
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({field: 1e308, "trials": 50, "p_infinity": 500}))
+    out = tmp_path / "a.csv"
+    with np.errstate(all="ignore"):
+        assert main(["experiment", "a", "--out", str(out), "--config", str(config)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 36
+    if field == "beta":  # every moment overflows
+        assert all(row.split(",")[4] == "nan" for row in rows)
 
 
 def test_bundled_grid_is_default(tmp_path):

@@ -41,7 +41,6 @@ PUBLIC_API = (
     "MeasurementModel",
     "MseReport",
     "MseRow",
-    "NoiseModel",
     "PerturbationInfeasibleError",
     "SampleMoments",
     "SingularMomentsError",

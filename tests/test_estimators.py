@@ -74,7 +74,7 @@ def sampled_moments(seed, n=8, count=400, sigma2=0.05):
     sg = random_sg(seed, n)
     model = linear_filter_model(sg, FilterSpec.linear([1.0, 0.3, -0.02]), sigma2=sigma2)
     ts = generate(model, count, seed=seed)
-    return compute_moments(ts, model.noise.covariance), sg, model
+    return compute_moments(ts, model.sigma2), sg, model
 
 
 # ------------------------------------------------------------- affine basics
@@ -165,7 +165,7 @@ def test_wiener_gain_from_exact_moments():
         np.zeros(10),
         np.zeros(10),
         cx @ fmat.T,
-        fmat @ cx @ fmat.T + model.noise.covariance,
+        fmat @ cx @ fmat.T + model.sigma2 * np.eye(10),
     )
     f = response_at(spec, sg.eigenvalues, sg.zero_tolerance())
     c = model.prior.frequency_variances
@@ -178,7 +178,7 @@ def test_wiener_gain_sampled_convergence():
     spec = FilterSpec.linear([0.9, 0.25, -0.01])
     model = linear_filter_model(sg, spec, beta=2.0, sigma2=0.04)
     ts = generate(model, 200_000, seed=1)
-    m = compute_moments(ts, model.noise.covariance)
+    m = compute_moments(ts, model.sigma2)
     f = response_at(spec, sg.eigenvalues, sg.zero_tolerance())
     c = model.prior.frequency_variances
     want = f * c / (f**2 * c + 0.04)

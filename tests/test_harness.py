@@ -174,7 +174,7 @@ def test_fit_by_label_rejects_unknown(tmp_path):
     config = small_config(tmp_path)
     model = build_model(config)
     ts = generate(model, 30, seed=1)
-    m = compute_moments(ts, model.noise.covariance)
+    m = compute_moments(ts, model.sigma2)
     with pytest.raises(ConfigError):
         fit_by_label("wiener", m, config)
 
@@ -183,7 +183,7 @@ def test_stderr_scales_with_trials(tmp_path):
     config = small_config(tmp_path)
     model = build_model(config)
     ts = generate(model, 60, seed=2)
-    m = compute_moments(ts, model.noise.covariance)
+    m = compute_moments(ts, model.sigma2)
     est = fit_by_label("gsp-lmmse", m, config)
     _, se_small = evaluate_mse(est, model, 200, seed=3)
     _, se_big = evaluate_mse(est, model, 3200, seed=3)

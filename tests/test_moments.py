@@ -5,7 +5,6 @@ from gspest.errors import SingularMomentsError
 from gspest.filters import FilterSpec, filter_matrix
 from gspest.graphs import build_laplacian, gft
 from gspest.models import (
-    NoiseModel,
     SmoothPrior,
     ac_measurement_model,
     linear_filter_model,
@@ -35,8 +34,10 @@ def small_model(seed, n=8, sigma2=0.05):
     return linear_filter_model(sg, spec, beta=2.0, sigma2=sigma2), sg
 
 
-def naive_moments(ts, noise_cov):
-    """Two-pass reference implementation, everything at once."""
+def naive_moments(ts, sigma2):
+    """Two-pass reference implementation, everything at once, with the white
+    noise as the dense covariance ``sigma2 I``."""
+    noise_cov = sigma2 * np.eye(ts.sg.n_vertices)
     x = ts.x
     g = ts.g
     xc = x - x.mean(axis=0)
@@ -55,7 +56,7 @@ def naive_moments(ts, noise_cov):
 
 def test_one_pass_matches_two_pass():
     model, sg = small_model(1)
-    noise = model.noise.covariance
+    noise = model.sigma2
     for p in (3, 100, 1000):
         ts = generate(model, p, seed=p)
         m = compute_moments(ts, noise)
@@ -72,7 +73,7 @@ def test_block_boundary_crossing():
     import gspest.moments as mod
 
     model, sg = small_model(2, n=4)
-    noise = model.noise.covariance
+    noise = model.sigma2
     old = mod._CHUNK
     try:
         mod._CHUNK = 64
@@ -93,7 +94,7 @@ def test_frequency_diagonals_equal_projected_covariances():
     # same quantity
     model, sg = small_model(3)
     ts = generate(model, 500, seed=9)
-    m = compute_moments(ts, model.noise.covariance)
+    m = compute_moments(ts, model.sigma2)
     v = sg.eigenvectors
     assert np.max(np.abs(m.freq_cross_diag - np.diag(v.T @ m.cross_cov @ v))) < 1e-12
     assert np.max(np.abs(m.freq_var_diag - np.diag(v.T @ m.y_cov @ v))) < 1e-12
@@ -103,7 +104,7 @@ def test_from_covariances_reproduces_accumulated_diagonals():
     # the moment pass and from_covariances share one diag(V^T C V) formula
     model, sg = small_model(3)
     for m in (
-        compute_moments(generate(model, 500, seed=9), model.noise.covariance),
+        compute_moments(generate(model, 500, seed=9), model.sigma2),
         stream_moments(model, 5000, seed=10),
     ):
         back = SampleMoments.from_covariances(
@@ -121,9 +122,9 @@ def test_moments_converge_to_analytic():
     f = filter_matrix(spec, sg)
     cx = model.prior.covariance()
     cross_true = cx @ f.T
-    ycov_true = f @ cx @ f.T + model.noise.covariance
+    ycov_true = f @ cx @ f.T + model.sigma2 * np.eye(8)
     ts = generate(model, 200_000, seed=5)
-    m = compute_moments(ts, model.noise.covariance)
+    m = compute_moments(ts, model.sigma2)
     scale = np.abs(cross_true).max()
     assert np.max(np.abs(m.cross_cov - cross_true)) < 0.02 * scale
     assert np.max(np.abs(m.y_cov - ycov_true)) < 0.02 * np.abs(ycov_true).max()
@@ -152,13 +153,12 @@ def test_freq_var_positive_at_tiny_count():
         prior=SmoothPrior.from_variances(sg, np.full(8, 1.0)),
         sigma2=0.05,
     )
-    zero_noise = np.zeros((8, 8))
     for seed in range(1000):
         ts = generate(full, 2, seed=seed)
-        m = compute_moments(ts, zero_noise)
+        m = compute_moments(ts, 0.0)
         assert np.all(m.freq_var_diag > 0)
     ts = generate(model, 2, seed=0)
-    m = compute_moments(ts, model.noise.covariance)
+    m = compute_moments(ts, model.sigma2)
     assert np.all(m.freq_var_diag > 0)
     require_positive_freq_var(m)
 
@@ -168,8 +168,8 @@ def test_identical_inputs_leave_only_noise():
     rng = generator(10, "flat-inputs")
     x = np.tile(rng.standard_normal(8), (12, 1))
     g = np.asarray(model.forward(x))
-    noise = model.noise.covariance
-    m = compute_moments(TrainingSet(sg, x, g, model.mean_x), noise)
+    noise = model.sigma2 * np.eye(8)
+    m = compute_moments(TrainingSet(sg, x, g, model.mean_x), model.sigma2)
     assert np.array_equal(m.cross_cov, np.zeros((8, 8)))
     assert np.array_equal(m.y_cov, noise)
     v = sg.eigenvectors
@@ -182,7 +182,7 @@ def test_require_positive_freq_var_raises():
     ts = generate(model, 50, seed=1)
     # constant measurements with no noise -> exactly zero variance diagonal
     flat = TrainingSet(sg, ts.x, np.ones_like(ts.g), ts.x_mean)
-    m = compute_moments(flat, np.zeros((8, 8)))
+    m = compute_moments(flat, 0.0)
     with pytest.raises(SingularMomentsError):
         require_positive_freq_var(m)
 
@@ -220,8 +220,8 @@ def test_csv_round_trip(tmp_path):
     back = read_training_csv(sg, xp, gp, ts.x_mean)
     assert np.array_equal(back.x, ts.x), "%.17g text round trip is exact"
     assert np.array_equal(back.g, ts.g)
-    m1 = compute_moments(ts, model.noise.covariance)
-    m2 = compute_moments(back, model.noise.covariance)
+    m1 = compute_moments(ts, model.sigma2)
+    m2 = compute_moments(back, model.sigma2)
     assert np.array_equal(m1.cross_cov, m2.cross_cov)
 
 
@@ -250,20 +250,26 @@ def test_from_covariances_diagonals():
 
 
 def test_compute_moments_rejects_bad_noise_shape():
+    # the noise is one variance; a covariance matrix of any size is refused
     model, sg = small_model(16)
     ts = generate(model, 10, seed=1)
-    with pytest.raises(ValueError):
-        compute_moments(ts, np.zeros((4, 4)))
+    for cov in (np.zeros((4, 4)), 0.05 * np.eye(8)):
+        with pytest.raises(ValueError):
+            compute_moments(ts, cov)
 
 
 def test_colored_noise_enters_frequency_diagonal():
+    # a caller with coloured noise folds its covariance into y_cov and
+    # builds the moments with from_covariances
     model, sg = small_model(17)
     ts = generate(model, 100, seed=7)
     rng = generator(17, "noise")
     a = rng.standard_normal((8, 8))
     cov = a @ a.T + 0.5 * np.eye(8)
-    m0 = compute_moments(ts, np.zeros((8, 8)))
-    m1 = compute_moments(ts, cov)
+    m0 = compute_moments(ts, 0.0)
+    m1 = SampleMoments.from_covariances(
+        sg, m0.x_mean, m0.y_mean, m0.cross_cov, m0.y_cov + cov, m0.count
+    )
     v = sg.eigenvectors
     add = np.diag(v.T @ cov @ v)
     assert np.allclose(m1.freq_var_diag - m0.freq_var_diag, add, atol=1e-12)
@@ -278,7 +284,7 @@ def test_large_offset_cancellation():
     model, sg = small_model(18)
     ts = generate(model, 500, seed=11)
     shifted = TrainingSet(sg, ts.x, ts.g + 1e8, ts.x_mean)
-    noise = model.noise.covariance
+    noise = model.sigma2
     m0 = compute_moments(ts, noise)
     m1 = compute_moments(shifted, noise)
     scale = np.abs(m0.cross_cov).max()
@@ -290,9 +296,7 @@ def test_large_offset_cancellation():
 
 
 def materialised_moments(model, count, seed):
-    return compute_moments(
-        generate(model, count, seed), model.noise.covariance
-    )
+    return compute_moments(generate(model, count, seed), model.sigma2)
 
 
 def same_bits(a, b):
@@ -320,6 +324,33 @@ def test_stream_moments_bitwise_equal_materialised(small_blocks, kind):
         assert got.count == want.count == count
         for name in MOMENT_ARRAYS:
             assert same_bits(getattr(got, name), getattr(want, name)), (count, name)
+
+
+@pytest.mark.parametrize("kind", ["ac-power", "linear-filter"])
+def test_noise_on_the_diagonal_matches_the_dense_covariance(kind):
+    # adding sigma2 to the diagonal of y_cov gives the bits of adding the
+    # dense sigma2 I, and so the same frequency diagonal
+    from dataclasses import replace
+
+    from gspest.moments import _freq_diag
+
+    if kind == "ac-power":
+        model = ac_measurement_model(random_grid(generator(23, "dense"), 9), sigma2=0.07)
+    else:
+        model, _ = small_model(23, sigma2=0.07)
+    n, v = model.sg.n_vertices, model.sg.eigenvectors
+    quiet = replace(model, sigma2=0.0)
+    for count in (2, 59, 500, 3000):
+        ts = generate(model, count, seed=count)
+        for got, bare in (
+            (compute_moments(ts, model.sigma2), compute_moments(ts, 0.0)),
+            (stream_moments(model, count, count), stream_moments(quiet, count, count)),
+        ):
+            y_cov = bare.y_cov + model.sigma2 * np.eye(n)
+            assert same_bits(got.y_cov, y_cov), count
+            assert same_bits(got.freq_var_diag, _freq_diag(v, y_cov)), count
+            for name in ("x_mean", "y_mean", "cross_cov", "freq_cross_diag"):
+                assert same_bits(getattr(got, name), getattr(bare, name)), (count, name)
 
 
 def test_stream_moments_validates_count():
