@@ -81,7 +81,6 @@ from .models import (
     SmoothPrior,
     ac_measurement_model,
     ac_power,
-    audit_model_structure,
     bundled_ieee118,
     linear_filter_model,
     load_grid,
@@ -93,6 +92,7 @@ from .moments import (
     TrainingSet,
     compute_moments,
     generate,
+    population_moments,
     read_training_csv,
     require_positive_freq_var,
     stream_moments,

@@ -177,8 +177,8 @@ def sample_lmmse(m: SampleMoments) -> LinearEstimator:
 def sample_diag_lmmse(m: SampleMoments) -> LinearEstimator:
     """Vertex-domain diagonal variant: per-vertex gains only."""
     var = np.diag(m.y_cov)
-    if np.any(var <= 0):
-        raise SingularMomentsError("non-positive vertex variance")
+    if not (var > 0).all():
+        raise SingularMomentsError("vertex variance is not positive")
     gain = np.diag(np.diag(m.cross_cov) / var)
     return LinearEstimator("sample-dlmmse", m.x_mean, gain, m.y_mean)
 

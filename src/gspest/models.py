@@ -33,7 +33,6 @@ from .graphs import (
     _laplacian,
     _stays_connected,
     build_laplacian,
-    gft,
     perturb,
 )
 from .rng import generator
@@ -354,77 +353,3 @@ def perturb_grid(
     voltage = np.where(old >= 0, grid.voltage[old], 1.0)
     return AcGridModel(gmat, bmat, voltage), vmap
 
-
-def audit_model_structure(
-    model: MeasurementModel, count: int = 100_000, seed: int = 0
-) -> dict[str, bool]:
-    """Numerically audit the structural conditions under which spectral
-    estimators coincide with the unconstrained linear MMSE estimator.
-
-    Returns a dict of condition name -> holds:
-
-    - ``separable_frequency_map``: each output frequency coefficient depends
-      only on the matching input frequency coefficient.
-    - ``independent_input_spectrum``: input GFT coefficients are mutually
-      independent (checked through second moments of values and squares).
-    - ``diagonal_noise_spectrum``: the noise covariance is diagonal in the
-      graph frequency basis. Always true: the model's noise is white,
-      ``sigma2 I``, and ``V^T (sigma2 I) V = sigma2 I`` for the orthonormal
-      eigenvectors ``V``.
-    - ``linear_graph_filter``: the forward map is a linear graph filter
-      (diagonal linear action per frequency).
-    - ``diagonal_input_spectrum``: input GFT coefficients are uncorrelated.
-    """
-    sg = model.sg
-    n = sg.n_vertices
-    x = model.sample_x(count, seed)
-    xt = gft(sg, x)
-    gt = gft(sg, model.forward(x))
-
-    def max_offdiag_corr(rows: np.ndarray) -> float:
-        # drop coefficients that are numerically zero (e.g. a zero-variance
-        # DC mode whose residue is rounding noise from the transform)
-        std = rows.std(axis=0)
-        live = std > 1e-9 * std.max()
-        if live.sum() < 2:
-            return 0.0
-        c = np.corrcoef(rows[:, live], rowvar=False)
-        c = np.nan_to_num(c, nan=0.0)
-        return float(np.max(np.abs(c - np.diag(np.diag(c)))))
-
-    corr_tol = 10.0 / np.sqrt(count)
-    xt_centered = xt - xt.mean(axis=0)
-    diag_input = max_offdiag_corr(xt) < corr_tol
-    indep_input = diag_input and max_offdiag_corr(xt_centered**2) < corr_tol
-
-    # separability: frequency n of the output must be reproduced by feeding
-    # only frequency n of the input through the forward map; channels whose
-    # output is rounding residue carry no structure and are skipped
-    scale = np.sqrt(np.mean(gt**2, axis=0))
-    live_out = scale > 1e-9 * scale.max()
-    sep_resid = 0.0
-    probe = min(count, 2000)
-    v = sg.eigenvectors
-    for k in np.flatnonzero(live_out):
-        solo = np.outer(xt[:probe, k], v[:, k])
-        gt_solo = gft(sg, model.forward(solo))[:, k]
-        resid = np.sqrt(np.mean((gt[:probe, k] - gt_solo) ** 2))
-        sep_resid = max(sep_resid, resid / scale[k])
-    separable = sep_resid < 1e-6
-
-    # linear diagonal action: per-frequency least-squares slope must explain
-    # the output exactly
-    gt_centered = gt - gt.mean(axis=0)
-    slopes = np.sum(xt_centered * gt_centered, axis=0) / np.maximum(
-        np.sum(xt_centered**2, axis=0), 1e-300
-    )
-    lin_resid = np.sqrt(np.mean((gt_centered - xt_centered * slopes) ** 2, axis=0))
-    linear = bool(np.max(lin_resid[live_out] / scale[live_out]) < 1e-6)
-
-    return {
-        "separable_frequency_map": bool(separable),
-        "independent_input_spectrum": bool(indep_input),
-        "diagonal_noise_spectrum": True,
-        "linear_graph_filter": linear,
-        "diagonal_input_spectrum": bool(diag_input),
-    }

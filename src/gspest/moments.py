@@ -16,6 +16,9 @@ The frequency-domain diagonals are extracted from the finished vertex-domain
 covariances as ``diag(V^T C V)`` (:func:`_freq_diag`), once per pass, rather
 than accumulated from per-row graph transforms; the tests check them against
 the naive Hadamard sums of centered GFT coefficients.
+
+:func:`population_moments` gives the AC model's moments exactly, in closed
+form, with no draws: the limit that the sample moments converge to.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import SingularMomentsError
 from .graphs import SpectralGraph
-from .models import MeasurementModel, _draw_prior
+from .models import AcGridModel, MeasurementModel, SmoothPrior, _draw_prior
 from .rng import generator
 
 # Most rows per prior draw, forward map and accumulation step; moving the
@@ -233,9 +236,46 @@ def _accumulate(sg, x_mean, sigma2, chunks) -> SampleMoments:
     )
 
 
+def population_moments(grid: AcGridModel, prior: SmoothPrior, sigma2: float) -> SampleMoments:
+    """Exact moments of ``ac_power(grid, x) + w`` for ``x`` drawn from the
+    zero-mean Gaussian ``prior`` and white ``w`` of variance ``sigma2``.
+
+    Over the branches ``s = (i, j)`` with phase differences ``d = D x``
+    (signed incidence ``D``), injections are ``|D|^T (g cos d) + D^T (b sin d)``
+    with ``g``, ``b`` scaled by ``u_i u_j``. The Gaussian characteristic
+    function ``E cos z = exp(-Var z / 2)`` gives ``E cos(d_s -+ d_t)`` as
+    ``K+-``; Stein's lemma gives ``E[x sin d_s] = Cov(x, d_s) E cos d_s``.
+    Each ``K+-`` is one ``exp``, which stays finite where split factors
+    would overflow.
+    """
+    from scipy import sparse
+
+    i, j = grid._branches
+    t, n = len(i), grid.n_buses
+    uu = grid.voltage[i] * grid.voltage[j]
+    g, b = grid.conductance[i, j] * uu, grid.susceptance[i, j] * uu
+    rows = np.tile(np.arange(t), 2)
+    d = sparse.csr_array((np.repeat([1.0, -1.0], t), (rows, np.concatenate((i, j)))), (t, n))
+    d_abs = abs(d)
+    c = prior.covariance()
+    c_xd = c[:, i] - c[:, j]  # Cov(x, d) = C D^T
+    c_dd = c_xd[i] - c_xd[j]  # Cov(d) = D C D^T
+    v = np.diag(c_dd)
+    e = np.exp(-0.5 * v)
+    half = -0.5 * (v[:, None] + v)
+    k_plus, k_minus = np.exp(half + c_dd), np.exp(half - c_dd)
+    cos_cov = np.outer(g, g) * (0.5 * (k_plus + k_minus) - np.outer(e, e))
+    sin_cov = np.outer(b, b) * (0.5 * (k_plus - k_minus))
+    y_cov = d_abs.T @ (d_abs.T @ cos_cov).T + d.T @ (d.T @ sin_cov).T
+    y_cov.flat[::n + 1] += sigma2
+    cross_cov = (d.T @ (c_xd * (b * e)).T).T
+    return SampleMoments.from_covariances(prior.sg, prior.mean, d_abs.T @ (g * e), cross_cov, y_cov)
+
+
 def require_positive_freq_var(m: SampleMoments) -> None:
-    """Spectral estimators divide by the frequency variances; reject zeros."""
-    if np.any(m.freq_var_diag <= 0):
+    """Spectral estimators divide by the frequency variances; reject zeros
+    and NaN."""
+    if not (m.freq_var_diag > 0).all():
         bad = int(np.argmin(m.freq_var_diag))
         raise SingularMomentsError(
             f"frequency variance {m.freq_var_diag[bad]:.3e} at index {bad} "

@@ -485,7 +485,7 @@ def test_huge_config_values_end_without_a_traceback(tmp_path, field):
     # overflowing moments are singular rows, not a crash: a non-finite matrix,
     # or one whose eigenvalues do not converge, has condition number inf
     config = tmp_path / "huge.json"
-    config.write_text(json.dumps({field: 1e308, "trials": 50, "p_infinity": 500}))
+    config.write_text(json.dumps({field: 1e308, "trials": 50}))
     out = tmp_path / "a.csv"
     with np.errstate(all="ignore"):
         assert main(["experiment", "a", "--out", str(out), "--config", str(config)]) == 0

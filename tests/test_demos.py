@@ -55,7 +55,6 @@ PUBLIC_API = (
     "almmse",
     "apply_filter",
     "arma_coefficients",
-    "audit_model_structure",
     "build_laplacian",
     "build_model",
     "bundled_ieee118",
@@ -91,6 +90,7 @@ PUBLIC_API = (
     "perturb_edges",
     "perturb_grid",
     "perturb_vertices",
+    "population_moments",
     "read_edge_list",
     "read_training_csv",
     "remap_estimator",

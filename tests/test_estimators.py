@@ -689,6 +689,14 @@ def test_diag_lmmse_rejects_nonpositive_variance():
         sample_diag_lmmse(m)
 
 
+def test_diag_lmmse_rejects_nan_variance():
+    sg = random_sg(35, 5)
+    ycov = np.diag([1.0, 1.0, np.nan, 1.0, 1.0])
+    m = SampleMoments.from_covariances(sg, np.zeros(5), np.zeros(5), np.eye(5), ycov)
+    with pytest.raises(SingularMomentsError):
+        sample_diag_lmmse(m)
+
+
 def test_diag_lmmse_gain_is_diagonal():
     m, sg, _ = sampled_moments(36)
     est = sample_diag_lmmse(m)

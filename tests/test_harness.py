@@ -53,7 +53,6 @@ def small_config(tmp_path, **overrides):
         grid=str(path),
         trials=64,
         p_values=(24, 60),
-        p_infinity=200,
         training_size=40,
         lpi_order=4,
         arma_num_order=2,
@@ -210,7 +209,8 @@ def test_experiment_a_report_layout(tmp_path):
     tail = report.rows[-1]
     assert tail.estimator == "sample-lmmse"
     assert tail.param == "P-infinity"
-    assert tail.value == config.p_infinity
+    assert tail.value == math.inf
+    assert tail.status == "ok" and math.isfinite(tail.mse)
 
 
 def test_experiment_a_deterministic_modulo_wall(tmp_path):
@@ -246,6 +246,20 @@ def test_experiment_a_singular_rows_are_nan(tmp_path):
     assert by_label["sample-lmmse"].status == "singular"
     assert math.isnan(by_label["sample-lmmse"].mse)
     assert by_label["almmse"].status == "ok"
+
+
+def assert_no_ok_row_is_non_finite(rows):
+    for r in rows:
+        finite = math.isfinite(r.mse) and math.isfinite(r.stderr)
+        assert (r.status == "ok") == finite or r.status == "unreachable", r
+    assert "non-finite" in {r.status for r in rows}
+
+
+def test_experiment_a_non_finite_scores_are_typed_rows(tmp_path):
+    # beta = 1e308 overflows the prior draws, so the scores are not finite
+    with np.errstate(all="ignore"):
+        report = experiment_a(small_config(tmp_path, beta=1e308, trials=32))
+    assert_no_ok_row_is_non_finite(report.rows)
 
 
 # -------------------------------------------------------------- experiment b
@@ -443,6 +457,14 @@ def test_measure_runtime_rows(tmp_path):
         assert loose.param == "target-mse" and loose.value == 1e12
         assert loose.status == "ok"
         assert strict.value == 1e-15 and strict.status == "unreachable"
+
+
+def test_measure_runtime_non_finite_scores_are_typed_rows(tmp_path):
+    config = small_config(tmp_path, beta=1e308, trials=32, runtime_targets=(1.0,))
+    with np.errstate(all="ignore"):
+        report = measure_runtime(config)
+    assert_no_ok_row_is_non_finite(report.rows)
+    assert all(r.param == "median-fit" for r in report.rows if r.status == "non-finite")
 
 
 # ----------------------------------------------------------------- reporting

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from gspest.errors import DisconnectedGraphError, InvalidGraphError
-from gspest.filters import FilterSpec
+from gspest.estimators import gsp_lmmse, sample_lmmse
+from gspest.filters import FilterSpec, filter_matrix
 from gspest.graphs import build_laplacian
 from gspest.models import (
     AcGridModel,
@@ -16,13 +17,13 @@ from gspest.models import (
     _cos_sin,
     ac_measurement_model,
     ac_power,
-    audit_model_structure,
     bundled_ieee118,
     linear_filter_model,
     load_grid,
     perturb_grid,
     sample_prior,
 )
+from gspest.moments import SampleMoments, population_moments
 from gspest.rng import generator
 from tests.test_graphs import random_connected_graph
 
@@ -503,44 +504,52 @@ def test_perturb_grid_bad_mode():
         perturb_grid(random_grid(rng, 6), 1, "shuffle", seed=0)
 
 
-# ------------------------------------------------------------ structure audit
+# ---------------------------------------------- spectral against full LMMSE
 
 
-def test_audit_linear_filter_model_all_hold():
-    rng = generator(63, "audit")
-    sg = build_laplacian(random_connected_graph(rng, 8))
-    model = linear_filter_model(sg, FilterSpec.linear([1.0, 0.4, 0.05]), sigma2=0.02)
-    flags = audit_model_structure(model, count=20_000, seed=1)
-    assert all(flags.values()), flags
+def linear_filter_moments(sg, prior_cov, operator, sigma2):
+    """Exact moments of ``y = H x + w``: ``C H^T`` and ``H C H^T + sigma2 I``."""
+    n = sg.n_vertices
+    return SampleMoments.from_covariances(
+        sg, np.zeros(n), np.zeros(n), prior_cov @ operator.T,
+        operator @ prior_cov @ operator.T + sigma2 * np.eye(n),
+    )
 
 
-def test_audit_ac_model_pattern():
-    # the AC grid keeps the spectral prior and white noise structure but the
-    # forward map is neither separable per frequency nor a linear filter
-    rng = generator(64, "audit")
-    model = ac_measurement_model(random_grid(rng, 10))
-    flags = audit_model_structure(model, count=50_000, seed=2)
-    assert flags["independent_input_spectrum"]
-    assert flags["diagonal_noise_spectrum"]
-    assert flags["diagonal_input_spectrum"]
-    assert not flags["separable_frequency_map"]
-    assert not flags["linear_graph_filter"]
+def relative_gain_gap(m):
+    full = sample_lmmse(m).gain
+    return np.linalg.norm(gsp_lmmse(m).dense.gain - full) / np.linalg.norm(full)
 
 
-def test_audit_coupled_input_detected():
-    # correlate two frequency coefficients through a shared factor
-    rng = generator(65, "audit")
-    sg = build_laplacian(random_connected_graph(rng, 6))
-    var = np.concatenate([[0.0], np.full(5, 1.0)])
-    prior = SmoothPrior.from_variances(sg, var)
-    model = linear_filter_model(sg, FilterSpec.linear([1.0]), prior=prior, sigma2=0.01)
+def test_linear_filter_gains_coincide():
+    # a graph filter of a prior with independent frequencies and white noise
+    # meets the conditions under which the spectral gain is the full LMMSE gain
+    sg = build_laplacian(random_connected_graph(generator(63, "audit"), 8))
+    operator = filter_matrix(FilterSpec.linear([1.0, 0.4, 0.05]), sg)
+    m = linear_filter_moments(sg, SmoothPrior(sg, 3.0).covariance(), operator, 0.02)
+    assert np.abs(gsp_lmmse(m).dense.gain - sample_lmmse(m).gain).max() < 1e-10
 
-    def coupled_sample(count, seed):
-        rng2 = generator(seed, "prior")
-        z = rng2.standard_normal((count, 6))
-        z[:, 2] = z[:, 1]  # perfectly correlated pair
-        return (z * np.sqrt(var)) @ sg.eigenvectors.T
 
-    object.__setattr__(model, "sample_x", coupled_sample)
-    flags = audit_model_structure(model, count=20_000, seed=3)
-    assert not flags["diagonal_input_spectrum"]
+def test_ac_model_gains_differ():
+    # the AC map mixes graph frequencies: V^T C_xy V is not diagonal
+    grid = bundled_ieee118()
+    model = ac_measurement_model(grid)
+    m = population_moments(grid, model.prior, model.sigma2)
+    v = model.sg.eigenvectors
+    spectral = v.T @ m.cross_cov @ v
+    off = spectral - np.diag(np.diag(spectral))
+    assert 0.05 < np.linalg.norm(off) / np.linalg.norm(spectral) < 0.09  # 0.068
+    assert relative_gain_gap(m) > 0.05  # 0.11
+
+
+def test_coupled_prior_gains_differ():
+    # a linear graph filter, but the prior correlates frequencies 1 and 2
+    sg = build_laplacian(random_connected_graph(generator(65, "audit"), 8))
+    operator = filter_matrix(FilterSpec.linear([1.0, 0.4, 0.05]), sg)
+    var = SmoothPrior(sg, 3.0).frequency_variances
+    spectral = np.diag(var)
+    spectral[1, 2] = spectral[2, 1] = 0.9 * np.sqrt(var[1] * var[2])
+    prior_cov = sg.eigenvectors @ spectral @ sg.eigenvectors.T
+    assert relative_gain_gap(linear_filter_moments(sg, prior_cov, operator, 0.02)) > 1e-3
+    independent = sg.eigenvectors @ np.diag(var) @ sg.eigenvectors.T
+    assert relative_gain_gap(linear_filter_moments(sg, independent, operator, 0.02)) < 1e-12

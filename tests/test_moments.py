@@ -5,6 +5,7 @@ from gspest.errors import SingularMomentsError
 from gspest.filters import FilterSpec, filter_matrix
 from gspest.graphs import build_laplacian, gft
 from gspest.models import (
+    AcGridModel,
     SmoothPrior,
     ac_measurement_model,
     linear_filter_model,
@@ -14,6 +15,7 @@ from gspest.moments import (
     TrainingSet,
     compute_moments,
     generate,
+    population_moments,
     read_training_csv,
     require_positive_freq_var,
     stream_moments,
@@ -185,6 +187,16 @@ def test_require_positive_freq_var_raises():
     m = compute_moments(flat, 0.0)
     with pytest.raises(SingularMomentsError):
         require_positive_freq_var(m)
+
+
+def test_require_positive_freq_var_rejects_nan():
+    model, sg = small_model(7)
+    m = compute_moments(generate(model, 50, seed=1), model.sigma2)
+    y_cov = m.y_cov.copy()
+    y_cov[3, 3] = np.nan
+    bad = SampleMoments.from_covariances(sg, m.x_mean, m.y_mean, m.cross_cov, y_cov)
+    with pytest.raises(SingularMomentsError):
+        require_positive_freq_var(bad)
 
 
 def test_generate_validates():
@@ -381,7 +393,7 @@ def test_stream_moments_memory_is_per_block():
 
 
 def test_experiment_a_streamed_matches_materialised(small_blocks, tmp_path, monkeypatch):
-    # p_infinity = 200 spans nine chunks of at most 24 rows, or one whole chunk
+    # p_values 24 and 60 span one and three chunks of at most 24 rows
     from gspest import harness
     from tests.test_harness import small_config
 
@@ -395,3 +407,71 @@ def test_experiment_a_streamed_matches_materialised(small_blocks, tmp_path, monk
         return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
 
     assert without_wall_ms(streamed) == without_wall_ms(materialised)
+
+
+# -------------------------------------------------------- population moments
+
+
+def test_population_moments_of_a_two_bus_grid():
+    # one branch: d = x_0 - x_1 has variance beta / b under the smooth prior
+    g, b, beta, sigma2 = 1.5, 12.0, 3.0, 0.05
+    u = np.array([1.02, 0.97])
+    grid = AcGridModel(np.array([[0.0, g], [g, 0.0]]), np.array([[0.0, b], [b, 0.0]]), u)
+    prior = SmoothPrior(build_laplacian(grid.graph()), beta)
+    m = population_moments(grid, prior, sigma2)
+    var_d = beta / b
+    gu, bu = g * u.prod(), b * u.prod()
+    assert m.y_mean == pytest.approx(np.full(2, gu * np.exp(-var_d / 2)), abs=1e-12)
+    y00 = (gu**2 * (0.5 * (1 + np.exp(-2 * var_d)) - np.exp(-var_d))
+           + bu**2 * 0.5 * (1 - np.exp(-2 * var_d)) + sigma2)
+    assert m.y_cov[0, 0] == pytest.approx(y00, abs=1e-12)
+    # Stein's lemma: E[x_0 b sin d] = Cov(x_0, d) b E cos d, Cov(x_0, d) = var_d / 2
+    assert m.cross_cov[0, 0] == pytest.approx(var_d / 2 * bu * np.exp(-var_d / 2), abs=1e-12)
+    assert np.array_equal(m.x_mean, np.zeros(2))
+
+
+def directed_moments(grid, prior, sigma2):
+    """Reference: the closed form summed over the directed terms ``(n, m)``
+    of the dense admittance, each a bus's ``G cos d + B sin d`` with
+    ``d = x_n - x_m``."""
+    n = grid.n_buses
+    uu = np.outer(grid.voltage, grid.voltage)
+    i, j = np.nonzero(grid.susceptance)
+    g, b = (grid.conductance * uu)[i, j], (grid.susceptance * uu)[i, j]
+    at_bus = np.zeros((n, len(i)))
+    at_bus[i, np.arange(len(i))] = 1.0
+    c = prior.covariance()
+    c_xd = c[:, i] - c[:, j]
+    c_dd = c_xd[i] - c_xd[j]
+    v = np.diag(c_dd)
+    e = np.exp(-v / 2)
+    k_plus = np.exp(-(v[:, None] + v) / 2 + c_dd)
+    k_minus = np.exp(-(v[:, None] + v) / 2 - c_dd)
+    terms = (np.outer(g, g) * ((k_plus + k_minus) / 2 - np.outer(e, e))
+             + np.outer(b, b) * (k_plus - k_minus) / 2)
+    return (at_bus @ (g * e), c_xd @ (b * e * at_bus).T,
+            at_bus @ terms @ at_bus.T + sigma2 * np.eye(n))
+
+
+def test_population_moments_match_the_directed_terms():
+    rng = generator(90, "exact-moments")
+    base = random_grid(rng, 10, extra=1.0)
+    grid = AcGridModel(base.conductance, base.susceptance, rng.uniform(0.9, 1.1, 10))
+    prior = SmoothPrior(build_laplacian(grid.graph()), 3.0)
+    m = population_moments(grid, prior, 0.05)
+    for got, want in zip((m.y_mean, m.cross_cov, m.y_cov), directed_moments(grid, prior, 0.05)):
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+def test_stream_moments_converge_to_population_moments():
+    # Monte Carlo error shrinks like 1 / sqrt(P): 16x the rows, 4x less error
+    grid = random_grid(generator(91, "exact-moments"), 8)
+    model = ac_measurement_model(grid)
+    exact = population_moments(grid, model.prior, model.sigma2).y_cov
+
+    def error(count, seed):
+        m = stream_moments(model, count, seed)
+        return np.linalg.norm(m.y_cov - exact) / np.linalg.norm(exact)
+
+    ratios = [error(2000, seed) / error(32000, seed) for seed in range(3)]
+    assert 2.8 < np.exp(np.mean(np.log(ratios))) < 5.7
