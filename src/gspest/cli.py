@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure
-(singular moments, unstable filter, infeasible perturbation).
+(singular moments, unstable filter, infeasible perturbation, a score that is
+not finite).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .harness import (
     ExperimentConfig,
     _check_lpi_order,
     _config_grid,
+    _finite_score,
     build_model,
     evaluate_mse,
     experiment_a,
@@ -42,7 +44,10 @@ from .harness import (
 from .moments import compute_moments, read_training_csv, stream_moments, write_training_csv
 from .rng import derive
 
-_NUMERICAL = (SingularMomentsError, UnstableFilterError, PerturbationInfeasibleError)
+# FloatingPointError: a score that is not finite
+_NUMERICAL = (
+    SingularMomentsError, UnstableFilterError, PerturbationInfeasibleError, FloatingPointError
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,6 +148,8 @@ def _cmd_eval(args) -> int:
     mse, stderr = evaluate_mse(
         est, model, config.trials, derive(config.seed, "test", 0, 0)
     )
+    if not _finite_score(mse, stderr):
+        raise FloatingPointError(f"{est.label} scores mse {mse} stderr {stderr}, not finite")
     print(f"{est.label}: mse {mse:.6g} stderr {stderr:.3g} ({config.trials} trials)")
     return 0
 

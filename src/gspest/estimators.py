@@ -19,12 +19,14 @@ the graph it was fitted on). A document with a ``gain``, which includes
 fitted estimators written when they still stored one, loads as a
 :class:`LinearEstimator`.
 
-Coefficient fits: the pseudo-inverse polynomial fit is a regularized normal
-equation (with a least-squares fallback when ill-conditioned); rational fits
-profile out the numerator (closed form given the denominator) and search the
-denominator coefficients with Nelder-Mead. Denominators that vanish on the
-spectrum are rejected inside the search by giving them an infinite
-objective.
+Coefficient fits: each family has one solve path. The pseudo-inverse
+polynomial fit is one stacked least-squares solve of its regularized
+weighted problem. Rational fits profile out the numerator (variable
+projection: a closed-form regularized solve given the denominator) and
+search the denominator coefficients with Nelder-Mead; the polynomial case
+(no denominator) is the profile at the empty tail, without a search.
+Denominators that vanish on the spectrum are rejected inside the search by
+giving them an infinite objective.
 
 The rational search settings are fixed: both coefficient vectors are
 penalized by ``mu`` times their squared norm (identity regularizers), the
@@ -218,26 +220,20 @@ def lpi_coefficients(m: SampleMoments, order: int = 6, mu: float = 1e-3) -> np.n
     """Pseudo-inverse polynomial taps by regularized weighted least squares
     against the per-frequency optimal gain on the moments' graph.
 
-    Closed form: solve ``(B^T D B + mu R) taps = B^T d`` with ``B`` the
-    inverse-power basis, ``D``/``d`` the moment diagonals and ``R`` the
-    :func:`default_lpi_regularizer`. Falls back to a stacked least-squares
-    solve of the same quadratic program when the normal matrix is
-    ill-conditioned.
+    One stacked least-squares solve of ``[sqrt(D) B; sqrt(mu R)] taps ~
+    [d / sqrt(D); 0]``, with ``B`` the inverse-power basis, ``D``/``d`` the
+    moment diagonals and ``R`` the :func:`default_lpi_regularizer`. It never
+    forms the normal matrix ``B^T D B + mu R``, whose condition number
+    reaches 1e12 on the bundled grid. SingularMomentsError when the system
+    is not finite.
     """
     require_positive_freq_var(m)
     basis = lpi_basis(m.sg, order)
     reg = default_lpi_regularizer(m.sg, order)
-    dvec = m.freq_cross_diag
-    dvar = m.freq_var_diag
-    normal = basis.T @ (dvar[:, None] * basis) + mu * reg
-    rhs = basis.T @ dvec
-    cond = _symmetric_cond(normal)
-    if np.isfinite(cond) and cond < COND_LIMIT:
-        return np.linalg.solve(normal, rhs)
-    sqrt_w = np.sqrt(dvar)
+    sqrt_w = np.sqrt(m.freq_var_diag)
     # the regularizer is diagonal, so its square root is elementwise
     rows = np.vstack([sqrt_w[:, None] * basis, np.sqrt(mu) * np.sqrt(reg)])
-    target = np.concatenate([dvec / sqrt_w, np.zeros(order + 1)])
+    target = np.concatenate([m.freq_cross_diag / sqrt_w, np.zeros(order + 1)])
     if not (np.isfinite(rows).all() and np.isfinite(target).all()):
         raise SingularMomentsError("LPI least-squares system is not finite")
     taps, *_ = np.linalg.lstsq(rows, target, rcond=None)
@@ -250,88 +246,49 @@ def fit_lpi(m: SampleMoments, order: int = 6, mu: float = 1e-3) -> SpectralEstim
     return _filtered("lpi-gsp", m, FilterSpec.lpi(taps), mu, True)
 
 
-def _profiled_numerator(
-    a_tail: np.ndarray,
-    phi_num: np.ndarray,
-    phi_den: np.ndarray,
-    dvec: np.ndarray,
-    dvar: np.ndarray,
-    mu: float,
-    num_reg: np.ndarray,
-    lam_max: float,
-):
-    """Closed-form numerator coefficients for a fixed denominator tail, and
-    the profiled objective value. Returns (value, coeffs) or (inf, None) when
-    the denominator vanishes on the spectrum or the inner solve fails."""
-    den_coeffs = np.concatenate([[1.0], a_tail])
-    den = phi_den @ den_coeffs
-    if np.any(np.abs(den) <= denominator_tolerance(den_coeffs, lam_max)):
-        return np.inf, None
-    scaled = phi_num / den[:, None]
-    gram = scaled.T @ (dvar[:, None] * scaled) + mu * num_reg
-    rhs = scaled.T @ dvec
-    try:
-        coeffs = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        return np.inf, None
-    if not np.all(np.isfinite(coeffs)):
-        return np.inf, None
-    value = -float(rhs @ coeffs)
-    return value, coeffs
-
-
-def _fit_rational(
-    eigenvalues: np.ndarray,
-    dvec: np.ndarray,
-    dvar: np.ndarray,
-    num_order: int,
-    den_order: int,
-    mu: float,
-):
+def _fit_rational(eigenvalues, dvec, dvar, num_order: int, den_order: int, mu: float):
     lam = np.asarray(eigenvalues, dtype=float)
     lam_max = float(np.max(lam))
     phi_num = vandermonde(lam, num_order)
     phi_den = vandermonde(lam, den_order)
-    num_reg = np.eye(num_order + 1)
 
-    if den_order == 0:
-        value, coeffs = _profiled_numerator(
-            np.empty(0), phi_num, phi_den, dvec, dvar, mu, num_reg, lam_max
+    def profile(a_tail: np.ndarray):
+        """The closed-form numerator for a fixed denominator tail and the
+        penalized objective there (inf when not finite): (value, coeffs), or
+        (inf, None) when the denominator vanishes on the spectrum or the
+        inner solve fails."""
+        den_coeffs = np.concatenate([[1.0], a_tail])
+        den = phi_den @ den_coeffs
+        if np.any(np.abs(den) <= denominator_tolerance(den_coeffs, lam_max)):
+            return np.inf, None
+        scaled = phi_num / den[:, None]
+        gram = scaled.T @ (dvar[:, None] * scaled)
+        gram.flat[:: num_order + 2] += mu  # the numerator penalty mu I
+        rhs = scaled.T @ dvec
+        try:
+            coeffs = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            return np.inf, None
+        if not np.all(np.isfinite(coeffs)):
+            return np.inf, None
+        value = -float(rhs @ coeffs) + mu * float(a_tail @ a_tail)
+        return (value if np.isfinite(value) else np.inf), coeffs
+
+    a_tail, converged = np.zeros(den_order), True
+    if den_order > 0:
+        simplex = np.vstack([a_tail, a_tail + _SIMPLEX_STEP * np.eye(den_order)])
+        result = minimize(
+            lambda tail: profile(tail)[0], a_tail, method="Nelder-Mead",
+            options={"maxiter": _MAX_ITER, "maxfev": 4 * _MAX_ITER, "fatol": _F_TOL,
+                     "xatol": 1e-8, "initial_simplex": simplex},
         )
-        if coeffs is None:
-            raise SingularMomentsError("numerator fit is singular")
-        return coeffs, np.ones(1), True
-
-    x0 = np.zeros(den_order)
-
-    def objective(a_tail: np.ndarray) -> float:
-        value, _ = _profiled_numerator(
-            a_tail, phi_num, phi_den, dvec, dvar, mu, num_reg, lam_max
-        )
-        if not np.isfinite(value):
-            return np.inf
-        return value + mu * float(a_tail @ a_tail)
-
-    simplex = np.vstack([x0, x0 + _SIMPLEX_STEP * np.eye(den_order)])
-    result = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": _MAX_ITER,
-            "maxfev": 4 * _MAX_ITER,
-            "fatol": _F_TOL,
-            "xatol": 1e-8,
-            "initial_simplex": simplex,
-        },
-    )
-    a_tail = result.x
-    _, coeffs = _profiled_numerator(
-        a_tail, phi_num, phi_den, dvec, dvar, mu, num_reg, lam_max
-    )
+        a_tail, converged = result.x, bool(result.success)
+    _, coeffs = profile(a_tail)
+    if coeffs is None and den_order == 0:
+        raise SingularMomentsError("numerator fit is singular")
     if coeffs is None:
         raise UnstableFilterError("rational fit ended on a vanishing denominator")
-    return coeffs, np.concatenate([[1.0], a_tail]), bool(result.success)
+    return coeffs, np.concatenate([[1.0], a_tail]), converged
 
 
 def arma_coefficients(
@@ -380,12 +337,8 @@ def lr_arma_coefficients(
         raise ValueError(f"cutoff {cutoff} out of range")
     require_positive_freq_var(m)
     return _fit_rational(
-        m.sg.eigenvalues[:cutoff],
-        m.freq_cross_diag[:cutoff],
-        m.freq_var_diag[:cutoff],
-        num_order,
-        den_order,
-        mu,
+        m.sg.eigenvalues[:cutoff], m.freq_cross_diag[:cutoff], m.freq_var_diag[:cutoff],
+        num_order, den_order, mu,
     )
 
 

@@ -240,13 +240,15 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MseRow:
+    """One report row; a row built from its key alone has ``nan`` scores."""
+
     estimator: str
     scenario: str
     param: str
     value: float
-    mse: float
-    stderr: float
-    wall_ms: float
+    mse: float = float("nan")
+    stderr: float = float("nan")
+    wall_ms: float = float("nan")
     status: str = "ok"
     rep: int | None = None
 
@@ -336,29 +338,28 @@ def _attempt(build):
         return None, "unstable"
 
 
-def _failed_row(label, scenario, param, value, status, rep=None) -> MseRow:
-    nan = float("nan")
-    return MseRow(label, scenario, param, float(value), nan, nan, nan, status, rep)
+def _finite_score(mse: float, stderr: float) -> bool:
+    """Whether a score can be reported: its mse and stderr are both finite."""
+    return bool(np.isfinite(mse) and np.isfinite(stderr))
 
 
-def _scored_row(est, draws, wall_ms, label, scenario, param, value, rep=None) -> MseRow:
-    """Score ``est`` on ``draws``; a score that is not finite gives a
-    ``non-finite`` row with ``nan`` values."""
+def _scored_row(row: MseRow, est, draws, wall_ms: float) -> MseRow:
+    """``row`` with the score of ``est`` on ``draws``; a score that is not
+    finite gives ``row`` the status ``non-finite`` and keeps its ``nan``s."""
     mse, stderr = draws.mse(est)
-    if not (np.isfinite(mse) and np.isfinite(stderr)):
-        return _failed_row(label, scenario, param, value, "non-finite", rep)
-    return MseRow(label, scenario, param, float(value), mse, stderr, wall_ms, rep=rep)
+    if not _finite_score(mse, stderr):
+        return replace(row, status="non-finite")
+    return replace(row, mse=mse, stderr=stderr, wall_ms=wall_ms)
 
 
-def _fit_and_score(build, draws, label, scenario, param, value, rep=None) -> MseRow:
-    """Time ``build()`` and score its estimator on ``draws``; a numerical
-    failure gives a row with its status and ``nan`` values."""
+def _fit_and_score(row: MseRow, build, draws) -> MseRow:
+    """Time ``build()`` and score its estimator on ``draws`` into ``row``; a
+    numerical failure gives ``row`` its status."""
     t0 = time.perf_counter()
     est, status = _attempt(build)
     if est is None:
-        return _failed_row(label, scenario, param, value, status, rep)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return _scored_row(est, draws, wall_ms, label, scenario, param, value, rep)
+        return replace(row, status=status)
+    return _scored_row(row, est, draws, (time.perf_counter() - t0) * 1e3)
 
 
 def evaluate_mse(
@@ -399,14 +400,14 @@ def experiment_a(config: ExperimentConfig) -> MseReport:
         m = stream_moments(model, p, derive(config.seed, "train", p))
         for label in config.estimators:
             report.add(_fit_and_score(
+                MseRow(label, "experiment-a", "P", float(p)),
                 lambda: fit_by_label(label, m, config), draws,
-                label, "experiment-a", "P", p,
             ))
 
     m = population_moments(grid, model.prior, model.sigma2)
     report.add(_fit_and_score(
+        MseRow("sample-lmmse", "experiment-a", "P-infinity", np.inf),
         lambda: sample_lmmse(m), draws,
-        "sample-lmmse", "experiment-a", "P-infinity", np.inf,
     ))
     return report
 
@@ -439,28 +440,29 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
     for count in config.perturb_counts:
         for rep in range(config.perturb_repetitions):
             param = f"{config.perturb_mode}/rep{rep}"
+            rows = [MseRow(label, "experiment-b", param, float(count), rep=rep)
+                    for label in config.estimators]
             try:
                 new_grid, vmap = perturb_grid(
                     grid, count, config.perturb_mode, derive(config.seed, "perturb", count, rep)
                 )
             except PerturbationInfeasibleError:
-                for label in config.estimators:
-                    report.add(_failed_row(label, "experiment-b", param, count, "infeasible", rep))
+                for row in rows:
+                    report.add(replace(row, status="infeasible"))
                 continue
             vmap = vmap if vertex_mode else None
             new_model = ac_measurement_model(new_grid, config.beta, config.sigma2)
             draws = _Draws.of(
                 new_model, config.trials, derive(config.seed, "test", count, rep)
             )
-            for label in config.estimators:
-                fit, status = fitted[label]
+            for row in rows:
+                fit, status = fitted[row.estimator]
                 if fit is None:
-                    report.add(_failed_row(label, "experiment-b", param, count, status, rep))
+                    report.add(replace(row, status=status))
                     continue
-                retune = _BY_LABEL[label].retune
+                retune = _BY_LABEL[row.estimator].retune
                 report.add(_fit_and_score(
-                    lambda: retune(fit, new_model.sg, vmap, config), draws,
-                    label, "experiment-b", param, count, rep,
+                    row, lambda: retune(fit, new_model.sg, vmap, config), draws
                 ))
             del draws  # frees the draws and their transform before the next graph
     return report
@@ -477,6 +479,7 @@ def measure_runtime(config: ExperimentConfig) -> MseReport:
     draws = _Draws.of(model, config.trials, derive(config.seed, "test", 0, 0))
     report = MseReport()
     for label in config.estimators:
+        key = MseRow(label, "runtime", "median-fit", float(config.runtime_repeats))
         family = _BY_LABEL[label]
         stage = family.coefficients or family.fit
         times = []
@@ -487,14 +490,9 @@ def measure_runtime(config: ExperimentConfig) -> MseReport:
                 break
             times.append((time.perf_counter() - t0) * 1e3)
         if status != "ok":
-            report.add(_failed_row(
-                label, "runtime", "median-fit", config.runtime_repeats, status
-            ))
+            report.add(replace(key, status=status))
             continue
-        row = _scored_row(
-            fit_by_label(label, m, config), draws, float(np.median(times)),
-            label, "runtime", "median-fit", config.runtime_repeats,
-        )
+        row = _scored_row(key, fit_by_label(label, m, config), draws, float(np.median(times)))
         report.add(row)
         if row.status != "ok":
             continue

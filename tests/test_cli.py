@@ -480,6 +480,22 @@ def test_non_finite_config_values_are_config_errors(tmp_path, config_path, capsy
         assert not out.exists()
 
 
+def test_eval_non_finite_score_is_numerical_failure(tmp_path, capsys):
+    # a gsp-lmmse fitted on the default config scores nan on a model whose
+    # moments overflow: exit 2 and no score line
+    est_path = tmp_path / "est.json"
+    assert main(["fit", "--filter", "gsp", "--out", str(est_path)]) == 0
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"beta": 1e308, "trials": 50}))
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        code = main(["eval", "--estimator", str(est_path), "--config", str(config)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gspest: numerical failure: gsp-lmmse scores mse nan")
+
+
 @pytest.mark.parametrize("field", ["beta", "sigma2", "mu"])
 def test_huge_config_values_end_without_a_traceback(tmp_path, field):
     # overflowing moments are singular rows, not a crash: a non-finite matrix,

@@ -1,16 +1,17 @@
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from gspest.errors import SingularMomentsError
+from gspest import estimators
+from gspest.errors import SingularMomentsError, UnstableFilterError
 from gspest.estimators import (
     COND_LIMIT,
     LinearEstimator,
     SpectralEstimator,
-    _profiled_numerator,
     _symmetric_cond,
     almmse,
     arma_coefficients,
@@ -22,6 +23,7 @@ from gspest.estimators import (
     gsp_lmmse,
     gsp_response,
     lpi_coefficients,
+    lr_arma_coefficients,
     remap_estimator,
     sample_diag_lmmse,
     sample_lmmse,
@@ -259,39 +261,37 @@ def test_arma_den_order_zero_is_polynomial_least_squares():
     assert fit.spec.kind == "linear"
 
 
-def test_profiled_numerator_matches_stacked_least_squares():
+@pytest.mark.parametrize("cutoff, den_order", [(None, 2), (6, 1)], ids=["arma", "lr-arma"])
+def test_rational_numerator_is_stacked_least_squares_for_its_denominator(cutoff, den_order):
+    # the profiled numerator is the regularized weighted least-squares fit
+    # for the denominator the search returns
     m, sg, _ = sampled_moments(14, n=10)
-    lam = sg.eigenvalues
-    mu = 1e-4
-    phi_num = vandermonde(lam, 2)
-    phi_den = vandermonde(lam, 2)
-    a_tail = np.array([0.08, 0.003])
-    value, coeffs = _profiled_numerator(
-        a_tail, phi_num, phi_den, m.freq_cross_diag, m.freq_var_diag,
-        mu, np.eye(3), float(lam[-1]),
-    )
-    assert np.isfinite(value)
-    den = phi_den @ np.concatenate([[1.0], a_tail])
-    scaled = phi_num / den[:, None]
-    sqrt_w = np.sqrt(m.freq_var_diag)
+    mu = 1e-3
+    if cutoff is None:
+        numer, denom, _ = arma_coefficients(m, 2, den_order, mu)
+    else:
+        numer, denom, _ = lr_arma_coefficients(m, cutoff, 2, den_order, mu)
+    assert np.all(denom[1:] != 0.0)  # the search left the polynomial start
+    band = slice(cutoff)
+    lam = sg.eigenvalues[band]
+    scaled = vandermonde(lam, 2) / (vandermonde(lam, den_order) @ denom)[:, None]
+    sqrt_w = np.sqrt(m.freq_var_diag[band])
     rows = np.vstack([sqrt_w[:, None] * scaled, np.sqrt(mu) * np.eye(3)])
-    target = np.concatenate([m.freq_cross_diag / sqrt_w, np.zeros(3)])
+    target = np.concatenate([m.freq_cross_diag[band] / sqrt_w, np.zeros(3)])
     want, *_ = np.linalg.lstsq(rows, target, rcond=None)
-    assert np.max(np.abs(coeffs - want)) < 1e-8
+    assert np.max(np.abs(numer - want)) < 1e-8
 
 
-def test_profiled_numerator_rejects_vanishing_denominator():
+def test_arma_search_ending_on_a_vanishing_denominator_is_unstable(monkeypatch):
     m, sg, _ = sampled_moments(15, n=8)
-    lam = sg.eigenvalues
-    phi = vandermonde(lam, 1)
-    # root at an interior eigenvalue
-    a_tail = np.array([-1.0 / lam[4]])
-    value, coeffs = _profiled_numerator(
-        a_tail, phi, phi, m.freq_cross_diag, m.freq_var_diag,
-        1e-3, np.eye(2), float(lam[-1]),
+    # the search returns a tail whose denominator 1 + a lam vanishes at an
+    # interior eigenvalue
+    tail = np.array([-1.0 / sg.eigenvalues[4]])
+    monkeypatch.setattr(
+        estimators, "minimize", lambda *a, **k: SimpleNamespace(x=tail, success=True)
     )
-    assert value == np.inf
-    assert coeffs is None
+    with pytest.raises(UnstableFilterError, match="vanishing denominator"):
+        arma_coefficients(m, num_order=1, den_order=1)
 
 
 def test_arma_recovers_representable_response():
