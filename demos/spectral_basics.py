@@ -10,8 +10,8 @@ import numpy as np
 
 from gspest import bundled_ieee118, build_laplacian, gft, igft, sample_prior, SmoothPrior
 
-# the bundled grid ships as a branch table; the Laplacian comes from its
-# susceptance matrix
+# the bundled grid ships as a branch table; the Laplacian is that of its
+# susceptance-weighted branch graph
 grid = bundled_ieee118()
 sg = build_laplacian(grid.graph())
 lam = sg.eigenvalues

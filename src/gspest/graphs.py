@@ -434,7 +434,10 @@ def read_edge_list(path) -> WeightedGraph:
                 continue
             if len(row) != 3:
                 raise InvalidGraphError(f"bad edge-list row {row}")
-            edges.append((int(row[0]), int(row[1]), float(row[2])))
+            try:
+                edges.append((int(row[0]), int(row[1]), float(row[2])))
+            except ValueError as exc:
+                raise InvalidGraphError(f"unparseable edge-list row {row}") from exc
     n = max((max(i, j) for i, j, _ in edges), default=-1) + 1
     if n == 0:
         raise InvalidGraphError(f"empty edge list in {path}")

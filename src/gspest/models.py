@@ -6,13 +6,14 @@ additive white Gaussian noise, and the (possibly nonlinear) forward map from
 state to noiseless measurements. White noise ``sigma2 I`` is diagonal in every
 orthonormal basis, so it is kept as that one scalar, never as a matrix. The
 grid model follows the per-unit AC power-flow equations over branch
-conductances/susceptances with the graph Laplacian built from the branch
-susceptance matrix. Its Laplacian, its connectivity check and its topology
-perturbations are those of :mod:`gspest.graphs`. One checked scan of a grid finds
-its branches and the sparse stacked admittance that :func:`ac_power` multiplies
-by. :func:`ac_power` takes the cosines and sines of the phases from one
-``tan`` by the half-angle identity, because numpy runs float64 ``tan`` on SIMD
-kernels where it runs ``cos`` and ``sin`` as scalar libm calls.
+conductances/susceptances with the graph Laplacian of the susceptance-weighted
+branch graph. Its Laplacian, its connectivity check and its topology
+perturbations are those of :mod:`gspest.graphs`. A grid is its branch table,
+the sorted branch list MATPOWER keeps, and builds from it only the sparse
+stacked admittance that :func:`ac_power` multiplies by, never an N×N matrix.
+:func:`ac_power` takes the cosines and sines of the phases from one ``tan`` by
+the half-angle identity, because numpy runs float64 ``tan`` on SIMD kernels
+where it runs ``cos`` and ``sin`` as scalar libm calls.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .graphs import (
     SpectralGraph,
     WeightedGraph,
     _filter_operator,
-    _laplacian,
     _stays_connected,
     build_laplacian,
     perturb,
@@ -64,8 +64,8 @@ class SmoothPrior:
             object.__setattr__(self, "frequency_variances", var)
         else:
             var = np.asarray(self.frequency_variances, dtype=float)
-            if var.shape != (self.sg.n_vertices,) or np.any(var < 0):
-                raise ValueError("need one non-negative variance per frequency")
+            if var.shape != (self.sg.n_vertices,) or not np.all((0.0 <= var) & (var < np.inf)):
+                raise ValueError("need one finite non-negative variance per frequency")
             object.__setattr__(self, "frequency_variances", var)
 
     @classmethod
@@ -96,62 +96,58 @@ def _draw_prior(prior: SmoothPrior, rng: np.random.Generator, count: int) -> np.
 
 @dataclass(frozen=True)
 class AcGridModel:
-    """Per-unit AC grid: symmetric branch conductance/susceptance matrices
-    (zero diagonal, entries only on branches) and bus voltage magnitudes.
+    """Per-unit AC grid as its branch table: ``n_buses`` buses, one row per
+    branch (0-based ends ``i < j``, sorted by ``(i, j)``, at most one per bus
+    pair) with its conductance and susceptance, and one voltage magnitude per
+    bus.
 
-    The graph Laplacian is built from the susceptance matrix:
-    ``L = diag(B 1) - B``.
+    The graph Laplacian is that of the susceptance-weighted :meth:`graph`.
+    No N×N matrix is stored or built.
     """
 
+    n_buses: int
+    i: np.ndarray = field(repr=False)
+    j: np.ndarray = field(repr=False)
     conductance: np.ndarray = field(repr=False)
     susceptance: np.ndarray = field(repr=False)
     voltage: np.ndarray = field(repr=False, default=None)
-    # from one scan: i < j branches (row-major), sparse [[G, -B], [B, G]] * u_n u_m
-    _branches: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    # sparse [[G, -B], [B, G]] * u_n u_m over both directions of every branch
     _stacked: sparse.csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.conductance, dtype=float)
-        b = np.asarray(self.susceptance, dtype=float)
-        if g.shape != b.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise InvalidGraphError("conductance/susceptance must be square, same shape")
-        # one row-major scan of both patterns; m is symmetric iff equal to m.T on it
-        i, j = np.divmod(np.flatnonzero((g != 0.0) | (b != 0.0)), g.shape[0])
-        for name, m in (("conductance", g), ("susceptance", b)):
-            if not np.array_equal(m[i, j], m[j, i]):
-                raise InvalidGraphError(f"{name} matrix must be symmetric")
-            if np.any(np.diag(m) != 0):
-                raise InvalidGraphError(f"{name} matrix must have zero diagonal")
-        v = np.ones(g.shape[0]) if self.voltage is None else np.asarray(self.voltage, dtype=float)
-        if v.shape != (g.shape[0],) or np.any(v <= 0):
-            raise InvalidGraphError("voltage magnitudes must be positive, one per bus")
-        object.__setattr__(self, "conductance", g)
-        object.__setattr__(self, "susceptance", b)
-        object.__setattr__(self, "voltage", v)
-        object.__setattr__(self, "_branches", (i[i < j], j[i < j]))
-        n, gij, bij = len(v), g[i, j], b[i, j]
-        at = np.concatenate((i, i, i + n, i + n)), np.concatenate((j, j + n, j, j + n))
-        data = np.concatenate((gij, -bij, bij, gij)) * np.tile(v[i] * v[j], 4)
+        n = int(self.n_buses)
+        i, j = (np.asarray(a, dtype=np.intp) for a in (self.i, self.j))
+        g, b = (np.asarray(a, dtype=float) for a in (self.conductance, self.susceptance))
+        if n < 1 or i.ndim != 1 or not i.shape == j.shape == g.shape == b.shape:
+            raise InvalidGraphError("need a bus and 1-D branch columns of one length")
+        if not (np.all((0 <= i) & (i < j) & (j < n)) and np.all(np.diff(i * n + j) > 0)):
+            raise InvalidGraphError(f"need 0 <= i < j < {n}, sorted by (i, j), one branch per pair")
+        if not np.all(np.isfinite(g) & np.isfinite(b) & ((g != 0.0) | (b != 0.0))):
+            raise InvalidGraphError("branch admittances must be finite, not both zero")
+        v = np.ones(n) if self.voltage is None else np.asarray(self.voltage, dtype=float)
+        if v.shape != (n,) or not np.all((0.0 < v) & (v < np.inf)):
+            raise InvalidGraphError("voltage magnitudes must be finite and positive, one per bus")
+        for name, value in zip(("n_buses", "i", "j", "conductance", "susceptance", "voltage"),
+                               (n, i, j, g, b, v)):
+            object.__setattr__(self, name, value)
+        # both directions of every branch in row-major order
+        rows, cols = np.concatenate((i, j)), np.concatenate((j, i))
+        order = np.lexsort((cols, rows))
+        r, c, gd, bd = rows[order], cols[order], np.tile(g, 2)[order], np.tile(b, 2)[order]
+        at = np.concatenate((r, r, r + n, r + n)), np.concatenate((c, c + n, c, c + n))
+        data = np.concatenate((gd, -bd, bd, gd)) * np.tile(v[r] * v[c], 4)
         object.__setattr__(self, "_stacked", sparse.csr_array((data, at), (2 * n, 2 * n)))
 
-    @property
-    def n_buses(self) -> int:
-        return self.susceptance.shape[0]
-
-    def laplacian(self) -> np.ndarray:
-        return _laplacian(self.susceptance)
-
     def graph(self) -> WeightedGraph:
-        """Susceptance-weighted graph over the branches."""
-        i, j = self._branches
-        on = self.susceptance[i, j] != 0.0
-        return WeightedGraph(self.n_buses, tuple(zip(i[on], j[on], self.susceptance[i[on], j[on]])))
+        """Susceptance-weighted graph over the branches with a susceptance."""
+        on = self.susceptance != 0.0
+        columns = (self.i[on], self.j[on], self.susceptance[on])
+        return WeightedGraph(self.n_buses, tuple(zip(*(c.tolist() for c in columns))))
 
     def branch_values(self) -> tuple[tuple[int, int, float, float], ...]:
         """(i, j, conductance, susceptance) per branch, 0-based, sorted by (i, j)."""
-        i, j = self._branches
-        return tuple(zip(i.tolist(), j.tolist(), self.conductance[i, j].tolist(),
-                         self.susceptance[i, j].tolist()))
+        columns = (self.i, self.j, self.conductance, self.susceptance)
+        return tuple(zip(*(c.tolist() for c in columns)))
 
 
 def _cos_sin(x: np.ndarray, out: np.ndarray, den: np.ndarray) -> None:
@@ -229,22 +225,18 @@ def load_grid(path) -> AcGridModel:
     if not rows:
         raise InvalidGraphError(f"no branches in {path}")
     n = max(max(f, t) for f, t, _, _ in rows)
-    gmat = np.zeros((n, n))
-    bmat = np.zeros((n, n))
-    seen = set()
+    branches = {}
     for f, t, g, b in rows:
         if f == t or f < 1 or t < 1:
             raise InvalidGraphError(f"bad bus pair ({f},{t})")
         if not (np.isfinite(g) and np.isfinite(b)) or g < 0 or b <= 0:
             raise InvalidGraphError(f"bad admittance on branch ({f},{t})")
         key = (min(f, t) - 1, max(f, t) - 1)
-        if key in seen:
+        if key in branches:
             raise InvalidGraphError(f"duplicate branch ({f},{t})")
-        seen.add(key)
-        i, j = key
-        gmat[i, j] = gmat[j, i] = g
-        bmat[i, j] = bmat[j, i] = b
-    grid = AcGridModel(gmat, bmat)
+        branches[key] = g, b
+    # the table's columns i, j, conductance, susceptance, sorted by (i, j)
+    grid = AcGridModel(n, *zip(*(key + gb for key, gb in sorted(branches.items()))))
     if not _stays_connected(grid.graph()):
         raise DisconnectedGraphError(f"network in {path} is not connected")
     return grid
@@ -343,13 +335,14 @@ def perturb_grid(
     n_new = new_graph.n_vertices
     old = np.full(n_new, -1)
     old[list(vmap.values())] = list(vmap.keys())
-    gmat = np.zeros((n_new, n_new))
-    bmat = np.zeros((n_new, n_new))
-    i, j, w = new_graph._columns()
-    bmat[i, j] = bmat[j, i] = w
-    kept = (old[i] >= 0) & (old[j] >= 0)
-    i, j = i[kept], j[kept]
-    gmat[i, j] = gmat[j, i] = grid.conductance[old[i], old[j]]
+    i, j, b = new_graph._columns()
+    # each branch's old pair key, negative where a bus is new; the sentinel
+    # n * n is above every key, so a lookup that finds no old branch gets 0
+    n = grid.n_buses
+    want = np.minimum(old[i], old[j]) * n + np.maximum(old[i], old[j])
+    keys = np.append(grid.i * n + grid.j, n * n)
+    at = np.searchsorted(keys, want)
+    g = np.where(keys[at] == want, np.append(grid.conductance, 0.0)[at], 0.0)
     voltage = np.where(old >= 0, grid.voltage[old], 1.0)
-    return AcGridModel(gmat, bmat, voltage), vmap
+    return AcGridModel(n_new, i, j, g, b, voltage), vmap
 

@@ -250,10 +250,10 @@ def population_moments(grid: AcGridModel, prior: SmoothPrior, sigma2: float) -> 
     """
     from scipy import sparse
 
-    i, j = grid._branches
+    i, j = grid.i, grid.j
     t, n = len(i), grid.n_buses
     uu = grid.voltage[i] * grid.voltage[j]
-    g, b = grid.conductance[i, j] * uu, grid.susceptance[i, j] * uu
+    g, b = grid.conductance * uu, grid.susceptance * uu
     rows = np.tile(np.arange(t), 2)
     d = sparse.csr_array((np.repeat([1.0, -1.0], t), (rows, np.concatenate((i, j)))), (t, n))
     d_abs = abs(d)

@@ -128,6 +128,19 @@ def test_graph_perturb_round_trip(tmp_path, config_path):
     assert after.n_vertices == before.n_vertices
 
 
+@pytest.mark.parametrize("row", ["0,1,abc", "0,x,1.0", "0.5,1,1.0"])
+def test_graph_perturb_unparseable_edge_row_is_usage_error(tmp_path, capsys, row):
+    graph = tmp_path / "graph.csv"
+    graph.write_text(f"from,to,weight\n0,1,1.0\n{row}\n")
+    out = tmp_path / "new.csv"
+    argv = ["graph", "perturb", "--graph", str(graph), "--mode", "remove-edges",
+            "--count", "1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"gspest: error: unparseable edge-list row {row.split(',')}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_graph_perturb_vertices(tmp_path, config_path):
     out = tmp_path / "grown.csv"
     code = main(

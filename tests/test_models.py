@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +29,27 @@ from gspest.rng import generator
 from tests.test_graphs import random_connected_graph
 
 
+def table_grid(n, branches, voltage=None):
+    """The grid with the branches ``{(i, j): (conductance, susceptance)}``,
+    ``i < j``, as a table sorted by ``(i, j)``."""
+    rows = sorted((int(i), int(j), float(g), float(b)) for (i, j), (g, b) in branches.items())
+    return AcGridModel(n, *(np.array(c) for c in zip(*rows)), voltage)
+
+
+def dense_admittance(grid):
+    """The symmetric, zero-diagonal N×N branch conductance and susceptance
+    matrices of a grid's table: the reference the table is checked against."""
+    g, b = np.zeros((grid.n_buses,) * 2), np.zeros((grid.n_buses,) * 2)
+    g[grid.i, grid.j] = g[grid.j, grid.i] = grid.conductance
+    b[grid.i, grid.j] = b[grid.j, grid.i] = grid.susceptance
+    return g, b
+
+
 def random_grid(rng, n, extra=0.5):
     """Random connected AC grid; susceptances are the graph weights."""
-    graph = random_connected_graph(rng, n, extra=extra)
-    b = graph.adjacency() * rng.uniform(5.0, 40.0)
-    g = np.where(b > 0, rng.uniform(0.5, 5.0, b.shape), 0.0)
-    g = np.triu(g, 1)
-    g = g + g.T
-    return AcGridModel(g, b, np.ones(n))
+    i, j, w = random_connected_graph(rng, n, extra=extra)._columns()
+    b = w * rng.uniform(5.0, 40.0)
+    return AcGridModel(n, i, j, rng.uniform(0.5, 5.0, len(w)), b)
 
 
 def tiled_grid(k=8, seed=0):
@@ -45,16 +59,14 @@ def tiled_grid(k=8, seed=0):
     base = bundled_ieee118()
     n = base.n_buses
     rng = generator(seed, "tiled-grid", k)
-    g, b = np.zeros((k * n, k * n)), np.zeros((k * n, k * n))
+    branches = {}
     for c in range(k):
-        block = slice(c * n, (c + 1) * n)
-        for dst, src in ((g, base.conductance), (b, base.susceptance)):
-            s = np.triu(rng.uniform(0.99, 1.01, (n, n)), 1)
-            dst[block, block] = src * (s + s.T)
+        g, b = (v * rng.uniform(0.99, 1.01, len(v)) for v in (base.conductance, base.susceptance))
+        branches.update(zip(zip(base.i + c * n, base.j + c * n), zip(g, b)))
     for c in range(k - 1):
         f, t = c * n + rng.integers(n, size=3), (c + 1) * n + rng.integers(n, size=3)
-        b[f, t] = b[t, f] = rng.uniform(5.0, 40.0, 3)
-    return AcGridModel(g, b, rng.uniform(0.95, 1.05, k * n))
+        branches.update(zip(zip(f, t), ((0.0, b) for b in rng.uniform(5.0, 40.0, 3))))
+    return table_grid(k * n, branches, rng.uniform(0.95, 1.05, k * n))
 
 
 # --------------------------------------------------------------------- prior
@@ -109,6 +121,13 @@ def test_from_variances_validation():
         SmoothPrior(sg, beta=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_variances_rejects_non_finite(bad):
+    sg = build_laplacian(random_connected_graph(generator(45, "prior"), 5))
+    with pytest.raises(ValueError, match="finite non-negative variance"):
+        SmoothPrior.from_variances(sg, [bad, 1.0, 1.0, 1.0, 1.0])
+
+
 # --------------------------------------------------------------------- noise
 
 
@@ -156,7 +175,7 @@ def test_ac_power_translation_invariant():
 def test_ac_power_zero_with_no_conductance():
     rng = generator(49, "ac")
     grid = random_grid(rng, 6)
-    reactive = AcGridModel(np.zeros_like(grid.conductance), grid.susceptance, grid.voltage)
+    reactive = replace(grid, conductance=np.zeros_like(grid.conductance))
     assert np.max(np.abs(ac_power(reactive, np.zeros(6)))) == 0.0
 
 
@@ -164,8 +183,8 @@ def test_ac_jacobian_at_zero_is_laplacian():
     # with no conductance and unit voltages, d g / d x at 0 equals L
     rng = generator(50, "ac")
     grid = random_grid(rng, 8)
-    reactive = AcGridModel(np.zeros_like(grid.conductance), grid.susceptance, grid.voltage)
-    lap = reactive.laplacian()
+    reactive = replace(grid, conductance=np.zeros_like(grid.conductance))
+    lap = build_laplacian(reactive.graph()).laplacian
     n = 8
     h = 1e-6
     jac = np.zeros((n, n))
@@ -179,8 +198,8 @@ def test_ac_jacobian_at_zero_is_laplacian():
 def test_ac_linearization_residual_shrinks():
     rng = generator(51, "ac")
     grid = random_grid(rng, 8)
-    reactive = AcGridModel(np.zeros_like(grid.conductance), grid.susceptance, grid.voltage)
-    lap = reactive.laplacian()
+    reactive = replace(grid, conductance=np.zeros_like(grid.conductance))
+    lap = build_laplacian(reactive.graph()).laplacian
     direction = rng.standard_normal(8)
     direction /= np.linalg.norm(direction)
     resid = []
@@ -219,7 +238,7 @@ def loop_ac_power(grid, x):
 def bundled_with_voltages():
     grid = bundled_ieee118()
     v = generator(54, "ac-voltage").uniform(0.95, 1.05, grid.n_buses)
-    return AcGridModel(grid.conductance, grid.susceptance, v)
+    return replace(grid, voltage=v)
 
 
 @pytest.mark.parametrize("make", [bundled_with_voltages, tiled_grid])
@@ -310,49 +329,42 @@ def test_ac_power_non_finite_phases_give_nan():
     assert np.array_equal(got[0], ac_power(grid, x[0]))
 
 
-def dense_grid_error(g, b):
-    """The message of the dense checks the one-scan validation replaced."""
-    for name, m in (("conductance", g), ("susceptance", b)):
-        if not np.array_equal(m, m.T):
-            return f"{name} matrix must be symmetric"
-        if np.any(np.diag(m) != 0):
-            return f"{name} matrix must have zero diagonal"
-    return None
+# a valid three-bus table: one branch of each kind (both admittances, no
+# conductance, no susceptance)
+TABLE = dict(n_buses=3, i=[0, 0, 1], j=[1, 2, 2], conductance=[1.0, 0.0, 2.0],
+             susceptance=[5.0, 4.0, 0.0], voltage=[1.0, 1.02, 0.98])
 
 
-def test_grid_checks_agree_with_dense_checks():
-    rng = generator(58, "grid-checks")
-    specials = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, 2.5)
-    outcomes = set()
-    for trial in range(600):
-        grid = random_grid(rng, 5)
-        g, b = grid.conductance.copy(), grid.susceptance.copy()
-        for _ in range(trial % 4):
-            m = (g, b)[rng.integers(2)]
-            i, j = rng.integers(5, size=2)
-            m[i, j] = specials[rng.integers(len(specials))]
-            if rng.integers(2):
-                m[j, i] = m[i, j]
-        want = dense_grid_error(g, b)
-        outcomes.add(want)
-        if want is None:
-            AcGridModel(g, b)
-        else:
-            with pytest.raises(InvalidGraphError, match=f"^{want}$"):
-                AcGridModel(g, b)
-    assert len(outcomes) == 5
+def test_grid_table_is_its_branches():
+    grid = AcGridModel(**TABLE)
+    assert grid.branch_values() == ((0, 1, 1.0, 5.0), (0, 2, 0.0, 4.0), (1, 2, 2.0, 0.0))
+    assert grid.graph().edges == ((0, 1, 5.0), (0, 2, 4.0))
+    assert np.array_equal(grid.voltage, TABLE["voltage"])
 
 
-def test_grid_validation():
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(InvalidGraphError):
-        AcGridModel(np.zeros((2, 2)), b, np.array([1.0, 0.0]))  # zero voltage
-    bad = b.copy()
-    bad[0, 0] = 1.0
-    with pytest.raises(InvalidGraphError):
-        AcGridModel(np.zeros((2, 2)), bad, np.ones(2))  # diagonal entry
-    with pytest.raises(InvalidGraphError):
-        AcGridModel(np.zeros((3, 3)), b, np.ones(2))  # shape mismatch
+@pytest.mark.parametrize("change, message", [
+    (dict(n_buses=0), "need a bus and 1-D branch columns of one length"),
+    (dict(j=[1, 2]), "need a bus and 1-D branch columns of one length"),
+    (dict(susceptance=[5.0, 4.0]), "need a bus and 1-D branch columns of one length"),
+    (dict(i=[0, 1, 1], j=[1, 1, 2]), "0 <= i < j < 3, sorted"),
+    (dict(i=[0, 2, 1], j=[1, 0, 2]), "0 <= i < j < 3, sorted"),
+    (dict(i=[-1, 0, 1]), "0 <= i < j < 3, sorted"),
+    (dict(j=[1, 2, 3]), "0 <= i < j < 3, sorted"),
+    (dict(i=[0, 1, 0], j=[1, 2, 2]), "0 <= i < j < 3, sorted by \\(i, j\\), one branch per pair$"),
+    (dict(i=[0, 0, 0], j=[1, 1, 2]), "0 <= i < j < 3, sorted by \\(i, j\\), one branch per pair$"),
+    (dict(conductance=[np.nan, 0.0, 2.0]), "admittances must be finite, not both zero"),
+    (dict(susceptance=[5.0, -np.inf, 0.0]), "admittances must be finite, not both zero"),
+    (dict(susceptance=[5.0, -0.0, 0.0]), "admittances must be finite, not both zero"),
+    (dict(voltage=[1.0, np.nan, 1.0]), "voltage magnitudes must be finite and positive"),
+    (dict(voltage=[1.0, np.inf, 1.0]), "voltage magnitudes must be finite and positive"),
+    (dict(voltage=[1.0, 0.0, 1.0]), "voltage magnitudes must be finite and positive"),
+    (dict(voltage=[1.0, 1.0]), "voltage magnitudes must be finite and positive"),
+], ids=["no-bus", "short-j", "short-susceptance", "self-loop", "i-above-j", "negative-i",
+        "j-out-of-range", "unsorted", "duplicate", "nan-conductance", "inf-susceptance",
+        "no-admittance", "nan-voltage", "inf-voltage", "zero-voltage", "short-voltage"])
+def test_grid_table_validation(change, message):
+    with pytest.raises(InvalidGraphError, match=message):
+        AcGridModel(**{**TABLE, **change})
 
 
 # -------------------------------------------------------------- bundled grid
@@ -380,8 +392,8 @@ def test_load_grid_round_trip(tmp_path):
         lines.append(f"{i + 1},{j + 1},{g!r},{b!r}")
     path.write_text("\n".join(lines) + "\n")
     back = load_grid(path)
-    assert np.allclose(back.conductance, grid.conductance, atol=1e-15)
-    assert np.allclose(back.susceptance, grid.susceptance, atol=1e-15)
+    for name in ("i", "j", "conductance", "susceptance", "voltage"):
+        assert np.array_equal(getattr(back, name), getattr(grid, name))
 
 
 def test_load_grid_rejects_bad_input(tmp_path):
@@ -483,10 +495,9 @@ def test_perturb_grid_remove_vertices():
     assert new.n_buses == 10
     assert len(vmap) == 10
     inv = {n: o for o, n in vmap.items()}
+    old = {(i, j): (g, b) for i, j, g, b in grid.branch_values()}
     for i, j, g, b in new.branch_values():
-        oi, oj = inv[i], inv[j]
-        assert grid.susceptance[oi, oj] == b
-        assert grid.conductance[oi, oj] == g
+        assert old[inv[i], inv[j]] == (g, b)
     assert np.array_equal(new.voltage, grid.voltage[sorted(vmap)])
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from gspest.moments import (
 )
 from gspest.rng import generator
 from tests.test_graphs import random_connected_graph
-from tests.test_models import random_grid
+from tests.test_models import dense_admittance, random_grid
 
 MOMENT_ARRAYS = (
     "x_mean", "y_mean", "cross_cov", "y_cov", "freq_cross_diag", "freq_var_diag",
@@ -416,7 +418,7 @@ def test_population_moments_of_a_two_bus_grid():
     # one branch: d = x_0 - x_1 has variance beta / b under the smooth prior
     g, b, beta, sigma2 = 1.5, 12.0, 3.0, 0.05
     u = np.array([1.02, 0.97])
-    grid = AcGridModel(np.array([[0.0, g], [g, 0.0]]), np.array([[0.0, b], [b, 0.0]]), u)
+    grid = AcGridModel(2, [0], [1], [g], [b], u)
     prior = SmoothPrior(build_laplacian(grid.graph()), beta)
     m = population_moments(grid, prior, sigma2)
     var_d = beta / b
@@ -436,8 +438,9 @@ def directed_moments(grid, prior, sigma2):
     ``d = x_n - x_m``."""
     n = grid.n_buses
     uu = np.outer(grid.voltage, grid.voltage)
-    i, j = np.nonzero(grid.susceptance)
-    g, b = (grid.conductance * uu)[i, j], (grid.susceptance * uu)[i, j]
+    gmat, bmat = dense_admittance(grid)
+    i, j = np.nonzero(bmat)
+    g, b = (gmat * uu)[i, j], (bmat * uu)[i, j]
     at_bus = np.zeros((n, len(i)))
     at_bus[i, np.arange(len(i))] = 1.0
     c = prior.covariance()
@@ -456,7 +459,7 @@ def directed_moments(grid, prior, sigma2):
 def test_population_moments_match_the_directed_terms():
     rng = generator(90, "exact-moments")
     base = random_grid(rng, 10, extra=1.0)
-    grid = AcGridModel(base.conductance, base.susceptance, rng.uniform(0.9, 1.1, 10))
+    grid = replace(base, voltage=rng.uniform(0.9, 1.1, 10))
     prior = SmoothPrior(build_laplacian(grid.graph()), 3.0)
     m = population_moments(grid, prior, 0.05)
     for got, want in zip((m.y_mean, m.cross_cov, m.y_cov), directed_moments(grid, prior, 0.05)):

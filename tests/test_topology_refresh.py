@@ -1,8 +1,8 @@
 """The array-based topology-refresh path against the loop code it replaced.
 
-The reference functions below are the earlier double-loop implementations,
-kept here verbatim in behaviour so that the vectorized versions are checked
-pair for pair and draw for draw.
+The reference functions below are the earlier loop implementations, kept in
+behaviour (the grid ones read its branch table row by row) so that the
+vectorized versions are checked pair for pair and draw for draw.
 """
 
 import hashlib
@@ -20,10 +20,10 @@ from gspest.graphs import (
     perturb_edges,
     perturb_vertices,
 )
-from gspest.models import AcGridModel, bundled_ieee118, perturb_grid
+from gspest.models import bundled_ieee118, perturb_grid
 from gspest.rng import generator
 from tests.test_graphs import _TIES, _canonical_sign, random_connected_graph
-from tests.test_models import random_grid, tiled_grid
+from tests.test_models import dense_admittance, random_grid, table_grid, tiled_grid
 
 
 def loop_canonical_edges(n, edges):
@@ -66,25 +66,16 @@ def loop_canonicalize(eigvals, vecs):
     return out
 
 
-def loop_graph(grid):
-    b, n = grid.susceptance, grid.n_buses
-    edges = tuple(
-        (i, j, float(b[i, j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-        if b[i, j] != 0.0
-    )
-    return WeightedGraph(n, edges)
-
-
 def loop_branch_values(grid):
-    b, g, n = grid.susceptance, grid.conductance, grid.n_buses
     return tuple(
-        (i, j, float(g[i, j]), float(b[i, j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-        if b[i, j] != 0.0 or g[i, j] != 0.0
+        (int(i), int(j), float(g), float(b))
+        for i, j, g, b in zip(grid.i, grid.j, grid.conductance, grid.susceptance)
     )
+
+
+def loop_graph(grid):
+    edges = tuple((i, j, b) for i, j, _, b in loop_branch_values(grid) if b != 0.0)
+    return WeightedGraph(grid.n_buses, edges)
 
 
 def loop_absent_pairs(graph):
@@ -108,7 +99,7 @@ def loop_add_edges(graph, count, seed):
 
 
 def loop_perturb_grid(grid, count, mode, seed):
-    """Branch matrices rebuilt edge by edge, conductances looked up in a dict
+    """Branch rows rebuilt edge by edge, conductances looked up in a dict
     keyed on old branch tuples."""
     kind, what = mode.split("-")
     graph = loop_graph(grid)
@@ -119,22 +110,22 @@ def loop_perturb_grid(grid, count, mode, seed):
         new_graph, vmap = perturb_vertices(graph, count, kind, seed)
     cond = {(i, j): g for i, j, g, _ in loop_branch_values(grid)}
     inverse = {new: old for old, new in vmap.items()}
-    n = new_graph.n_vertices
-    gmat, bmat = np.zeros((n, n)), np.zeros((n, n))
+    rows = []
     for i, j, w in new_graph.edges:
         oi, oj = inverse.get(i), inverse.get(j)
+        g = 0.0
         if oi is not None and oj is not None and (min(oi, oj), max(oi, oj)) in cond:
-            gmat[i, j] = gmat[j, i] = cond[(min(oi, oj), max(oi, oj))]
-        bmat[i, j] = bmat[j, i] = w
-    return gmat, bmat, vmap
+            g = cond[(min(oi, oj), max(oi, oj))]
+        rows.append((i, j, g, w))
+    return tuple(rows), vmap
 
 
 def conductance_only_grid():
     grid = random_grid(generator(3, "refresh-grid"), 30)
-    g, b = grid.conductance.copy(), grid.susceptance.copy()
-    i, j = next((i, j) for i in range(30) for j in range(i + 1, 30) if b[i, j] == 0)
-    g[i, j] = g[j, i] = 0.7
-    return AcGridModel(g, b)
+    branches = {(i, j): (g, b) for i, j, g, b in grid.branch_values()}
+    key = next((i, j) for i in range(30) for j in range(i + 1, 30) if (i, j) not in branches)
+    branches[key] = (0.7, 0.0)
+    return table_grid(30, branches)
 
 
 def digest(obj):
@@ -155,15 +146,17 @@ def test_graph_and_branch_values_match_loops(make):
 
 @pytest.mark.parametrize("make", [bundled_ieee118, tiled_grid, conductance_only_grid])
 def test_stored_branches_match_dense_scans(make):
-    # the dense upper-triangle scans that graph() and branch_values() ran
-    # on every call before the branches were found once per grid
+    # the reference: upper-triangle scans of the dense branch matrices, and
+    # the stacked admittance built from those matrices
     grid = make()
-    b, g = grid.susceptance, grid.conductance
+    g, b = dense_admittance(grid)
     i, j = np.nonzero(np.triu(b != 0.0, 1))
     assert grid.graph() == WeightedGraph(grid.n_buses, tuple(zip(i, j, b[i, j])))
     i, j = np.nonzero(np.triu((b != 0.0) | (g != 0.0), 1))
     want = tuple(zip(i.tolist(), j.tolist(), g[i, j].tolist(), b[i, j].tolist()))
     assert grid.branch_values() == want
+    uu = np.tile(np.outer(grid.voltage, grid.voltage), (2, 2))
+    assert np.array_equal(grid._stacked.toarray(), np.block([[g, -b], [b, g]]) * uu)
 
 
 def test_conductance_only_branch_is_a_branch_but_not_an_edge():
@@ -178,10 +171,9 @@ def test_perturb_grid_matches_loop_rebuild(mode):
     for grid in (bundled_ieee118(), conductance_only_grid()):
         for seed in range(3):
             new_grid, vmap = perturb_grid(grid, 4, mode, seed)
-            gmat, bmat, loop_vmap = loop_perturb_grid(grid, 4, mode, seed)
+            rows, loop_vmap = loop_perturb_grid(grid, 4, mode, seed)
             assert vmap == loop_vmap
-            assert np.array_equal(new_grid.conductance, gmat)
-            assert np.array_equal(new_grid.susceptance, bmat)
+            assert new_grid.branch_values() == rows
 
 
 # ------------------------------------------------------------ add-edges draw
