@@ -13,11 +13,11 @@ that ratio. A fitted filter's response is always ``filters.response`` of its
 ``spec`` on the graph, when it is fitted and when
 :func:`update_for_topology` re-evaluates it on a changed graph.
 
-JSON: a :class:`LinearEstimator` is written with its ``gain``, a spectral
-estimator with its ``response`` (no ``gain``, no graph: reading it takes
-the graph it was fitted on). A document with a ``gain``, which includes
-fitted estimators written when they still stored one, loads as a
-:class:`LinearEstimator`.
+JSON: a :class:`LinearEstimator` is written with its ``gain`` (per-vertex
+for ``sample-dlmmse``), a spectral estimator with its ``response`` (no
+``gain``, no graph: reading it takes the graph it was fitted on). Any
+document with a ``gain``, also a fitted or a dense diagonal ``sample-dlmmse``
+one written by earlier versions, loads as a :class:`LinearEstimator`.
 
 Coefficient fits: each family has one solve path. The pseudo-inverse
 polynomial fit is one stacked least-squares solve of its regularized
@@ -80,7 +80,8 @@ def minimize(*args, **kwargs):
 
 @dataclass(frozen=True)
 class LinearEstimator:
-    """Affine estimator ``xhat = x_mean + gain @ (y - y_center)``."""
+    """Affine estimator ``xhat = x_mean + gain @ (y - y_center)``; a 1-D
+    ``gain`` is a diagonal one, applied as ``gain * (y - y_center)``."""
 
     label: str
     x_mean: np.ndarray = field(repr=False)
@@ -91,8 +92,9 @@ class LinearEstimator:
         x_mean = np.asarray(self.x_mean, dtype=float)
         gain = np.asarray(self.gain, dtype=float)
         y_center = np.asarray(self.y_center, dtype=float)
-        if gain.ndim != 2 or gain.shape != (x_mean.size, y_center.size):
-            raise ValueError("gain shape must be (len(x_mean), len(y_center))")
+        diagonal = gain.ndim == 1 and x_mean.size == y_center.size
+        if gain.shape != ((x_mean.size,) if diagonal else (x_mean.size, y_center.size)):
+            raise ValueError("gain must be (len(x_mean), len(y_center)) or its diagonal")
         object.__setattr__(self, "x_mean", x_mean)
         object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "y_center", y_center)
@@ -102,7 +104,9 @@ class LinearEstimator:
         y = np.asarray(y, dtype=float)
         if y.shape[-1] != self.y_center.size:
             raise ValueError("measurement length mismatch")
-        return self.x_mean + (y - self.y_center) @ self.gain.T
+        out = y - self.y_center
+        out = np.multiply(out, self.gain, out=out) if self.gain.ndim == 1 else out @ self.gain.T
+        return np.add(out, self.x_mean, out=out)
 
 
 @dataclass(frozen=True)
@@ -177,11 +181,11 @@ def sample_lmmse(m: SampleMoments) -> LinearEstimator:
 
 
 def sample_diag_lmmse(m: SampleMoments) -> LinearEstimator:
-    """Vertex-domain diagonal variant: per-vertex gains only."""
+    """Vertex-domain diagonal variant: one gain per vertex, kept as a vector."""
     var = np.diag(m.y_cov)
     if not (var > 0).all():
         raise SingularMomentsError("vertex variance is not positive")
-    gain = np.diag(np.diag(m.cross_cov) / var)
+    gain = np.diag(m.cross_cov) / var
     return LinearEstimator("sample-dlmmse", m.x_mean, gain, m.y_mean)
 
 
@@ -372,10 +376,10 @@ def _carry(values: np.ndarray, vertex_map: dict[int, int], n_new: int) -> np.nda
     """A per-vertex vector, or a matrix over vertex pairs, on the ``n_new``
     vertices of a changed graph: entries of surviving vertices carry over,
     entries of added vertices are 0."""
-    olds = sorted(vertex_map)
-    news = [vertex_map[o] for o in olds]
-    out = np.zeros((n_new,) * values.ndim)
-    out[np.ix_(*[news] * values.ndim)] = values[np.ix_(*[olds] * values.ndim)]
+    old = np.full(n_new, -1)  # the old index of each new vertex, -1 if added
+    old[list(vertex_map.values())] = list(vertex_map)
+    out = values[np.ix_(*[old] * values.ndim)]
+    out[old < 0] = out[..., old < 0] = 0.0  # rows, then the columns of a matrix
     return out
 
 
@@ -412,7 +416,7 @@ def remap_estimator(
     """Carry a stale estimator onto a changed vertex set: gain entries are
     kept where both endpoints survive and zero elsewhere (so removed vertices
     are dropped and added vertices are estimated by the prior mean, here 0).
-    A spectral estimator is carried through its ``dense`` gain."""
+    A per-vertex gain stays a vector; a spectral estimator uses ``dense``."""
     if isinstance(est, SpectralEstimator):
         est = est.dense
     x_mean, gain, y_center = (

@@ -116,21 +116,25 @@ class SpectralGraph:
     Attributes
     ----------
     graph : WeightedGraph
-    laplacian : ndarray, shape (n, n)
     eigenvalues : ndarray, shape (n,)
         Ascending; ``eigenvalues[0]`` is zero up to :func:`zero_tolerance`.
     eigenvectors : ndarray, shape (n, n)
         Columns are the canonicalized orthonormal eigenvectors.
+    laplacian : ndarray, shape (n, n)
+        ``diag(W 1) - W`` of ``graph``; not stored, rebuilt on each access.
     """
 
     graph: WeightedGraph
-    laplacian: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
         return self.graph.n_vertices
+
+    @property
+    def laplacian(self) -> np.ndarray:
+        return _laplacian(self.graph.adjacency())
 
     def zero_tolerance(self) -> float:
         """Absolute threshold below which an eigenvalue counts as zero."""
@@ -233,7 +237,7 @@ def build_laplacian(graph: WeightedGraph) -> SpectralGraph:
     if resid > 1e-8 * scale:
         raise InvalidGraphError(f"eigenpair residual too large ({resid:.2e})")
 
-    sg = SpectralGraph(graph, lap, eigvals, vecs)
+    sg = SpectralGraph(graph, eigvals, vecs)
     if abs(float(eigvals[0])) > sg.zero_tolerance():
         raise InvalidGraphError(
             f"smallest eigenvalue {eigvals[0]:.3e} is not numerically zero"

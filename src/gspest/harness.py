@@ -290,10 +290,15 @@ def draw_test_set(
     return x, np.asarray(model.forward(x)) + w
 
 
+def _squared_distances(fresh: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row sums of ``(fresh - x)**2``, formed in ``fresh``, a scratch buffer."""
+    np.subtract(fresh, x, out=fresh)
+    return np.sum(np.square(fresh, out=fresh), axis=-1)
+
+
 def squared_errors(est, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-trial squared error sums of an estimator on given draws."""
-    diff = est.estimate(y) - x
-    return np.sum(diff * diff, axis=-1)
+    return _squared_distances(est.estimate(y), x)
 
 
 @dataclass(frozen=True)
@@ -318,10 +323,7 @@ class _Draws:
         the frequency domain."""
         if not (isinstance(est, SpectralEstimator) and est.sg is self.sg):
             return squared_errors(est, self.x, self.y)
-        x_freq, y_freq = self.spectra
-        diff = est.frequency_estimate(y_freq)  # a fresh buffer, scratch here
-        np.subtract(diff, x_freq, out=diff)
-        return np.sum(np.square(diff, out=diff), axis=-1)
+        return _squared_distances(est.frequency_estimate(self.spectra[1]), self.spectra[0])
 
     def mse(self, est) -> tuple[float, float]:
         err = self.errors(est)
@@ -403,6 +405,7 @@ def experiment_a(config: ExperimentConfig) -> MseReport:
                 MseRow(label, "experiment-a", "P", float(p)),
                 lambda: fit_by_label(label, m, config), draws,
             ))
+        del m  # frees this size's moments before the next pass
 
     m = population_moments(grid, model.prior, model.sigma2)
     report.add(_fit_and_score(
@@ -434,6 +437,7 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
         label: _attempt(lambda: fit_by_label(label, m, config))
         for label in config.estimators
     }
+    del m  # the fits keep what they use; the N x N covariances go here
 
     vertex_mode = config.perturb_mode.endswith("vertices")
     report = MseReport()

@@ -325,20 +325,28 @@ def perturb_grid(
     susceptance from the empirical susceptance range (the graph-weight rule)
     and are purely reactive (conductance 0), so a new bus's expected
     injection stays 0 and matches the zero-centering the topology-updated
-    estimators use. Returns the new grid and the old->new vertex map
-    (identity except for vertex modes).
+    estimators use. A conductance-only branch, no edge of that graph, is
+    kept while both its buses survive. Returns the new grid and the old->new
+    vertex map (identity except for vertex modes).
     """
     new_graph, vmap = perturb(grid.graph(), count, mode, seed)
 
     # old index of each new bus; a bus added by the perturbation has none
     # (-1), so it gets unit voltage and its branches get no conductance
-    n_new = new_graph.n_vertices
-    old = np.full(n_new, -1)
+    n, n_new = grid.n_buses, new_graph.n_vertices
+    old, new = np.full(n_new, -1), np.full(n, -1)
     old[list(vmap.values())] = list(vmap.keys())
+    new[list(vmap.keys())] = list(vmap.values())
     i, j, b = new_graph._columns()
+    # merge in each surviving conductance-only branch whose pair gained no
+    # edge; vertex maps keep the surviving buses in order, so i < j holds
+    ci, cj = new[grid.i], new[grid.j]
+    lone = (grid.susceptance == 0) & (ci >= 0) & (cj >= 0) & ~np.isin(ci * n_new + cj, i * n_new + j)
+    i, j, b = (np.concatenate(p) for p in ((i, ci[lone]), (j, cj[lone]), (b, np.zeros(lone.sum()))))
+    order = np.argsort(i * n_new + j)
+    i, j, b = i[order], j[order], b[order]
     # each branch's old pair key, negative where a bus is new; the sentinel
     # n * n is above every key, so a lookup that finds no old branch gets 0
-    n = grid.n_buses
     want = np.minimum(old[i], old[j]) * n + np.maximum(old[i], old[j])
     keys = np.append(grid.i * n + grid.j, n * n)
     at = np.searchsorted(keys, want)

@@ -138,7 +138,8 @@ def test_diag_lmmse_equals_lmmse_on_diagonal_covariances():
     m = SampleMoments.from_covariances(sg, np.zeros(n), np.zeros(n), cross, ycov)
     a = sample_lmmse(m)
     b = sample_diag_lmmse(m)
-    assert np.max(np.abs(a.gain - b.gain)) < 1e-12
+    assert b.gain.shape == (n,)
+    assert np.max(np.abs(a.gain - np.diag(b.gain))) < 1e-12
 
 
 def test_gsp_equals_lmmse_on_diagonal_frequency_moments():
@@ -700,10 +701,87 @@ def test_diag_lmmse_rejects_nan_variance():
 def test_diag_lmmse_gain_is_diagonal():
     m, sg, _ = sampled_moments(36)
     est = sample_diag_lmmse(m)
-    off = est.gain - np.diag(np.diag(est.gain))
-    assert np.max(np.abs(off)) == 0.0
+    # one gain per vertex: the gain is a vector, with no off-diagonal entries
+    assert est.gain.shape == (sg.n_vertices,)
     want = np.diag(m.cross_cov) / np.diag(m.y_cov)
-    assert np.allclose(np.diag(est.gain), want, atol=1e-15)
+    assert np.allclose(est.gain, want, atol=1e-15)
+
+
+def _dense_diagonal(est):
+    """``est`` with its per-vertex gain as the N x N diagonal matrix."""
+    return LinearEstimator(est.label, est.x_mean, np.diag(est.gain), est.y_center)
+
+
+def test_diag_lmmse_vector_gain_estimates_like_dense_diagonal():
+    m, sg, _ = sampled_moments(37, n=11)
+    est = sample_diag_lmmse(m)
+    dense = _dense_diagonal(est)
+    rng = generator(37, "diag-y")
+    for y in (rng.standard_normal(11), rng.standard_normal((7, 11)) * 1e3):
+        assert np.array_equal(est.estimate(y), dense.estimate(y))
+
+
+def test_linear_estimator_gain_shapes():
+    x, y = np.zeros(4), np.zeros(4)
+    for gain in (np.ones(4), np.ones((4, 4))):
+        assert LinearEstimator("g", x, gain, y).gain.shape == gain.shape
+    for gain, y_center in ((np.ones(3), y), (np.ones(4), np.zeros(5)), (np.ones((4, 3)), y)):
+        with pytest.raises(ValueError):
+            LinearEstimator("g", x, gain, y_center)
+
+
+def _carry_reference(values, vertex_map, n_new):
+    """The carry as two fancy indexes over the sorted old vertices."""
+    olds = sorted(vertex_map)
+    news = [vertex_map[o] for o in olds]
+    out = np.zeros((n_new,) * values.ndim)
+    out[np.ix_(*[news] * values.ndim)] = values[np.ix_(*[olds] * values.ndim)]
+    return out
+
+
+@pytest.mark.parametrize("vertex_map, n_new", [
+    ({0: 0, 2: 1, 3: 2, 5: 3, 6: 4}, 5),  # vertices 1 and 4 removed
+    ({i: i for i in range(7)}, 9),  # two vertices added
+    ({i: i for i in range(7)}, 7),
+])
+def test_carry_matches_two_index_reference(vertex_map, n_new):
+    rng = generator(38, "carry")
+    for values in (rng.standard_normal(7), rng.standard_normal((7, 7))):
+        got = estimators._carry(values, vertex_map, n_new)
+        assert np.array_equal(got, _carry_reference(values, vertex_map, n_new))
+
+
+@pytest.mark.parametrize(
+    "mode", ["add-edges", "remove-edges", "add-vertices", "remove-vertices"]
+)
+def test_remapped_vector_gain_is_diagonal_of_dense_remap(mode):
+    from gspest.graphs import perturb
+
+    m, sg, _ = sampled_moments(39, n=10)
+    est = sample_diag_lmmse(m)
+    graph, vmap = perturb(sg.graph, 2, mode, 39)
+    out = remap_estimator(est, vmap, graph.n_vertices)
+    want = remap_estimator(_dense_diagonal(est), vmap, graph.n_vertices)
+    assert out.gain.shape == (graph.n_vertices,)
+    assert np.array_equal(np.diag(out.gain), want.gain)
+    assert np.array_equal(out.x_mean, want.x_mean)
+    assert np.array_equal(out.y_center, want.y_center)
+
+
+def test_dense_diagonal_gain_json_loads_and_scores_identically():
+    # sample-dlmmse files written by earlier versions hold the N x N diagonal
+    m, sg, model = sampled_moments(40, n=9)
+    est = sample_diag_lmmse(m)
+    doc = json.loads(estimator_to_json(est))
+    assert doc["gain"] == est.gain.tolist()
+    doc["gain"] = np.diag(est.gain).tolist()
+    old = estimator_from_json(json.dumps(doc), sg)
+    assert old.gain.shape == (9, 9)
+    from gspest.harness import evaluate_mse
+
+    y = generator(40, "diag-json").standard_normal((5, 9))
+    assert np.array_equal(old.estimate(y), est.estimate(y))
+    assert evaluate_mse(old, model, 50, 3) == evaluate_mse(est, model, 50, 3)
 
 
 def test_exact_linear_gaussian_moments_match_training_free_gain():

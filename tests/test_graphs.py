@@ -3,6 +3,7 @@ import pytest
 
 from gspest.errors import InvalidGraphError, PerturbationInfeasibleError
 from gspest.graphs import (
+    SpectralGraph,
     WeightedGraph,
     _canonicalize_eigenvectors,
     build_laplacian,
@@ -101,6 +102,17 @@ def test_spectral_invariants_random_graphs():
         assert np.all(np.diff(sg.eigenvalues) >= -1e-12)
         recon = (v * sg.eigenvalues) @ v.T
         assert np.linalg.norm(recon - lap) < 1e-10 * max(np.linalg.norm(lap), 1.0)
+
+
+def test_spectral_graph_stores_no_laplacian():
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(SpectralGraph)] == [
+        "graph", "eigenvalues", "eigenvectors",
+    ]
+    g = random_connected_graph(generator(13, "graphs"), 9)
+    w = g.adjacency()
+    assert np.array_equal(build_laplacian(g).laplacian, np.diag(w.sum(axis=1)) - w)
 
 
 def test_rebuild_bit_identical():

@@ -410,6 +410,29 @@ def test_experiment_b_reads_grid_once(tmp_path, monkeypatch):
     assert calls == [config.grid]
 
 
+def test_experiment_b_frees_training_moments_before_perturbing(tmp_path, monkeypatch):
+    import weakref
+
+    from gspest import harness
+
+    refs, alive = [], []
+    stream, perturb = harness.stream_moments, harness.perturb_grid
+
+    def traced_stream(*args):
+        m = stream(*args)
+        refs.append(weakref.ref(m))
+        return m
+
+    def traced_perturb(*args):
+        alive.append(refs[0]() is not None)
+        return perturb(*args)
+
+    monkeypatch.setattr(harness, "stream_moments", traced_stream)
+    monkeypatch.setattr(harness, "perturb_grid", traced_perturb)
+    experiment_b(small_config(tmp_path, perturb_counts=(1,), perturb_repetitions=2))
+    assert len(refs) == 1 and alive == [False, False]
+
+
 def test_experiment_b_zero_perturbation_matches_experiment_a(tmp_path):
     # training size in p_values, shared test stream at (count=0, rep=0):
     # the no-op perturbation must reproduce experiment a's rows exactly

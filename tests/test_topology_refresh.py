@@ -100,7 +100,8 @@ def loop_add_edges(graph, count, seed):
 
 def loop_perturb_grid(grid, count, mode, seed):
     """Branch rows rebuilt edge by edge, conductances looked up in a dict
-    keyed on old branch tuples."""
+    keyed on old branch tuples, then each conductance-only branch whose buses
+    survive and whose pair gained no edge added back."""
     kind, what = mode.split("-")
     graph = loop_graph(grid)
     if what == "edges":
@@ -117,7 +118,11 @@ def loop_perturb_grid(grid, count, mode, seed):
         if oi is not None and oj is not None and (min(oi, oj), max(oi, oj)) in cond:
             g = cond[(min(oi, oj), max(oi, oj))]
         rows.append((i, j, g, w))
-    return tuple(rows), vmap
+    pairs = {(i, j) for i, j, _, _ in rows}
+    for i, j, g, b in loop_branch_values(grid):
+        if b == 0.0 and i in vmap and j in vmap and (vmap[i], vmap[j]) not in pairs:
+            rows.append((vmap[i], vmap[j], g, b))
+    return tuple(sorted(rows)), vmap
 
 
 def conductance_only_grid():
@@ -174,6 +179,32 @@ def test_perturb_grid_matches_loop_rebuild(mode):
             rows, loop_vmap = loop_perturb_grid(grid, 4, mode, seed)
             assert vmap == loop_vmap
             assert new_grid.branch_values() == rows
+
+
+@pytest.mark.parametrize("mode", graphs.PERTURB_MODES)
+def test_perturb_grid_keeps_conductance_only_branches(mode):
+    # such a branch is no edge of the perturbed susceptance graph
+    grid = conductance_only_grid()
+    lone = [(i, j, g) for i, j, g, b in grid.branch_values() if b == 0.0]
+    carried = 0
+    for seed in range(3):
+        new_grid, vmap = perturb_grid(grid, 1, mode, seed)
+        rows = {(i, j): (g, b) for i, j, g, b in new_grid.branch_values()}
+        kept = [(vmap[i], vmap[j], g) for i, j, g in lone if i in vmap and j in vmap]
+        for i, j, g in kept:
+            assert rows[(i, j)] == (g, 0.0)
+        assert len(rows) == new_grid.graph().n_edges + len(kept)
+        carried += len(kept)
+    assert carried
+
+
+def test_perturb_grid_merges_an_edge_added_on_a_conductance_only_pair():
+    # (0, 2) is the one absent pair of the susceptance path 0-1-2
+    grid = table_grid(3, {(0, 1): (0.1, 2.0), (1, 2): (0.2, 3.0), (0, 2): (0.7, 0.0)})
+    new_grid, _ = perturb_grid(grid, 1, "add-edges", 0)
+    assert len(new_grid.branch_values()) == 3
+    (_, _, g, b), = [row for row in new_grid.branch_values() if row[:2] == (0, 2)]
+    assert g == 0.7 and 2.0 <= b <= 3.0
 
 
 # ------------------------------------------------------------ add-edges draw
