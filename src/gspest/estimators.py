@@ -26,13 +26,15 @@ projection: a closed-form regularized solve given the denominator) and
 search the denominator coefficients with Nelder-Mead; the polynomial case
 (no denominator) is the profile at the empty tail, without a search.
 Denominators that vanish on the spectrum are rejected inside the search by
-giving them an infinite objective.
+giving them an infinite objective. The search is this module's
+:func:`minimize`, which takes the steps of scipy's Nelder-Mead bit for bit,
+so no fit loads ``scipy.optimize``.
 
 The rational search settings are fixed: both coefficient vectors are
 penalized by ``mu`` times their squared norm (identity regularizers), the
 denominator tail starts at zero (the polynomial filter) with an initial
 simplex of side 0.1, and Nelder-Mead stops after 2000 iterations or 8000
-objective evaluations, or once the simplex spans less than 1e-10 in
+objective evaluations, or once the simplex spans at most 1e-10 in
 objective value and 1e-8 in coefficients.
 """
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,17 +68,96 @@ _F_TOL = 1e-10
 _SIMPLEX_STEP = 0.1
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first rational fit.
+class SearchResult(NamedTuple):
+    """End of a :func:`minimize` search: the best vertex ``x``, its value
+    ``fun``, the iteration and evaluation counts, and whether it stopped on
+    the tolerances rather than on a budget."""
 
-    The first call rebinds this module's ``minimize`` to scipy's own, so
-    importing gspest does not load ``scipy.optimize`` and later fits call
-    scipy directly.
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
+def minimize(
+    fun, simplex, *, maxiter: int, maxfev: int, xatol: float, fatol: float
+) -> SearchResult:
+    """Nelder-Mead (Nelder and Mead, Comput. J. 1965) from the given
+    ``(n + 1, n)`` initial simplex, with reflection 1, expansion 2 and
+    contraction and shrink 1/2.
+
+    It takes the steps of ``scipy.optimize.minimize(method="Nelder-Mead")``
+    with the same ``initial_simplex`` and options, in the same floating-point
+    order, so both end on the same bits: ``fun`` gets a copy of each vertex,
+    an evaluation past ``maxfev`` ends the iteration it falls in, and the
+    search stops once the simplex spans at most ``xatol`` in every coordinate
+    and ``fatol`` in value. Returns a :class:`SearchResult`.
     """
-    global minimize
-    from scipy.optimize import minimize
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
 
-    return minimize(*args, **kwargs)
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(np.copy(x))
+
+    def by_value(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # sorted twice, as scipy does: argsort need not keep tied entries in place
+    sim, fsim = by_value(*by_value(sim, fsim))
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                # contract outside the reflection, or inside toward the worst
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            nit += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    success = nfev < maxfev and nit < maxiter
+    return SearchResult(sim[0], np.min(fsim), nit, nfev, success)
 
 
 @dataclass(frozen=True)
@@ -282,9 +364,8 @@ def _fit_rational(eigenvalues, dvec, dvar, num_order: int, den_order: int, mu: f
     if den_order > 0:
         simplex = np.vstack([a_tail, a_tail + _SIMPLEX_STEP * np.eye(den_order)])
         result = minimize(
-            lambda tail: profile(tail)[0], a_tail, method="Nelder-Mead",
-            options={"maxiter": _MAX_ITER, "maxfev": 4 * _MAX_ITER, "fatol": _F_TOL,
-                     "xatol": 1e-8, "initial_simplex": simplex},
+            lambda tail: profile(tail)[0], simplex,
+            maxiter=_MAX_ITER, maxfev=4 * _MAX_ITER, xatol=1e-8, fatol=_F_TOL,
         )
         a_tail, converged = result.x, bool(result.success)
     _, coeffs = profile(a_tail)

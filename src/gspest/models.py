@@ -55,8 +55,8 @@ class SmoothPrior:
 
     def __post_init__(self):
         if self.frequency_variances is None:
-            if self.beta is None or self.beta <= 0:
-                raise ValueError("beta must be positive")
+            if self.beta is None or not 0 < self.beta < np.inf:
+                raise ValueError("beta must be positive and finite")
             lam = self.sg.eigenvalues
             var = np.zeros_like(lam)
             pos = lam > self.sg.zero_tolerance()
@@ -291,6 +291,15 @@ def ac_measurement_model(
     return MeasurementModel(prior, sigma2, lambda x: ac_power(grid, x), label="ac-power")
 
 
+def _same_laplacian(a: WeightedGraph, b: WeightedGraph) -> bool:
+    """Whether two graphs have equal Laplacians: the same vertex count and
+    the same positive-weight edges (a zero-weight edge adds nothing)."""
+    def positive(g):
+        return [e for e in g.edges if e[2] > 0]
+
+    return a.n_vertices == b.n_vertices and positive(a) == positive(b)
+
+
 def linear_filter_model(
     sg: SpectralGraph,
     spec,
@@ -304,7 +313,7 @@ def linear_filter_model(
 
     if prior is None:
         prior = SmoothPrior(sg, beta)
-    elif not np.array_equal(prior.sg.laplacian, sg.laplacian):
+    elif prior.sg is not sg and not _same_laplacian(prior.sg.graph, sg.graph):
         raise ValueError("prior is on another graph than the filter")
     operator = filter_matrix(spec, sg)
     return MeasurementModel(

@@ -18,18 +18,23 @@ from tests.test_harness import small_config, write_grid_csv
 from tests.test_models import random_grid
 
 
-@pytest.fixture()
-def config_path(tmp_path):
-    config = small_config(tmp_path)
+def write_small_config(directory):
+    """Write :func:`small_config` (its grid CSV in ``directory``) as
+    ``directory/config.json`` and return that path as a string."""
     import dataclasses
 
     doc = {
         k: list(v) if isinstance(v, tuple) else v
-        for k, v in dataclasses.asdict(config).items()
+        for k, v in dataclasses.asdict(small_config(directory)).items()
     }
-    path = tmp_path / "config.json"
+    path = directory / "config.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+@pytest.fixture()
+def config_path(tmp_path):
+    return write_small_config(tmp_path)
 
 
 def _config_sg(config_path):
@@ -46,38 +51,48 @@ def test_entry_point_runs():
     assert "graph" in proc.stdout and "experiment" in proc.stdout
 
 
-# run in a fresh process: the modules `import gspest.cli` loads, then the
-# rational fits' `minimize` before and after the first fit
+# run in a fresh process: which of scipy's heavier modules are loaded after
+# `import gspest.cli`, then after an arma fit, an lr-arma fit and `experiment a`
 LAZY_IMPORT_PROBE = """
 import json, sys
 import gspest.cli
-from gspest import estimators
-loaded = [m for m in ("scipy.optimize", "scipy.sparse.csgraph") if m in sys.modules]
-from tests.test_estimators import sampled_moments
-import scipy.optimize
-before = estimators.minimize is scipy.optimize.minimize
-estimators.arma_coefficients(sampled_moments(3)[0], 1, 1)
-after = estimators.minimize is scipy.optimize.minimize
-print(json.dumps({"loaded": loaded, "before": before, "after": after}))
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.linalg", "scipy.special",
+                        "scipy.sparse.csgraph", "scipy.sparse.linalg") if m in sys.modules]
+
+config, out = sys.argv[1:]
+steps = {"import": [0, loaded()]}
+for name, args in (("arma", ["fit", "--filter", "arma"]),
+                   ("lrarma", ["fit", "--filter", "lrarma"]),
+                   ("experiment a", ["experiment", "a"])):
+    code = gspest.cli.main(args + ["--config", config, "--out", f"{out}/{name}.out"])
+    steps[name] = [code, loaded()]
+print(json.dumps(steps))
 """
 
 
 @pytest.fixture(scope="module")
-def lazy_import_probe():
+def lazy_import_probe(tmp_path_factory):
+    work = tmp_path_factory.mktemp("probe")
+    config = write_small_config(work)
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(root / "src"), str(root))))
-    run = subprocess.run([sys.executable, "-c", LAZY_IMPORT_PROBE], cwd=root, env=env,
-                         capture_output=True, text=True, timeout=300, check=True)
-    return json.loads(run.stdout)
+    run = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORT_PROBE, config, str(work)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(run.stdout.splitlines()[-1])
 
 
 def test_import_loads_neither_scipy_optimize_nor_csgraph(lazy_import_probe):
-    assert lazy_import_probe["loaded"] == []
+    assert lazy_import_probe["import"] == [0, []]
 
 
-def test_first_rational_fit_binds_scipy_minimize(lazy_import_probe):
-    assert not lazy_import_probe["before"]
-    assert lazy_import_probe["after"]
+def test_rational_fits_never_load_scipy_optimize(lazy_import_probe):
+    assert lazy_import_probe == {
+        "import": [0, []], "arma": [0, []], "lrarma": [0, []], "experiment a": [0, []],
+    }
 
 
 def test_missing_subcommand_is_usage_error():

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy import optimize
 
 from gspest import estimators
 from gspest.errors import SingularMomentsError, UnstableFilterError
@@ -226,8 +226,8 @@ def test_lpi_closed_form_matches_iterative_solve():
         r = basis @ h
         return 2.0 * basis.T @ (dvar * r - dvec) + 2.0 * mu * reg @ h
 
-    res = minimize(objective, np.zeros(order + 1), jac=grad, method="BFGS",
-                   options={"gtol": 1e-14, "maxiter": 2000})
+    res = optimize.minimize(objective, np.zeros(order + 1), jac=grad, method="BFGS",
+                            options={"gtol": 1e-14, "maxiter": 2000})
     assert np.max(np.abs(res.x - taps)) < 1e-7
 
 
@@ -281,6 +281,59 @@ def test_rational_numerator_is_stacked_least_squares_for_its_denominator(cutoff,
     target = np.concatenate([m.freq_cross_diag[band] / sqrt_w, np.zeros(3)])
     want, *_ = np.linalg.lstsq(rows, target, rcond=None)
     assert np.max(np.abs(numer - want)) < 1e-8
+
+
+# Seeded objectives for the search oracle: smooth, curved, with an infinite
+# or a NaN region next to the start, with plateaus (ties), and constant.
+def _search_objectives(rng, n):
+    a, c = rng.standard_normal((n, n)), rng.standard_normal(n)
+    q = a @ a.T + 0.1 * np.eye(n)
+
+    def quadratic(x):
+        return float((x - c) @ q @ (x - c))
+
+    def rosenbrock(x):
+        return float(np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2) + (1 - x[0]) ** 2)
+
+    return {
+        "quadratic": quadratic,
+        "rosenbrock": rosenbrock,
+        "inf-region": lambda x: np.inf if x[0] > 0.05 else quadratic(x),
+        "nan-region": lambda x: np.nan if x.sum() > 0.3 else rosenbrock(x),
+        "ties": lambda x: float(np.round(np.abs(x - c).sum(), 1)),
+        "constant": lambda x: 1.0,
+    }
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, in both
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_search_takes_the_steps_of_scipys_nelder_mead(n):
+    def bits(v):
+        return np.asarray(v, dtype=float).tobytes()
+
+    exits = set()
+    for seed in range(4):
+        rng = generator(seed, "search")
+        for name, fun in _search_objectives(rng, n).items():
+            # the fits' budget, an iteration cap and an evaluation cap
+            for maxiter, maxfev in ((2000, 8000), (7, 8000), (2000, 11)):
+                simplex = 0.5 * rng.standard_normal(n) + np.vstack(
+                    [np.zeros(n), 0.1 * np.eye(n)])
+                want = optimize.minimize(
+                    fun, simplex[0], method="Nelder-Mead",
+                    options={"maxiter": maxiter, "maxfev": maxfev, "xatol": 1e-8,
+                             "fatol": 1e-10, "initial_simplex": simplex},
+                )
+                got = estimators.minimize(fun, simplex, maxiter=maxiter, maxfev=maxfev,
+                                          xatol=1e-8, fatol=1e-10)
+                case = (seed, name, maxiter, maxfev)
+                assert bits(got.x) == bits(want.x), case
+                assert bits(got.fun) == bits(want.fun), case
+                assert (got.nit, got.nfev, got.success) == (
+                    want.nit, want.nfev, want.success), case
+                exits.add("converged" if got.success else
+                          "maxfev" if got.nfev == maxfev else "maxiter")
+    assert exits == {"converged", "maxiter", "maxfev"}
 
 
 def test_arma_search_ending_on_a_vanishing_denominator_is_unstable(monkeypatch):

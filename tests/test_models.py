@@ -10,7 +10,7 @@ import pytest
 from gspest.errors import DisconnectedGraphError, InvalidGraphError
 from gspest.estimators import gsp_lmmse, sample_lmmse
 from gspest.filters import FilterSpec, filter_matrix
-from gspest.graphs import build_laplacian
+from gspest.graphs import SpectralGraph, WeightedGraph, build_laplacian
 from gspest.models import (
     AcGridModel,
     MeasurementModel,
@@ -99,6 +99,18 @@ def test_prior_dirichlet_energy():
     energy = np.einsum("ij,jk,ik->i", x, sg.laplacian, x)
     want = beta * (sg.n_vertices - 1)
     assert abs(energy.mean() - want) < 0.05 * want
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, np.nan, np.inf])
+def test_prior_beta_must_be_positive_and_finite(beta):
+    sg = build_laplacian(random_connected_graph(generator(45, "prior"), 6))
+    with pytest.raises(ValueError, match="beta must be positive"):
+        SmoothPrior(sg, beta)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        ac_measurement_model(bundled_ieee118(), beta)
+    # a huge finite beta is a valid prior, whose variances may overflow
+    with np.errstate(over="ignore"):
+        assert SmoothPrior(sg, 1e308).beta == 1e308
 
 
 def test_prior_sample_covariance_converges():
@@ -448,6 +460,30 @@ def test_linear_filter_model_rejects_a_prior_on_another_graph():
     # a prior on a rebuilt copy of the same graph is on the same graph
     copy = build_laplacian(sg.graph)
     assert linear_filter_model(sg, spec, prior=SmoothPrior(copy, 1.0)).sg is copy
+
+
+def test_linear_filter_model_compares_graphs_without_laplacians(monkeypatch):
+    rng = generator(58, "model")
+    graph = random_connected_graph(rng, 8)
+    sg = build_laplacian(graph)
+    spec = FilterSpec.linear([1.0, 0.2])
+
+    def no_laplacian(self):
+        raise AssertionError("a dense Laplacian was built")
+
+    monkeypatch.setattr(SpectralGraph, "laplacian", property(no_laplacian))
+    assert linear_filter_model(sg, spec, prior=SmoothPrior(sg, 1.0)).sg is sg
+    # zero-weight edges leave the Laplacian, so the graph, as it is
+    absent = next((i, j) for i in range(8) for j in range(i + 1, 8)
+                  if (i, j) not in {e[:2] for e in graph.edges})
+    padded = WeightedGraph(8, graph.edges + ((*absent, 0.0),))
+    prior = SmoothPrior(build_laplacian(padded), 1.0)
+    assert linear_filter_model(sg, spec, prior=prior).sg is prior.sg
+    # one changed weight is another graph
+    i, j, w = graph.edges[0]
+    moved = WeightedGraph(8, ((i, j, 2 * w),) + graph.edges[1:])
+    with pytest.raises(ValueError, match="another graph"):
+        linear_filter_model(sg, spec, prior=SmoothPrior(build_laplacian(moved), 1.0))
 
 
 # --------------------------------------------------------- grid perturbation
