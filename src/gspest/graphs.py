@@ -21,6 +21,10 @@ the seeded perturbations, which :func:`perturb` selects from a mode string in
 positive-weight edges, then by ``lam[1] >= 4 w_min / (n (n - 1))`` (Mohar 1991,
 "Eigenvalues, diameter, and mean distance in graphs": ``4 / (n diam)`` when
 unweighted), and by ``eigvalsh`` only where that bound is <= the tolerance.
+
+:func:`build_laplacian` holds at most two N x N arrays at once, with the bits
+of the out-of-place formulas: ``L`` in the adjacency's buffer, then ``eigh``'s
+eigenvectors, canonicalized in place, beside ``L`` or one check's product.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ K_ATTACH = 2
 PERTURB_MODES = ("add-edges", "remove-edges", "add-vertices", "remove-vertices")
 # Relative tolerance for grouping equal eigenvalues before canonicalization.
 _DEGENERACY_RTOL = 1e-8
-# Eigenvector columns signed per block by the sign rule.
-_SIGN_BLOCK = 128
+# Eigenvector columns per block of the sign rule and the eigenpair residual.
+_COLUMN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -182,28 +186,27 @@ def _eigenspace_basis(block: np.ndarray) -> np.ndarray:
 
 def _canonicalize_eigenvectors(eigvals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Deterministic basis per eigenspace (:func:`_eigenspace_basis`), then
-    the sign rule."""
+    the sign rule, both in place in ``vecs``, which is returned."""
     n = vecs.shape[0]
     scale = max(float(eigvals[-1]) - float(eigvals[0]), 1.0)
-    out = vecs.copy()
     start = 0
     while start < n:
         stop = start + 1
         while stop < n and eigvals[stop] - eigvals[start] <= _DEGENERACY_RTOL * scale:
             stop += 1
         if stop - start > 1:
-            out[:, start:stop] = _eigenspace_basis(vecs[:, start:stop])
+            vecs[:, start:stop] = _eigenspace_basis(vecs[:, start:stop])
         start = stop
     # the sign rule, a block of columns at a time: the largest |entry| is
     # made positive; entries within rounding of the max count as tied and the
     # lowest index wins, so the rule is stable under eps-level input jitter
-    for lo in range(0, n, _SIGN_BLOCK):
-        cols = out[:, lo:lo + _SIGN_BLOCK]
+    for lo in range(0, n, _COLUMN_BLOCK):
+        cols = vecs[:, lo:lo + _COLUMN_BLOCK]
         mags = np.abs(cols)
         lead = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=0), axis=0)
         flip = cols[lead, np.arange(cols.shape[1])] < 0
         cols[:, flip] = -cols[:, flip]
-    return out
+    return vecs
 
 
 def _connected_spectrum(eigenvalues: np.ndarray) -> bool:
@@ -213,8 +216,11 @@ def _connected_spectrum(eigenvalues: np.ndarray) -> bool:
 
 
 def _laplacian(w: np.ndarray) -> np.ndarray:
-    """``diag(W 1) - W`` for a dense symmetric weight matrix ``W``."""
-    return np.diag(w.sum(axis=1)) - w
+    """``diag(W 1) - W``, in the buffer of ``W`` (dense, symmetric, zero diagonal)."""
+    degree = w.sum(axis=1)
+    np.subtract(0.0, w, out=w)
+    w.flat[::len(w) + 1] = degree
+    return w
 
 
 def build_laplacian(graph: WeightedGraph) -> SpectralGraph:
@@ -226,14 +232,20 @@ def build_laplacian(graph: WeightedGraph) -> SpectralGraph:
     """
     lap = _laplacian(graph.adjacency())
     eigvals, vecs = np.linalg.eigh(lap)
-    vecs = _canonicalize_eigenvectors(eigvals, vecs)
+    lap = csr_array(lap)
+    _canonicalize_eigenvectors(eigvals, vecs)
 
     n = graph.n_vertices
-    ortho = np.max(np.abs(vecs.T @ vecs - np.eye(n)))
+    gram = vecs.T @ vecs
+    gram.flat[::n + 1] -= 1.0
+    ortho = np.abs(gram, out=gram).max()
+    del gram
     if ortho > 1e-10:
         raise InvalidGraphError(f"eigenvector basis not orthonormal ({ortho:.2e})")
     scale = max(float(eigvals[-1]), 1.0)
-    resid = np.max(np.abs(csr_array(lap) @ vecs - vecs * eigvals))
+    cuts = range(_COLUMN_BLOCK, n, _COLUMN_BLOCK)
+    resid = np.max([np.abs(lap @ v - v * lam).max()
+                    for v, lam in zip(np.split(vecs, cuts, axis=1), np.split(eigvals, cuts))])
     if resid > 1e-8 * scale:
         raise InvalidGraphError(f"eigenpair residual too large ({resid:.2e})")
 

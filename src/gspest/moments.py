@@ -4,8 +4,9 @@ Training data are pairs of prior draws and their noiseless forward values;
 measurement noise never enters the samples. It is white with a known variance
 ``sigma2``, so it is added analytically, in place, to the diagonal of the
 measurement covariance; no noise matrix is built. Moments are accumulated in
-one chunked pass, centered on the first sample to limit cancellation; the
-result must match the naive two-pass formulas to high precision.
+one chunked pass, centered on the first sample to limit cancellation, and
+finished in their accumulators; the result must match the naive two-pass
+formulas to high precision.
 
 :func:`stream_moments` is the same pass fed one freshly drawn chunk of at
 most ``_CHUNK`` rows at a time: O(chunk * N) memory instead of
@@ -198,7 +199,8 @@ def stream_moments(model: MeasurementModel, count: int, seed: int) -> SampleMome
 
 def _freq_diag(v: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """``diag(V^T C V)``, the graph-frequency diagonal of ``C``, in O(N^3)."""
-    return np.sum(v * (cov @ v), axis=0)
+    prod = cov @ v
+    return np.sum(np.multiply(prod, v, out=prod), axis=0)
 
 
 def _accumulate(sg, x_mean, sigma2, chunks) -> SampleMoments:
@@ -224,15 +226,12 @@ def _accumulate(sg, x_mean, sigma2, chunks) -> SampleMoments:
 
     mean_dx = sum_dx / p
     mean_dg = sum_dg / p
-    y_cov = ss_gg / p - np.outer(mean_dg, mean_dg)
-    y_cov.flat[::n + 1] += sigma2
+    for ss, mean in ((ss_xg, mean_dx), (ss_gg, mean_dg)):
+        ss /= p
+        ss -= np.outer(mean, mean_dg)
+    ss_gg.flat[::n + 1] += sigma2
     return SampleMoments.from_covariances(
-        sg,
-        np.array(x_mean, dtype=float),
-        g_ref + mean_dg,
-        ss_xg / p - np.outer(mean_dx, mean_dg),
-        y_cov,
-        p,
+        sg, np.array(x_mean, dtype=float), g_ref + mean_dg, ss_xg, ss_gg, p
     )
 
 

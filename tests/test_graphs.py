@@ -205,7 +205,7 @@ def test_eigenspace_basis_matches_gram_schmidt(graph):
     w = graph.adjacency()
     lam, vecs = np.linalg.eigh(np.diag(w.sum(axis=1)) - w)
     assert np.sum(np.diff(lam) < 1e-8 * lam[-1]) > 0  # has a repeated eigenvalue
-    got = _canonicalize_eigenvectors(lam, vecs)
+    got = _canonicalize_eigenvectors(lam, vecs.copy())  # works in place
     want = _gram_schmidt_canonicalization(lam, vecs)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -220,20 +220,60 @@ _TIES = (
 )
 
 
+def exact_copies(copies):
+    """``copies`` exact copies of the bundled grid joined by those of
+    ``_TIES`` that stay inside them (the bundled grid itself for 1)."""
+    base = bundled_ieee118().graph()
+    n = base.n_vertices
+    edges = [(i + c * n, j + c * n, w) for c in range(copies) for i, j, w in base.edges]
+    ties = [(f - 1, t - 1, w) for f, t, w in _TIES if t <= copies * n]
+    return WeightedGraph(copies * n, tuple(edges + ties))
+
+
 def test_exact_copies_of_a_grid_decompose():
     # four identical copies of the bundled grid joined by a few ties have
     # clusters of eigenvalues within 1e-8 of each other; Gram-Schmidt left
     # that basis 1.7e-9 away from orthonormal, and the build was rejected
-    base = bundled_ieee118().graph()
-    n = base.n_vertices
-    edges = [(i + c * n, j + c * n, w) for c in range(4) for i, j, w in base.edges]
-    graph = WeightedGraph(4 * n, tuple(edges + [(f - 1, t - 1, w) for f, t, w in _TIES]))
+    graph = exact_copies(4)
     sg = build_laplacian(graph)
     lam, v = sg.eigenvalues, sg.eigenvectors
     assert np.sum(np.diff(lam) <= 1e-8 * lam[-1]) > 0
-    assert np.max(np.abs(v.T @ v - np.eye(4 * n))) <= 1e-10
+    assert np.max(np.abs(v.T @ v - np.eye(graph.n_vertices))) <= 1e-10
     assert sg.is_connected()
     assert np.array_equal(build_laplacian(graph).eigenvectors, v)
+
+
+@pytest.mark.parametrize("copies", [1, 4])
+def test_build_matches_the_out_of_place_reference(copies):
+    # the dense Laplacian, eigh and canonicalization of a copy, bit for bit
+    graph = exact_copies(copies)
+    w = graph.adjacency()
+    lap = np.diag(w.sum(axis=1)) - w
+    lam, vecs = np.linalg.eigh(lap)
+    want = _canonicalize_eigenvectors(lam, vecs.copy())
+    sg = build_laplacian(graph)
+    for got, ref in ((sg.laplacian, lap), (sg.eigenvalues, lam), (sg.eigenvectors, want)):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert sg.eigenvectors.flags.c_contiguous
+
+
+def test_build_laplacian_peak_memory():
+    # the adjacency becomes the Laplacian in place, eigh's eigenvectors are
+    # canonicalized in place and each check holds at most one N x N array:
+    # about 2.0 N^2 doubles at the peak (the Laplacian and eigh's output),
+    # where the out-of-place steps held 4.0
+    import tracemalloc
+
+    graph = random_connected_graph(generator(15, "memory"), 470)
+    n = graph.n_vertices
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_laplacian(graph)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * n * n * 8
 
 
 def test_zero_eigenvector_is_constant_vector():

@@ -31,7 +31,7 @@ from gspest.harness import (
     measure_runtime,
     squared_errors,
 )
-from gspest.models import ac_measurement_model, linear_filter_model
+from gspest.models import ac_measurement_model, bundled_ieee118, linear_filter_model
 from gspest.moments import SampleMoments, compute_moments, generate, stream_moments
 from gspest.rng import generator
 from tests.test_graphs import random_connected_graph
@@ -376,6 +376,61 @@ def test_parseval_scores_match_squared_errors(tmp_path):
     assert np.array_equal(draws.errors(other), squared_errors(other, draws.x, draws.y))
 
 
+def scoring_cases(sg, trials, seed):
+    """Draws on ``sg`` and one estimator per scoring path: a dense and a
+    diagonal linear one, and a spectral one on and off the draws' graph."""
+    from gspest.harness import _Draws
+
+    rng = generator(seed, "scoring", trials)
+    n = sg.n_vertices
+    draws = _Draws(sg, rng.standard_normal((trials, n)), rng.standard_normal((trials, n)))
+    mean, center = rng.standard_normal(n), rng.standard_normal(n)
+    spectral = SpectralEstimator("on-graph", sg, rng.uniform(0.1, 1.0, n), mean, center)
+    return draws, {
+        "dense": LinearEstimator("dense", mean, rng.standard_normal((n, n)) / n, center),
+        "diagonal": LinearEstimator("diagonal", mean, rng.uniform(0.1, 1.0, n), center),
+        "on-graph": spectral,
+        "off-graph": replace(spectral, sg=build_laplacian(sg.graph)),
+    }
+
+
+@pytest.mark.parametrize("trials", [2, 255, 256, 257, 1000])
+def test_row_blocked_scores_match_the_whole_set(trials):
+    # a block of 256 to 511 rows takes the whole set's BLAS path (a single
+    # row would take gemv), so every row keeps its bits
+    from gspest.harness import _squared_distances
+
+    sg = build_laplacian(bundled_ieee118().graph())
+    draws, cases = scoring_cases(sg, trials, seed=41)
+    for name, est in cases.items():
+        if name == "on-graph":
+            x_freq, y_freq = draws.spectra
+            want = _squared_distances(est.frequency_estimate(y_freq), x_freq)
+        else:
+            want = squared_errors(est, draws.x, draws.y)
+        assert draws.errors(est).tobytes() == want.tobytes(), name
+
+
+def test_scoring_memory_is_per_block():
+    # the whole-set estimate alone would take trials * N doubles; a block
+    # of at most 511 rows takes half that for 1000 trials
+    import tracemalloc
+
+    sg = build_laplacian(random_connected_graph(generator(42, "scoring"), 470))
+    trials, n = 1000, sg.n_vertices
+    draws, cases = scoring_cases(sg, trials, seed=42)
+    draws.spectra  # the shared transform, made once per graph, is not scoring
+    for name in ("diagonal", "on-graph"):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            draws.errors(cases[name])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * trials * n * 8, name
+
+
 def test_spectral_families_build_no_dense_gain(tmp_path, monkeypatch):
     from gspest import estimators
 
@@ -431,6 +486,26 @@ def test_experiment_b_frees_training_moments_before_perturbing(tmp_path, monkeyp
     monkeypatch.setattr(harness, "perturb_grid", traced_perturb)
     experiment_b(small_config(tmp_path, perturb_counts=(1,), perturb_repetitions=2))
     assert len(refs) == 1 and alive == [False, False]
+
+
+def test_experiment_b_holds_one_perturbed_eigenbasis(tmp_path, monkeypatch):
+    import weakref
+
+    from gspest import harness
+
+    bases, alive = [], []
+    model = harness.ac_measurement_model
+
+    def traced_model(*args):
+        # which earlier perturbed graphs' eigenbases are still alive
+        alive.append([k for k, ref in enumerate(bases[1:]) if ref() is not None])
+        m = model(*args)
+        bases.append(weakref.ref(m.sg))
+        return m
+
+    monkeypatch.setattr(harness, "ac_measurement_model", traced_model)
+    experiment_b(small_config(tmp_path, perturb_counts=(1, 2), perturb_repetitions=2))
+    assert len(bases) == 5 and alive == [[]] * 5
 
 
 def test_experiment_b_zero_perturbation_matches_experiment_a(tmp_path):

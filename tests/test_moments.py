@@ -317,6 +317,27 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def out_of_place_moments(ts, sigma2):
+    """The chunked pass of ``compute_moments`` finished out of place: each
+    covariance as ``ss / p - outer(...)``, then ``sigma2`` on the diagonal,
+    and each frequency diagonal as ``sum(V * (C V))``."""
+    from gspest.moments import _chunk_bounds
+
+    n, v = ts.sg.n_vertices, ts.sg.eigenvectors
+    sums, ss_xg, ss_gg = np.zeros((2, n)), np.zeros((n, n)), np.zeros((n, n))
+    for start, stop in _chunk_bounds(ts.count):
+        dx, dg = ts.x[start:stop] - ts.x[0], ts.g[start:stop] - ts.g[0]
+        sums += dx.sum(axis=0), dg.sum(axis=0)
+        ss_xg += dx.T @ dg
+        ss_gg += dg.T @ dg
+    mean_dx, mean_dg = sums / ts.count
+    cross = ss_xg / ts.count - np.outer(mean_dx, mean_dg)
+    y_cov = ss_gg / ts.count - np.outer(mean_dg, mean_dg)
+    y_cov.flat[::n + 1] += sigma2
+    freq = [np.sum(v * (c @ v), axis=0) for c in (cross, y_cov)]
+    return ts.g[0] + mean_dg, cross, y_cov, *freq
+
+
 @pytest.fixture(params=[24, 8192], ids=["chunked-blocks", "whole-blocks"])
 def small_blocks(request, monkeypatch):
     # draws and accumulation steps of at most 24 rows, or one of the whole set
@@ -338,6 +359,11 @@ def test_stream_moments_bitwise_equal_materialised(small_blocks, kind):
         assert got.count == want.count == count
         for name in MOMENT_ARRAYS:
             assert same_bits(getattr(got, name), getattr(want, name)), (count, name)
+        # the covariances finished in their accumulators keep the bits of
+        # the out-of-place formulas
+        ref = out_of_place_moments(generate(model, count, seed=count), model.sigma2)
+        for name, r in zip(MOMENT_ARRAYS[1:], ref):
+            assert same_bits(getattr(got, name), r), (count, name)
 
 
 @pytest.mark.parametrize("kind", ["ac-power", "linear-filter"])

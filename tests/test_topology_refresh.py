@@ -22,7 +22,7 @@ from gspest.graphs import (
 )
 from gspest.models import bundled_ieee118, perturb_grid
 from gspest.rng import generator
-from tests.test_graphs import _TIES, _canonical_sign, random_connected_graph
+from tests.test_graphs import _canonical_sign, exact_copies, random_connected_graph
 from tests.test_models import dense_admittance, random_grid, table_grid, tiled_grid
 
 
@@ -350,14 +350,6 @@ def test_components_agree_with_scipy_csgraph():
 # ------------------------------------------------------------ the sign rule
 
 
-def tiled_copies():
-    """Four exact copies of the bundled grid joined by a few ties."""
-    base = bundled_ieee118().graph()
-    n = base.n_vertices
-    edges = [(i + c * n, j + c * n, w) for c in range(4) for i, j, w in base.edges]
-    return WeightedGraph(4 * n, tuple(edges + [(f - 1, t - 1, w) for f, t, w in _TIES]))
-
-
 def test_sign_rule_matches_per_column_reference():
     rng = generator(31, "sign-rule")
     n = 300  # more than two column blocks
@@ -378,12 +370,13 @@ def test_sign_rule_matches_per_column_reference():
         want = np.column_stack([_canonical_sign(v[:, k]) for k in range(n)])
         assert np.array_equal(_canonicalize_eigenvectors(distinct, v), want)
     # jitter-free tilings: eigenspace clusters, then the sign rule
-    w = tiled_copies().adjacency()
+    w = exact_copies(4).adjacency()
     lam, vecs = np.linalg.eigh(np.diag(w.sum(axis=1)) - w)
     assert np.sum(np.diff(lam) <= 1e-8 * lam[-1]) > 0
-    got = _canonicalize_eigenvectors(lam, vecs)
+    # canonicalization works in place, so each call gets its own copy
+    got = _canonicalize_eigenvectors(lam, vecs.copy())
     assert np.array_equal(got, loop_canonicalize(lam, vecs))
-    assert np.array_equal(_canonicalize_eigenvectors(np.arange(4.0 * 118), vecs),
+    assert np.array_equal(_canonicalize_eigenvectors(np.arange(4.0 * 118), vecs.copy()),
                           np.column_stack([_canonical_sign(c) for c in vecs.T]))
 
 
