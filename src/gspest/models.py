@@ -91,7 +91,8 @@ def _draw_prior(prior: SmoothPrior, rng: np.random.Generator, count: int) -> np.
     """``count`` prior draws from ``rng``; successive calls on one generator
     use the same normals as one larger call."""
     z = rng.standard_normal((count, prior.sg.n_vertices))
-    return (z * np.sqrt(prior.frequency_variances)) @ prior.sg.eigenvectors.T
+    z *= np.sqrt(prior.frequency_variances)
+    return z @ prior.sg.eigenvectors.T
 
 
 @dataclass(frozen=True)
@@ -279,8 +280,9 @@ class MeasurementModel:
 
     def sample_noise(self, count: int, seed: int) -> np.ndarray:
         """``count`` rows of measurement noise."""
-        rng = generator(seed, "noise")
-        return rng.standard_normal((count, self.sg.n_vertices)) * np.sqrt(self.sigma2)
+        w = generator(seed, "noise").standard_normal((count, self.sg.n_vertices))
+        w *= np.sqrt(self.sigma2)
+        return w
 
 
 def ac_measurement_model(

@@ -115,13 +115,15 @@ def _chunk_bounds(count: int):
 def _training_chunks(model: MeasurementModel, count: int, seed: int):
     """``generate(model, count, seed)`` as ``(x, g)`` chunks cut at
     :func:`_chunk_bounds`, bit for bit: each chunk is drawn and pushed
-    through the forward map only when the previous one has been consumed."""
+    through the forward map only when the previous one has been consumed and
+    released."""
     if count < 2:
         raise ValueError("need at least two samples")
     rng = generator(seed, "prior")
     for start, stop in _chunk_bounds(count):
         x = _draw_prior(model.prior, rng, stop - start)
         yield x, np.asarray(model.forward(x), dtype=float)
+        del x
 
 
 def write_training_csv(model: MeasurementModel, count: int, seed: int, x_path, g_path) -> None:
@@ -205,7 +207,8 @@ def _freq_diag(v: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 def _accumulate(sg, x_mean, sigma2, chunks) -> SampleMoments:
     """One moment pass over ``(x, g)`` row chunks, centered on the first row.
-    The chunks are scratch: they are centered in place."""
+    The chunks are scratch: they are centered in place and released before
+    the next one is drawn."""
     n = sg.n_vertices
 
     p = 0
@@ -223,6 +226,7 @@ def _accumulate(sg, x_mean, sigma2, chunks) -> SampleMoments:
         sum_dg += dg.sum(axis=0)
         ss_xg += dx.T @ dg
         ss_gg += dg.T @ dg
+        del x, g, dx, dg
 
     mean_dx = sum_dx / p
     mean_dg = sum_dg / p

@@ -190,6 +190,27 @@ def test_stderr_scales_with_trials(tmp_path):
     assert 2.8 < ratio < 5.7  # sqrt(16) = 4 with sampling slack
 
 
+def test_draw_test_set_adds_the_forward_values_into_the_noise():
+    # y is formed in the noise draw's buffer, with the bits of forward(x) + w,
+    # and a forward map's own buffer is never written
+    from gspest.models import MeasurementModel
+    from gspest.rng import derive
+
+    ac = ac_measurement_model(random_grid(generator(8, "draws"), 11))
+    fixed = generator(9, "draws").standard_normal((50, 11))
+    fixed.flags.writeable = False
+    for model in (
+        ac,
+        MeasurementModel(ac.prior, 0.3, lambda x: x),
+        MeasurementModel(ac.prior, 0.3, lambda x: fixed),
+    ):
+        x, y = draw_test_set(model, 50, seed=4)
+        want_x = model.sample_x(50, derive(4, "test-x"))
+        w = model.sample_noise(50, derive(4, "test-w"))
+        assert x.tobytes() == want_x.tobytes()
+        assert y.tobytes() == (np.asarray(model.forward(want_x)) + w).tobytes()
+
+
 # -------------------------------------------------------------- experiment a
 
 
@@ -260,6 +281,85 @@ def test_experiment_a_non_finite_scores_are_typed_rows(tmp_path):
     with np.errstate(all="ignore"):
         report = experiment_a(small_config(tmp_path, beta=1e308, trials=32))
     assert_no_ok_row_is_non_finite(report.rows)
+
+
+def rows_drawn_first(config):
+    """Experiment A's rows as the protocol once made them: the test set
+    drawn first, then each training size fitted and scored in turn."""
+    from gspest import harness
+    from gspest.moments import population_moments
+    from gspest.rng import derive
+
+    grid = harness._config_grid(config)
+    model = ac_measurement_model(grid, config.beta, config.sigma2)
+    draws = harness._Draws.of(model, config.trials, derive(config.seed, "test", 0, 0))
+    rows = []
+    for p in config.p_values:
+        m = stream_moments(model, p, derive(config.seed, "train", p))
+        for label in config.estimators:
+            rows.append(harness._scored_row(
+                MseRow(label, "experiment-a", "P", float(p)),
+                harness._attempt(lambda: fit_by_label(label, m, config)), draws,
+            ))
+    m = population_moments(grid, model.prior, model.sigma2)
+    rows.append(harness._scored_row(
+        MseRow("sample-lmmse", "experiment-a", "P-infinity", math.inf),
+        harness._attempt(lambda: sample_lmmse(m)), draws,
+    ))
+    return rows
+
+
+def without_wall_ms(rows):
+    def text(r):
+        return [format(v, ".17g") for v in (r.value, r.mse, r.stderr)]
+
+    return [(r.estimator, r.scenario, r.param, *text(r), r.status) for r in rows]
+
+
+@pytest.mark.parametrize("overrides, status", [
+    pytest.param(dict(p_values=(118, 59, 118)), None, id="repeated-sizes"),
+    # noiseless moments at P < N leave the sample covariance rank-deficient
+    pytest.param(dict(sigma2=0.0, p_values=(24, 6, 24)), "singular", id="singular"),
+    # beta = 1e308 overflows the prior draws, so the scores are not finite
+    pytest.param(dict(beta=1e308, trials=32), "non-finite", id="non-finite"),
+])
+def test_experiment_a_fits_every_size_before_drawing(tmp_path, monkeypatch, overrides, status):
+    from gspest import harness
+
+    config = small_config(tmp_path, **overrides)
+    with np.errstate(all="ignore"):
+        want = rows_drawn_first(config)
+        calls = []
+        for name in ("stream_moments", "population_moments", "draw_test_set"):
+            def logged(*args, _name=name, _fn=getattr(harness, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(harness, name, logged)
+        got = experiment_a(config).rows
+    assert calls[-1] == "draw_test_set" and calls.count("draw_test_set") == 1
+    assert calls.count("stream_moments") == len(set(config.p_values))
+    assert without_wall_ms(got) == without_wall_ms(want)
+    if status is not None:
+        assert status in {r.status for r in got}
+    for r in got:
+        assert math.isfinite(r.wall_ms) == (r.status == "ok"), r
+
+
+def test_experiment_a_peak_memory_is_the_scoring_phase():
+    # fitted first, the training passes never sit beside the test set: x, y
+    # and their two spectra, 4 * trials * N doubles
+    import tracemalloc
+
+    config = ExperimentConfig()
+    n = bundled_ieee118().n_buses
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        experiment_a(config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 4 * config.trials * n * 8
 
 
 # -------------------------------------------------------------- experiment b

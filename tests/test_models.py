@@ -113,6 +113,27 @@ def test_prior_beta_must_be_positive_and_finite(beta):
         assert SmoothPrior(sg, 1e308).beta == 1e308
 
 
+def test_prior_draws_scale_in_place_bit_for_bit():
+    # the normals are scaled in their own buffer: same bits as out of place
+    from gspest.models import _draw_prior
+
+    for sg in (
+        build_laplacian(random_connected_graph(generator(46, "prior"), 7)),
+        build_laplacian(bundled_ieee118().graph()),
+    ):
+        prior, n = SmoothPrior(sg, 3.0), sg.n_vertices
+        for count, seed in ((1, 0), (2000, 5)):
+            z = generator(seed, "prior").standard_normal((count, n))
+            want = (z * np.sqrt(prior.frequency_variances)) @ sg.eigenvectors.T
+            assert sample_prior(prior, count, seed).tobytes() == want.tobytes()
+        # successive draws on one generator scale their own normals alone
+        rng, ref = generator(9, "prior"), generator(9, "prior")
+        for count in (3, 250):
+            z = ref.standard_normal((count, n))
+            want = (z * np.sqrt(prior.frequency_variances)) @ sg.eigenvectors.T
+            assert _draw_prior(prior, rng, count).tobytes() == want.tobytes()
+
+
 def test_prior_sample_covariance_converges():
     rng = generator(44, "prior")
     sg = build_laplacian(random_connected_graph(rng, 6))
@@ -156,13 +177,15 @@ def test_white_noise_moments():
 
 
 def test_noise_draws_match_the_dense_diagonal_formula():
-    # the scalar draw is bit for bit the draw from the covariance sigma2 I
-    for n, sigma2 in ((1, 0.05), (6, 0.25), (9, 0.0), (9, 1e-300), (5, 3e300)):
+    # the scalar draw, scaled in place, is bit for bit the out-of-place draw
+    # and the draw from the covariance sigma2 I
+    for n, sigma2 in ((1, 0.05), (6, 0.25), (9, 0.0), (9, 1e-300), (5, 3e300), (118, 0.05)):
         model = white_noise_model(n, sigma2)
-        for count, seed in ((1, 0), (300, 7)):
+        for count, seed in ((1, 0), (300, 7), (2000, 3)):
             z = generator(seed, "noise").standard_normal((count, n))
-            want = z * np.sqrt(np.diag(sigma2 * np.eye(n)))
-            assert np.array_equal(model.sample_noise(count, seed), want)
+            got = model.sample_noise(count, seed)
+            assert got.tobytes() == (z * np.sqrt(sigma2)).tobytes()
+            assert np.array_equal(got, z * np.sqrt(np.diag(sigma2 * np.eye(n))))
 
 
 def test_measurement_model_rejects_bad_noise_variance():

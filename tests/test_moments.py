@@ -420,6 +420,35 @@ def test_stream_moments_memory_is_per_block():
     assert peak < 8 * mod._CHUNK * sg.n_vertices * 8
 
 
+def test_accumulate_holds_one_chunk_at_a_time(monkeypatch):
+    # every earlier chunk, its draw and its forward values, is released
+    # before the next draw, by the pass and by the chunk generator
+    import weakref
+
+    import gspest.moments as mod
+
+    monkeypatch.setattr(mod, "_CHUNK", 24)
+    model = ac_measurement_model(random_grid(generator(23, "stream"), 9))
+    refs, alive = [], []
+    draw, forward = mod._draw_prior, model.forward
+
+    def traced_draw(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        x = draw(*args)
+        refs.append(weakref.ref(x))
+        return x
+
+    def traced_forward(x):
+        g = forward(x)
+        refs.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(mod, "_draw_prior", traced_draw)
+    m = stream_moments(replace(model, forward=traced_forward), 100, seed=3)
+    assert m.count == 100 and len(refs) == 10
+    assert alive == [0] * 5
+
+
 def test_experiment_a_streamed_matches_materialised(small_blocks, tmp_path, monkeypatch):
     # p_values 24 and 60 span one and three chunks of at most 24 rows
     from gspest import harness
