@@ -214,13 +214,19 @@ class SpectralEstimator:
                 raise ValueError(f"{name} has shape {value.shape}, not ({n},)")
             object.__setattr__(self, name, value)
 
+    @cached_property
+    def _frequency_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(y_center V, x_mean V)``, made on first use only."""
+        v = self.sg.eigenvectors
+        return self.y_center @ v, self.x_mean @ v
+
     def frequency_estimate(self, y_freq: np.ndarray) -> np.ndarray:
         """Graph Fourier coefficients ``xhat V`` of the estimate from those
         of the measurements, ``y V``, in a new array."""
-        v = self.sg.eigenvectors
-        out = y_freq - self.y_center @ v
+        y_center_freq, x_mean_freq = self._frequency_offsets
+        out = y_freq - y_center_freq
         np.multiply(out, self.response, out=out)
-        return np.add(out, self.x_mean @ v, out=out)
+        return np.add(out, x_mean_freq, out=out)
 
     def estimate(self, y: np.ndarray) -> np.ndarray:
         """Estimate from one measurement vector or rows of them."""

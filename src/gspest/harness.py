@@ -9,16 +9,22 @@ model's exact population moments, not from a training set. Experiment A fits
 first and scores last: its test set is drawn after every training pass, and
 the fits it holds meanwhile cost one N x N gain per training size.
 
-Spectral estimators are scored in the frequency domain of the test graph,
-on one transform of the draws per graph: Parseval's identity makes that the
-vertex-domain squared error, as ``build_laplacian`` checks that the
-eigenbasis is orthonormal to 1e-10.
-
-Draws are scored in near-equal blocks of 256 to 511 rows: an estimate's
-temporaries are one block, and no block is short enough to round unlike the
-whole set (gemv takes one row) or to lose BLAS throughput (at N = 944 and
+The test set is never whole. It is a stream of near-equal blocks of 256 to
+511 rows, or one block below 256 trials. Each block's prior and noise rows
+come from the seeded ``test-x`` and ``test-w`` streams, which run on from
+block to block, so the blocks hold the normals of one whole draw. A block is
+pushed through the forward map, scored by every estimator of the scenario
+and released before the next is drawn, so scoring memory is O(block * N)
+whatever the number of trials; :func:`draw_test_set` is the concatenation of
+the same blocks. No block is short enough to take a BLAS path unlike a long
+product's (gemv takes one row) or to lose BLAS throughput (at N = 944 and
 1,000 trials, a dense gain took 33 ms whole, 36 ms in 256-row and 45 ms in
 64-row blocks, on 2 OpenBLAS threads).
+
+Spectral estimators are scored in the frequency domain of the test graph,
+on one transform of each block: Parseval's identity makes that the
+vertex-domain squared error, as ``build_laplacian`` checks that the
+eigenbasis is orthonormal to 1e-10.
 """
 
 from __future__ import annotations
@@ -58,13 +64,14 @@ from .graphs import PERTURB_MODES, SpectralGraph, build_laplacian, gft
 from .models import (
     AcGridModel,
     MeasurementModel,
+    _draw_prior,
     ac_measurement_model,
     bundled_ieee118,
     load_grid,
     perturb_grid,
 )
 from .moments import SampleMoments, population_moments, stream_moments
-from .rng import derive
+from .rng import derive, generator
 
 
 def _stale(fit, new_sg, vmap, config):
@@ -284,19 +291,26 @@ def _config_grid(config: ExperimentConfig) -> AcGridModel:
     return bundled_ieee118() if config.grid == "ieee118" else load_grid(config.grid)
 
 
+def _ac_model(grid: AcGridModel, config: ExperimentConfig) -> MeasurementModel:
+    """The config's AC model on ``grid``; ConfigError, before any draw, when
+    its prior variance ``beta / lambda`` is not finite."""
+    try:
+        return ac_measurement_model(grid, config.beta, config.sigma2)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def build_model(config: ExperimentConfig) -> MeasurementModel:
     """Grid model named by the config ("ieee118" or a branch CSV path)."""
-    return ac_measurement_model(_config_grid(config), config.beta, config.sigma2)
+    return _ac_model(_config_grid(config), config)
 
 
-def draw_test_set(
-    model: MeasurementModel, trials: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded evaluation draws: states and noisy measurements."""
-    x = model.sample_x(trials, derive(seed, "test-x"))
-    y = model.sample_noise(trials, derive(seed, "test-w"))
-    y += model.forward(x)  # never into a forward map's own buffer
-    return x, y
+def _blocks(trials: int) -> list[slice]:
+    """Row slices of near-equal blocks of 256 to 511 rows, or one block
+    below 256 trials (see the module docstring)."""
+    pieces = max(1, trials // 256)
+    edges = [k * trials // pieces for k in range(pieces + 1)]
+    return list(map(slice, edges[:-1], edges[1:]))
 
 
 def _squared_distances(fresh: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -312,15 +326,11 @@ def squared_errors(est, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Draws:
-    """Test draws ``(x, y)`` of a model on ``sg``."""
+    """Test draws ``(x, y)`` of a model on ``sg``: one block of a test set."""
 
     sg: SpectralGraph
     x: np.ndarray
     y: np.ndarray
-
-    @classmethod
-    def of(cls, model: MeasurementModel, trials: int, seed: int) -> "_Draws":
-        return cls(model.sg, *draw_test_set(model, trials, seed))
 
     @cached_property
     def spectra(self) -> tuple[np.ndarray, np.ndarray]:
@@ -328,23 +338,59 @@ class _Draws:
         return gft(self.sg, self.x), gft(self.sg, self.y)
 
     def errors(self, est) -> np.ndarray:
-        """:func:`squared_errors`, a block of rows at a time; for a spectral
-        estimator on ``sg``, in the frequency domain."""
+        """:func:`squared_errors`, a block of :func:`_blocks` at a time; for
+        a spectral estimator on ``sg``, in the frequency domain."""
         on_graph = isinstance(est, SpectralEstimator) and est.sg is self.sg
         x, y = self.spectra if on_graph else (self.x, self.y)
-        pieces = max(1, len(x) // 256)  # blocks of 256 to 511 rows, as the module says
-        edges = [k * len(x) // pieces for k in range(pieces + 1)]
         err = np.empty(len(x))
-        for rows in map(slice, edges[:-1], edges[1:]):
+        for rows in _blocks(len(x)):
             if on_graph:
                 err[rows] = _squared_distances(est.frequency_estimate(y[rows]), x[rows])
             else:
                 err[rows] = squared_errors(est, x[rows], y[rows])
         return err
 
-    def mse(self, est) -> tuple[float, float]:
-        err = self.errors(est)
-        return float(err.mean()), float(err.std(ddof=1) / np.sqrt(len(err)))
+
+def _test_blocks(model: MeasurementModel, trials: int, seed: int):
+    """The seeded test set of ``model`` as :class:`_Draws` blocks cut at
+    :func:`_blocks`. Prior rows come from the ``test-x`` stream and
+    noise rows from the ``test-w`` stream; each stream runs on from block to
+    block, so the blocks hold the normals of one whole draw. A block is drawn
+    only when the previous one has been consumed and released."""
+    x_rng = generator(derive(seed, "test-x"), "prior")
+    w_rng = generator(derive(seed, "test-w"), "noise")
+    for rows in _blocks(trials):
+        x = _draw_prior(model.prior, x_rng, rows.stop - rows.start)
+        y = model._draw_noise(w_rng, len(x))
+        y += model.forward(x)  # never into a forward map's own buffer
+        yield _Draws(model.sg, x, y)
+        del x, y
+
+
+def draw_test_set(
+    model: MeasurementModel, trials: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded evaluation draws: states and noisy measurements, the
+    concatenated blocks that every protocol scores on."""
+    xs, ys = zip(*((b.x, b.y) for b in _test_blocks(model, trials, seed)))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def _errors(model: MeasurementModel, trials: int, seed: int, ests) -> list[np.ndarray]:
+    """Per-trial squared errors of each of ``ests`` on the seeded test set
+    of ``model``: every estimator scores a block before the next is drawn,
+    so the test set is never whole."""
+    errs = [[] for _ in ests]
+    for block in _test_blocks(model, trials, seed):
+        for err, est in zip(errs, ests):
+            err.append(block.errors(est))
+        del block
+    return [np.concatenate(err) for err in errs]
+
+
+def _mse(err: np.ndarray) -> tuple[float, float]:
+    """Mean of per-trial errors and its standard error."""
+    return float(err.mean()), float(err.std(ddof=1) / np.sqrt(len(err)))
 
 
 def _attempt(build) -> tuple:
@@ -365,17 +411,25 @@ def _finite_score(mse: float, stderr: float) -> bool:
     return bool(np.isfinite(mse) and np.isfinite(stderr))
 
 
-def _scored_row(row: MseRow, fit: tuple, draws) -> MseRow:
-    """``row`` scored on ``draws`` from an :func:`_attempt` ``(est, status,
-    wall_ms)``; a numerical failure gives ``row`` its status, and a score that
-    is not finite the status ``non-finite``, both keeping the ``nan``s."""
-    est, status, wall_ms = fit
-    if est is None:
-        return replace(row, status=status)
-    mse, stderr = draws.mse(est)
-    if not _finite_score(mse, stderr):
-        return replace(row, status="non-finite")
-    return replace(row, mse=mse, stderr=stderr, wall_ms=wall_ms)
+def _scored_rows(
+    keyed: list[tuple], model: MeasurementModel, trials: int, seed: int
+) -> list[MseRow]:
+    """Each ``(row, fit)``, ``fit`` an :func:`_attempt` ``(est, status,
+    wall_ms)``, scored in one pass over the seeded test set of ``model``. A
+    numerical failure gives ``row`` its status, and a score that is not
+    finite the status ``non-finite``, both keeping the ``nan``s."""
+    errs = iter(_errors(model, trials, seed, [fit[0] for _, fit in keyed if fit[0] is not None]))
+    rows = []
+    for row, (est, status, wall_ms) in keyed:
+        if est is None:
+            rows.append(replace(row, status=status))
+            continue
+        mse, stderr = _mse(next(errs))
+        if _finite_score(mse, stderr):
+            rows.append(replace(row, mse=mse, stderr=stderr, wall_ms=wall_ms))
+        else:
+            rows.append(replace(row, status="non-finite"))
+    return rows
 
 
 def evaluate_mse(
@@ -385,7 +439,7 @@ def evaluate_mse(
     seed: int,
 ) -> tuple[float, float]:
     """Empirical MSE and its standard error over seeded draws."""
-    return _Draws.of(model, trials, seed).mse(est)
+    return _mse(_errors(model, trials, seed, [est])[0])
 
 
 def _check_lpi_order(config: ExperimentConfig, labels, model: MeasurementModel) -> None:
@@ -416,14 +470,14 @@ def experiment_a(config: ExperimentConfig) -> MseReport:
     Fit first, score last. The P-infinity estimator and then every family at
     each distinct training size, largest first, are fitted and timed on their
     moments, which are freed before the next pass. Only then is the test set
-    drawn and every held estimator scored, in report order, so the test set
-    never sits beside a training pass. The held fits cost one N x N
-    sample-lmmse gain per training size and one for P-infinity (0.67 MB for
-    the default six at N = 118, against the 7.6 MB test set with its
-    spectra); the largest pass runs first, while the fewest are held.
+    drawn, a block at a time, and every held estimator scored on each block,
+    so no test block sits beside a training pass. The held fits cost one
+    N x N sample-lmmse gain per training size and one for P-infinity
+    (0.67 MB for the default six at N = 118); the largest pass runs first,
+    while the fewest are held.
     """
     grid = _config_grid(config)
-    model = ac_measurement_model(grid, config.beta, config.sigma2)
+    model = _ac_model(grid, config)
     _check_lpi_order(config, config.estimators, model)
     m = population_moments(grid, model.prior, model.sigma2)
     limit = _attempt(lambda: sample_lmmse(m))
@@ -432,15 +486,24 @@ def experiment_a(config: ExperimentConfig) -> MseReport:
         p: _fit_families(stream_moments(model, p, derive(config.seed, "train", p)), config)
         for p in sorted(set(config.p_values), reverse=True)
     }
-    draws = _Draws.of(model, config.trials, derive(config.seed, "test", 0, 0))
-    report = MseReport()
-    for p in config.p_values:
-        for label, fit in zip(config.estimators, fits[p]):
-            report.add(_scored_row(MseRow(label, "experiment-a", "P", float(p)), fit, draws))
-    report.add(_scored_row(
-        MseRow("sample-lmmse", "experiment-a", "P-infinity", np.inf), limit, draws
-    ))
-    return report
+    keyed = [
+        (MseRow(label, "experiment-a", "P", float(p)), fit)
+        for p in config.p_values
+        for label, fit in zip(config.estimators, fits[p])
+    ]
+    keyed.append((MseRow("sample-lmmse", "experiment-a", "P-infinity", np.inf), limit))
+    seed = derive(config.seed, "test", 0, 0)
+    return MseReport(_scored_rows(keyed, model, config.trials, seed))
+
+
+def _retuned(fit: tuple, label: str, new_sg: SpectralGraph, vmap, config: ExperimentConfig):
+    """An :func:`_attempt` of family ``label``'s retune of ``fit``, a base
+    :func:`_attempt`, onto ``new_sg``; a failed base fit keeps its status."""
+    est = fit[0]
+    if est is None:
+        return fit
+    retune = _BY_LABEL[label].retune
+    return _attempt(lambda: retune(est, new_sg, vmap, config))
 
 
 def experiment_b(config: ExperimentConfig) -> MseReport:
@@ -457,7 +520,7 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
     infeasible gives one ``infeasible`` row per estimator.
     """
     grid = _config_grid(config)
-    base_model = ac_measurement_model(grid, config.beta, config.sigma2)
+    base_model = _ac_model(grid, config)
     _check_lpi_order(config, config.estimators, base_model)
     p = config.training_size
     m = stream_moments(base_model, p, derive(config.seed, "train", p))
@@ -483,20 +546,14 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
                     report.add(replace(row, status="infeasible"))
                 continue
             vmap = vmap if vertex_mode else None
-            new_model = ac_measurement_model(new_grid, config.beta, config.sigma2)
-            draws = _Draws.of(
-                new_model, config.trials, derive(config.seed, "test", count, rep)
-            )
-            for row in rows:
-                fit, status, _ = fitted[row.estimator]
-                if fit is None:
-                    report.add(replace(row, status=status))
-                    continue
-                retune = _BY_LABEL[row.estimator].retune
-                report.add(_scored_row(
-                    row, _attempt(lambda: retune(fit, new_model.sg, vmap, config)), draws
-                ))
-            del new_model, draws  # one perturbed eigenbasis is alive at a time
+            new_model = _ac_model(new_grid, config)
+            keyed = [
+                (row, _retuned(fitted[row.estimator], row.estimator, new_model.sg, vmap, config))
+                for row in rows
+            ]
+            seed = derive(config.seed, "test", count, rep)
+            report.rows += _scored_rows(keyed, new_model, config.trials, seed)
+            del new_model, keyed  # one perturbed eigenbasis is alive at a time
     return report
 
 
@@ -508,23 +565,23 @@ def measure_runtime(config: ExperimentConfig) -> MseReport:
     _check_lpi_order(config, config.estimators, model)
     p = config.training_size
     m = stream_moments(model, p, derive(config.seed, "train", p))
-    draws = _Draws.of(model, config.trials, derive(config.seed, "test", 0, 0))
-    report = MseReport()
+    keyed = []
     for label in config.estimators:
         key = MseRow(label, "runtime", "median-fit", float(config.runtime_repeats))
         family = _BY_LABEL[label]
         stage = family.coefficients or family.fit
         times = []
         for _ in range(config.runtime_repeats):
-            _, status, wall_ms = _attempt(lambda: stage(m, config))
+            est, status, wall_ms = _attempt(lambda: stage(m, config))
             if status != "ok":
                 break
             times.append(wall_ms)
-        if status != "ok":
-            report.add(replace(key, status=status))
-            continue
-        fit = (fit_by_label(label, m, config), "ok", float(np.median(times)))
-        row = _scored_row(key, fit, draws)
+        if status == "ok":
+            est, wall_ms = fit_by_label(label, m, config), float(np.median(times))
+        keyed.append((key, (est, status, wall_ms)))
+    del m
+    report = MseReport()
+    for row in _scored_rows(keyed, model, config.trials, derive(config.seed, "test", 0, 0)):
         report.add(row)
         if row.status != "ok":
             continue

@@ -46,7 +46,9 @@ class SmoothPrior:
     ``beta / lam_n`` on each positive-eigenvalue frequency and pins the
     zero-frequency coefficient to exactly 0, favouring signals that vary
     slowly over the graph. ``from_variances`` builds the same kind of prior
-    with an arbitrary per-frequency variance profile.
+    with an arbitrary per-frequency variance profile. Either way, a variance
+    that is not finite is a ``ValueError``: ``beta / lam_n`` overflows for a
+    huge finite ``beta`` and a small ``lam_n``.
     """
 
     sg: SpectralGraph
@@ -60,13 +62,18 @@ class SmoothPrior:
             lam = self.sg.eigenvalues
             var = np.zeros_like(lam)
             pos = lam > self.sg.zero_tolerance()
-            var[pos] = float(self.beta) / lam[pos]
-            object.__setattr__(self, "frequency_variances", var)
+            with np.errstate(over="ignore"):
+                var[pos] = float(self.beta) / lam[pos]
+            if not np.all(var < np.inf):
+                raise ValueError(
+                    f"prior variance beta / lambda overflows at {np.sum(var == np.inf)} of "
+                    f"{len(var)} frequencies (beta = {self.beta!r})"
+                )
         else:
             var = np.asarray(self.frequency_variances, dtype=float)
             if var.shape != (self.sg.n_vertices,) or not np.all((0.0 <= var) & (var < np.inf)):
                 raise ValueError("need one finite non-negative variance per frequency")
-            object.__setattr__(self, "frequency_variances", var)
+        object.__setattr__(self, "frequency_variances", var)
 
     @classmethod
     def from_variances(cls, sg: SpectralGraph, variances) -> "SmoothPrior":
@@ -280,7 +287,12 @@ class MeasurementModel:
 
     def sample_noise(self, count: int, seed: int) -> np.ndarray:
         """``count`` rows of measurement noise."""
-        w = generator(seed, "noise").standard_normal((count, self.sg.n_vertices))
+        return self._draw_noise(generator(seed, "noise"), count)
+
+    def _draw_noise(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` noise rows from ``rng``; successive calls on one
+        generator use the same normals as one larger call."""
+        w = rng.standard_normal((count, self.sg.n_vertices))
         w *= np.sqrt(self.sigma2)
         return w
 

@@ -509,34 +509,64 @@ def test_non_finite_config_values_are_config_errors(tmp_path, config_path, capsy
 
 
 def test_eval_non_finite_score_is_numerical_failure(tmp_path, capsys):
-    # a gsp-lmmse fitted on the default config scores nan on a model whose
-    # moments overflow: exit 2 and no score line
+    # a gsp-lmmse fitted on the default config scores inf on a model whose
+    # prior variances are finite (beta / lambda_1 = 3.4e307) but whose
+    # squared errors overflow: exit 2 and no score line
     est_path = tmp_path / "est.json"
     assert main(["fit", "--filter", "gsp", "--out", str(est_path)]) == 0
     config = tmp_path / "huge.json"
-    config.write_text(json.dumps({"beta": 1e308, "trials": 50}))
+    config.write_text(json.dumps({"beta": 1e307, "trials": 50}))
     capsys.readouterr()
     with np.errstate(all="ignore"):
         code = main(["eval", "--estimator", str(est_path), "--config", str(config)])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert err.startswith("gspest: numerical failure: gsp-lmmse scores mse nan")
+    assert err.startswith("gspest: numerical failure: gsp-lmmse scores mse inf")
 
 
 @pytest.mark.parametrize("field", ["beta", "sigma2", "mu"])
-def test_huge_config_values_end_without_a_traceback(tmp_path, field):
+def test_huge_config_values_end_without_a_traceback(tmp_path, capsys, field):
     # overflowing moments are singular rows, not a crash: a non-finite matrix,
     # or one whose eigenvalues do not converge, has condition number inf
     config = tmp_path / "huge.json"
     config.write_text(json.dumps({field: 1e308, "trials": 50}))
     out = tmp_path / "a.csv"
+    argv = ["experiment", "a", "--out", str(out), "--config", str(config)]
+    if field == "beta":
+        # beta / lambda overflows on the bundled grid (lambda_1 = 0.30): a
+        # config error before any draw, so no arithmetic overflows
+        with np.errstate(all="raise"):
+            assert main(argv) == 1
+        assert "gspest: error: prior variance beta / lambda overflows" in capsys.readouterr().err
+        assert not out.exists()
+        return
     with np.errstate(all="ignore"):
-        assert main(["experiment", "a", "--out", str(out), "--config", str(config)]) == 0
+        assert main(argv) == 0
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 36
-    if field == "beta":  # every moment overflows
-        assert all(row.split(",")[4] == "nan" for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "a", "--out", "{tmp}/a.csv"],
+    ["experiment", "b", "--out", "{tmp}/b.csv"],
+    ["runtime", "--out", "{tmp}/r.csv"],
+    ["fit", "--filter", "gsp", "--out", "{tmp}/est.json"],
+    ["eval", "--estimator", "{tmp}/est.json"],
+    ["dataset", "generate", "--out", "{tmp}/train"],
+], ids=["experiment-a", "experiment-b", "runtime", "fit", "eval", "dataset-generate"])
+def test_non_finite_prior_stops_every_command_before_any_draw(tmp_path, capsys, argv):
+    # under raised floating-point errors, a draw on an inf variance would
+    # end in exit 2; the prior check ends every command first, with exit 1
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"beta": 1e308}))
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--config", str(config)]
+    with np.errstate(all="raise"):
+        assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "gspest: error: prior variance beta / lambda overflows at 1 of 118 frequencies"
+    )
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_bundled_grid_is_default(tmp_path):

@@ -190,6 +190,29 @@ def test_stderr_scales_with_trials(tmp_path):
     assert 2.8 < ratio < 5.7  # sqrt(16) = 4 with sampling slack
 
 
+@pytest.mark.parametrize("trials", [2, 255, 256, 511, 512, 1000])
+def test_draw_test_set_is_the_concatenated_blocks(trials):
+    # one definition of the test set: every protocol scores these blocks, of
+    # 256 to 511 rows or one below 256, whose streams run on from block to
+    # block, so the noise is one whole draw and the states differ from one
+    # only by the rounding of a shorter product with the eigenvectors
+    from gspest.harness import _test_blocks
+    from gspest.rng import derive
+
+    model = ac_measurement_model(random_grid(generator(10, "blocks"), 23))
+    blocks = list(_test_blocks(model, trials, 6))
+    sizes = [len(b.x) for b in blocks]
+    assert sum(sizes) == trials
+    assert all(256 <= k <= 511 for k in sizes) or sizes == [trials] and trials < 256
+    x, y = draw_test_set(model, trials, 6)
+    assert x.tobytes() == np.concatenate([b.x for b in blocks]).tobytes()
+    assert y.tobytes() == np.concatenate([b.y for b in blocks]).tobytes()
+    w = model.sample_noise(trials, derive(6, "test-w"))
+    whole_x = model.sample_x(trials, derive(6, "test-x"))
+    assert np.max(np.abs(x - whole_x)) <= 1e-14 * np.max(np.abs(whole_x))
+    assert y.tobytes() == (np.asarray(model.forward(x)) + w).tobytes()
+
+
 def test_draw_test_set_adds_the_forward_values_into_the_noise():
     # y is formed in the noise draw's buffer, with the bits of forward(x) + w,
     # and a forward map's own buffer is never written
@@ -284,7 +307,7 @@ def test_experiment_a_non_finite_scores_are_typed_rows(tmp_path):
 
 
 def rows_drawn_first(config):
-    """Experiment A's rows as the protocol once made them: the test set
+    """Experiment A's rows as the protocol once made them: the whole test set
     drawn first, then each training size fitted and scored in turn."""
     from gspest import harness
     from gspest.moments import population_moments
@@ -292,19 +315,31 @@ def rows_drawn_first(config):
 
     grid = harness._config_grid(config)
     model = ac_measurement_model(grid, config.beta, config.sigma2)
-    draws = harness._Draws.of(model, config.trials, derive(config.seed, "test", 0, 0))
+    x, y = draw_test_set(model, config.trials, derive(config.seed, "test", 0, 0))
+    draws = harness._Draws(model.sg, x, y)
+
+    def scored(row, fit):
+        est, status, wall_ms = fit
+        if est is None:
+            return replace(row, status=status)
+        err = draws.errors(est)
+        mse, stderr = float(err.mean()), float(err.std(ddof=1) / np.sqrt(len(err)))
+        if not (math.isfinite(mse) and math.isfinite(stderr)):
+            return replace(row, status="non-finite")
+        return replace(row, mse=mse, stderr=stderr, wall_ms=wall_ms)
+
     rows = []
     for p in config.p_values:
         m = stream_moments(model, p, derive(config.seed, "train", p))
         for label in config.estimators:
-            rows.append(harness._scored_row(
+            rows.append(scored(
                 MseRow(label, "experiment-a", "P", float(p)),
-                harness._attempt(lambda: fit_by_label(label, m, config)), draws,
+                harness._attempt(lambda: fit_by_label(label, m, config)),
             ))
     m = population_moments(grid, model.prior, model.sigma2)
-    rows.append(harness._scored_row(
+    rows.append(scored(
         MseRow("sample-lmmse", "experiment-a", "P-infinity", math.inf),
-        harness._attempt(lambda: sample_lmmse(m)), draws,
+        harness._attempt(lambda: sample_lmmse(m)),
     ))
     return rows
 
@@ -330,13 +365,14 @@ def test_experiment_a_fits_every_size_before_drawing(tmp_path, monkeypatch, over
     with np.errstate(all="ignore"):
         want = rows_drawn_first(config)
         calls = []
-        for name in ("stream_moments", "population_moments", "draw_test_set"):
+        for name in ("stream_moments", "population_moments", "_test_blocks"):
             def logged(*args, _name=name, _fn=getattr(harness, name)):
                 calls.append(_name)
                 return _fn(*args)
             monkeypatch.setattr(harness, name, logged)
         got = experiment_a(config).rows
-    assert calls[-1] == "draw_test_set" and calls.count("draw_test_set") == 1
+    # one pass over the test set's blocks, after every fit
+    assert calls[-1] == "_test_blocks" and calls.count("_test_blocks") == 1
     assert calls.count("stream_moments") == len(set(config.p_values))
     assert without_wall_ms(got) == without_wall_ms(want)
     if status is not None:
@@ -345,21 +381,33 @@ def test_experiment_a_fits_every_size_before_drawing(tmp_path, monkeypatch, over
         assert math.isfinite(r.wall_ms) == (r.status == "ok"), r
 
 
-def test_experiment_a_peak_memory_is_the_scoring_phase():
-    # fitted first, the training passes never sit beside the test set: x, y
-    # and their two spectra, 4 * trials * N doubles
+def test_experiment_a_peak_memory_is_the_training_pass():
+    # fitted first and scored a block at a time, the test set adds nothing to
+    # the largest training pass but the fits held meanwhile: one N x N gain
+    # per training size and one for P-infinity (a margin of two); the whole
+    # test set, x, y and their two spectra, would alone take more
     import tracemalloc
 
+    from gspest.rng import derive
+
     config = ExperimentConfig()
-    n = bundled_ieee118().n_buses
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        experiment_a(config)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * 4 * config.trials * n * 8
+    model = build_model(config)
+    n, largest = model.sg.n_vertices, max(config.p_values)
+    peaks = []
+    for run in (
+        lambda: stream_moments(model, largest, derive(config.seed, "train", largest)),
+        lambda: experiment_a(config),
+    ):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    training, peak = peaks
+    assert peak <= training + 2 * (len(config.p_values) + 1) * n * n * 8
+    assert peak < 4 * config.trials * n * 8
 
 
 # -------------------------------------------------------------- experiment b
@@ -529,6 +577,66 @@ def test_scoring_memory_is_per_block():
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * trials * n * 8, name
+
+
+def test_scoring_peak_does_not_grow_with_trials():
+    # the test set is drawn, transformed and scored a block at a time, so a
+    # scenario's traced peak at 8,000 trials is that at 1,000 within one
+    # block of rows, and below one whole 8,000-row array
+    import tracemalloc
+
+    from gspest.harness import _scored_rows
+
+    model = ac_measurement_model(random_grid(generator(43, "scoring"), 470))
+    sg, n = model.sg, model.sg.n_vertices
+    _, cases = scoring_cases(sg, 2, seed=43)
+    keyed = [(MseRow(name, "s", "p", 0.0), (est, "ok", 0.0)) for name, est in cases.items()]
+    peaks = {}
+    for trials in (1000, 8000):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rows = _scored_rows(keyed, model, trials, 5)
+            peaks[trials] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert all(r.status == "ok" for r in rows)
+    assert abs(peaks[8000] - peaks[1000]) <= 511 * n * 8
+    assert peaks[8000] < 8000 * n * 8
+
+
+@pytest.mark.parametrize("protocol", [experiment_a, experiment_b, measure_runtime])
+def test_protocol_scores_are_squared_errors_on_the_test_set(tmp_path, monkeypatch, protocol):
+    # 700 trials are two blocks; each row's score is its estimator's
+    # squared_errors on draw_test_set of the model, trials and seed it was
+    # scored with, to the rounding of the frequency domain and of shorter
+    # products
+    from gspest import harness
+
+    config = small_config(
+        tmp_path, trials=700, p_values=(24, 60), perturb_counts=(1,), perturb_repetitions=2,
+    )
+    calls = []
+    scored_rows = harness._scored_rows
+
+    def spy(keyed, model, trials, seed):
+        rows = scored_rows(keyed, model, trials, seed)
+        calls.append((keyed, draw_test_set(model, trials, seed), rows))
+        return rows
+
+    monkeypatch.setattr(harness, "_scored_rows", spy)
+    report = protocol(config)
+    assert [r for _, _, rows in calls for r in rows] == report.rows
+    scored = 0
+    for keyed, (x, y), rows in calls:
+        for (_, (est, _, _)), row in zip(keyed, rows):
+            assert row.status == "ok", row
+            err = squared_errors(est, x, y)
+            mse, stderr = err.mean(), err.std(ddof=1) / np.sqrt(len(err))
+            assert abs(row.mse - mse) <= 1e-12 * mse, row
+            assert abs(row.stderr - stderr) <= 1e-12 * stderr, row
+            scored += 1
+    assert scored >= len(config.estimators)
 
 
 def test_spectral_families_build_no_dense_gain(tmp_path, monkeypatch):

@@ -108,9 +108,13 @@ def test_prior_beta_must_be_positive_and_finite(beta):
         SmoothPrior(sg, beta)
     with pytest.raises(ValueError, match="beta must be positive"):
         ac_measurement_model(bundled_ieee118(), beta)
-    # a huge finite beta is a valid prior, whose variances may overflow
-    with np.errstate(over="ignore"):
-        assert SmoothPrior(sg, 1e308).beta == 1e308
+    # a huge finite beta is a valid prior while every beta / lambda is
+    # finite; where one overflows (lambda_1 = 0.47 here) it is a ValueError,
+    # not a FloatingPointError or a warning
+    with np.errstate(all="raise"):
+        assert SmoothPrior(sg, 1e307).beta == 1e307
+        with pytest.raises(ValueError, match="beta / lambda overflows at 1 of 6"):
+            SmoothPrior(sg, 1e308)
 
 
 def test_prior_draws_scale_in_place_bit_for_bit():
