@@ -52,13 +52,12 @@ for rep in range(10):
 # the fitted filter is re-evaluated on the new spectrum
 print("added buses: zero-padded stale fits vs refreshed arma")
 for rep in range(5):
-    new_grid, vmap = perturb_grid(grid, 4, "add-vertices", derive(SEED, "perturb", 4, rep))
+    new_grid, old = perturb_grid(grid, 4, "add-vertices", derive(SEED, "perturb", 4, rep))
     new_model = ac_measurement_model(new_grid, beta=3.0, sigma2=0.05)
-    n_new = new_model.sg.n_vertices
     x, y = draw_test_set(new_model, 2000, derive(SEED, "test", 4, rep))
-    padded_lmmse = squared_errors(remap_estimator(stale_lmmse, vmap, n_new), x, y).mean()
-    padded_gsp = squared_errors(remap_estimator(stale_gsp, vmap, n_new), x, y).mean()
-    refreshed = update_for_topology(arma, new_model.sg, vmap)
+    padded_lmmse = squared_errors(remap_estimator(stale_lmmse, old), x, y).mean()
+    padded_gsp = squared_errors(remap_estimator(stale_gsp, old), x, y).mean()
+    refreshed = update_for_topology(arma, new_model.sg, old)
     fresh = squared_errors(refreshed, x, y).mean()
     print(
         f"  rep {rep}: padded lmmse {padded_lmmse:7.3f} "

@@ -75,7 +75,7 @@ def _cmd_graph(args) -> int:
         write_edge_list(graph, args.out)
         print(
             f"wrote {args.out}: {graph.n_vertices} vertices, "
-            f"{len(graph.edges)} edges, connectivity eigenvalue "
+            f"{graph.n_edges} edges, connectivity eigenvalue "
             f"{sg.eigenvalues[1]:.6g}"
         )
         return 0
@@ -85,7 +85,7 @@ def _cmd_graph(args) -> int:
     write_edge_list(new_graph, args.out)
     print(
         f"wrote {args.out}: {new_graph.n_vertices} vertices, "
-        f"{len(new_graph.edges)} edges ({args.mode} x{args.count})"
+        f"{new_graph.n_edges} edges ({args.mode} x{args.count})"
     )
     return 0
 

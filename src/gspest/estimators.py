@@ -459,12 +459,10 @@ def almmse(sg: SpectralGraph, beta: float, sigma2: float) -> SpectralEstimator:
     return SpectralEstimator("almmse", sg, resp, np.zeros(n), np.zeros(n))
 
 
-def _carry(values: np.ndarray, vertex_map: dict[int, int], n_new: int) -> np.ndarray:
-    """A per-vertex vector, or a matrix over vertex pairs, on the ``n_new``
-    vertices of a changed graph: entries of surviving vertices carry over,
-    entries of added vertices are 0."""
-    old = np.full(n_new, -1)  # the old index of each new vertex, -1 if added
-    old[list(vertex_map.values())] = list(vertex_map)
+def _carry(values: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """A per-vertex vector, or a matrix over vertex pairs, on the vertices of
+    a changed graph, given the old index of each (-1 if added): entries of
+    surviving vertices carry over, entries of added vertices are 0."""
     out = values[np.ix_(*[old] * values.ndim)]
     out[old < 0] = out[..., old < 0] = 0.0  # rows, then the columns of a matrix
     return out
@@ -473,42 +471,39 @@ def _carry(values: np.ndarray, vertex_map: dict[int, int], n_new: int) -> np.nda
 def update_for_topology(
     fit: SpectralEstimator,
     new_sg: SpectralGraph,
-    vertex_map: dict[int, int] | None = None,
+    vertex_map: np.ndarray | None = None,
 ) -> SpectralEstimator:
     """Re-evaluate a fitted filter's response on a new spectrum without new
     training data.
 
     The stored coefficients define a scalar response that is evaluated at the
     new eigenvalues; the measurement center carries over (restricted to
-    survivors / zero at added vertices when ``vertex_map`` is given), as does
-    the prior mean.
+    survivors / zero at added vertices when ``vertex_map``, the old index of
+    each new vertex or -1, is given), as does the prior mean.
     """
     if fit.spec is None:
         raise ValueError(f"{fit.label} has no filter to re-evaluate")
     resp = response(fit.spec, new_sg)
-    n_new = new_sg.n_vertices
     if vertex_map is None:
-        if fit.y_center.size != n_new:
+        if fit.y_center.size != new_sg.n_vertices:
             raise ValueError("vertex_map required when the vertex set changes")
         x_mean, y_center = fit.x_mean, fit.y_center
     else:
-        x_mean = _carry(fit.x_mean, vertex_map, n_new)
-        y_center = _carry(fit.y_center, vertex_map, n_new)
+        x_mean, y_center = (_carry(a, vertex_map) for a in (fit.x_mean, fit.y_center))
     return replace(fit, sg=new_sg, response=resp, x_mean=x_mean, y_center=y_center)
 
 
 def remap_estimator(
-    est: LinearEstimator | SpectralEstimator, vertex_map: dict[int, int], n_new: int
+    est: LinearEstimator | SpectralEstimator, vertex_map: np.ndarray
 ) -> LinearEstimator:
-    """Carry a stale estimator onto a changed vertex set: gain entries are
-    kept where both endpoints survive and zero elsewhere (so removed vertices
-    are dropped and added vertices are estimated by the prior mean, here 0).
-    A per-vertex gain stays a vector; a spectral estimator uses ``dense``."""
+    """Carry a stale estimator onto a changed vertex set, given the old index
+    of each new vertex (-1 if added): gain entries are kept where both
+    endpoints survive and zero elsewhere (so removed vertices are dropped and
+    added vertices are estimated by the prior mean, here 0). A per-vertex
+    gain stays a vector; a spectral estimator uses ``dense``."""
     if isinstance(est, SpectralEstimator):
         est = est.dense
-    x_mean, gain, y_center = (
-        _carry(a, vertex_map, n_new) for a in (est.x_mean, est.gain, est.y_center)
-    )
+    x_mean, gain, y_center = (_carry(a, vertex_map) for a in (est.x_mean, est.gain, est.y_center))
     return LinearEstimator(est.label, x_mean, gain, y_center)
 
 

@@ -56,61 +56,59 @@ _COLUMN_BLOCK = 128
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected weighted graph on vertices ``0..n_vertices-1``.
-
-    Edges are stored canonically as ``(i, j, weight)`` with ``i < j``, sorted,
-    at most one edge per pair, weights non-negative and finite.
+    """Undirected weighted graph on vertices ``0..n_vertices-1`` as its edge
+    table: one row per edge, ends ``i < j``, sorted by ``(i, j)``, at most one
+    edge per pair, weights non-negative and finite. The columns given may be
+    in any order and orientation; they are checked and stored canonically.
     """
 
     n_vertices: int
-    edges: tuple[tuple[int, int, float], ...]
+    i: np.ndarray = field(repr=False)
+    j: np.ndarray = field(repr=False)
+    weight: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n_vertices < 1:
+        n = int(self.n_vertices)
+        if n < 1:
             raise InvalidGraphError("graph needs at least one vertex")
-        n = self.n_vertices
-        e = np.array(self.edges, dtype=float).reshape(len(self.edges), 3)
-        ends, w = np.trunc(e[:, :2]), e[:, 2]
-        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        i, j = (np.asarray(a, dtype=np.intp) for a in (self.i, self.j))
+        w = np.asarray(self.weight, dtype=float)
+        if i.ndim != 1 or not i.shape == j.shape == w.shape:
+            raise InvalidGraphError("need 1-D edge columns of one length")
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
         # the first edge of each pair, in pair order; a pair key collides
         # only with an out-of-range pair, which is reported first anyway
         order = np.unique(lo * n + hi, return_index=True)[1]
-        dup = np.bincount(order, minlength=len(e)) == 0
-        in_range = np.all((ends >= 0) & (ends < n), axis=1)
+        dup = np.bincount(order, minlength=len(w)) == 0
+        in_range = (i >= 0) & (i < n) & (j >= 0) & (j < n)
         faults = (lo == hi, ~in_range, dup, ~np.isfinite(w) | (w < 0))
         bad = np.any(faults, axis=0)
         if bad.any():  # the first bad edge in input order, checks in order
             k = int(np.argmax(bad))
-            i, j, a, b = map(int, (*ends[k], lo[k], hi[k]))
+            a, b = int(lo[k]), int(hi[k])
             raise InvalidGraphError(next(m for f, m in zip(faults, (
-                f"self loop at vertex {i}", f"edge ({i},{j}) out of range",
+                f"self loop at vertex {a}", f"edge ({i[k]},{j[k]}) out of range",
                 f"duplicate edge ({a},{b})", f"edge ({a},{b}) has invalid weight {float(w[k])}",
             )) if f[k]))
-        canon = lo[order].astype(int), hi[order].astype(int), w[order]
-        object.__setattr__(self, "edges", tuple(zip(*(c.tolist() for c in canon))))
-
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The edges as arrays ``(i, j, weight)``, in their sorted order."""
-        e = np.array(self.edges, dtype=float).reshape(-1, 3)
-        return e[:, 0].astype(np.intp), e[:, 1].astype(np.intp), e[:, 2]
+        for name, value in zip(("n_vertices", "i", "j", "weight"),
+                               (n, lo[order], hi[order], w[order])):
+            object.__setattr__(self, name, value)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.i.size
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric weight matrix with zero diagonal."""
         w = np.zeros((self.n_vertices, self.n_vertices))
-        i, j, wt = self._columns()
-        w[i, j] = w[j, i] = wt
+        w[self.i, self.j] = w[self.j, self.i] = self.weight
         return w
 
     def weight_range(self) -> tuple[float, float]:
         """(min, max) over existing edge weights; requires at least one edge."""
-        if not self.edges:
+        if not self.n_edges:
             raise InvalidGraphError("graph has no edges")
-        ws = self._columns()[2]
-        return float(ws.min()), float(ws.max())
+        return float(self.weight.min()), float(self.weight.max())
 
 
 @dataclass(frozen=True)
@@ -232,10 +230,15 @@ def build_laplacian(graph: WeightedGraph) -> SpectralGraph:
     """
     lap = _laplacian(graph.adjacency())
     eigvals, vecs = np.linalg.eigh(lap)
-    lap = csr_array(lap)
+    # the sparse L: its entries at the edges, both ways, and the diagonal, by row
+    n, on = graph.n_vertices, graph.weight != 0
+    rows, cols = (np.concatenate((a[on], b[on], np.arange(n)))
+                  for a, b in ((graph.i, graph.j), (graph.j, graph.i)))
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    lap = csr_array((lap[rows, cols], cols, np.searchsorted(rows, np.arange(n + 1))), (n, n))
     _canonicalize_eigenvectors(eigvals, vecs)
 
-    n = graph.n_vertices
     gram = vecs.T @ vecs
     gram.flat[::n + 1] -= 1.0
     ortho = np.abs(gram, out=gram).max()
@@ -292,8 +295,7 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 def _stays_connected(graph: WeightedGraph) -> bool:
     """:func:`_connected_spectrum` of the graph's Laplacian, by the rule in
     the module docstring (``w_min`` is the smallest positive weight)."""
-    n = graph.n_vertices
-    i, j, w = graph._columns()
+    n, i, j, w = graph.n_vertices, graph.i, graph.j, graph.weight
     pos = w > 0
     if _components(n, i[pos], j[pos]).any():
         return False
@@ -329,8 +331,8 @@ def perturb_edges(
     rng = _perturb_rng("perturb-edges", count, mode, seed)
     current, n = graph, graph.n_vertices
     for k in range(count):
+        i, j, w = current.i, current.j, current.weight
         if mode == "add":
-            i, j, _ = current._columns()
             # pairs i < j in lexicographic order: row r starts at start[r], and
             # gaps[m] absent pairs (weight-0 edges are present) precede edge m
             start = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
@@ -341,20 +343,17 @@ def perturb_edges(
             lo, hi = current.weight_range()
             pick = int(rng.integers(n_absent))
             t = pick + int(np.searchsorted(gaps, pick, "right"))
-            i = int(np.searchsorted(start, t, "right")) - 1
-            j = t - int(start[i]) + i + 1
-            w = float(rng.uniform(lo, hi))
-            current = WeightedGraph(n, current.edges + ((i, j, w),))
+            a = int(np.searchsorted(start, t, "right")) - 1
+            b = t - int(start[a]) + a + 1
+            current = WeightedGraph(n, np.append(i, a), np.append(j, b),
+                                    np.append(w, rng.uniform(lo, hi)))
         else:
-            placed = False
             for _ in range(MAX_PERTURB_RETRIES):
-                pick = int(rng.integers(current.n_edges))
-                cand = WeightedGraph(n, current.edges[:pick] + current.edges[pick + 1:])
-                if _stays_connected(cand):
-                    current = cand
-                    placed = True
+                keep = np.arange(i.size) != rng.integers(i.size)
+                current = WeightedGraph(n, i[keep], j[keep], w[keep])
+                if _stays_connected(current):
                     break
-            if not placed:
+            else:
                 raise PerturbationInfeasibleError(
                     f"no removable edge keeps the graph connected (step {k + 1})"
                 )
@@ -366,43 +365,40 @@ def perturb_vertices(
     count: int,
     mode: str,
     seed: int,
-) -> tuple[WeightedGraph, dict[int, int]]:
+) -> tuple[WeightedGraph, np.ndarray]:
     """Add or remove ``count`` vertices at random.
 
-    Returns the new graph and a map old-index -> new-index for surviving
-    vertices (removed vertices are absent from the map; added vertices get
-    fresh indices appended after the old ones).
+    Returns the new graph and the old index of each of its vertices: the
+    survivors keep their order, and an added vertex, appended after the old
+    ones, has -1.
 
     mode "add": each new vertex attaches to :data:`K_ATTACH` distinct uniformly
     chosen existing vertices with weights uniform over the existing weight
     range. mode "remove": vertex subsets are redrawn until the induced graph
-    stays connected, up to :data:`MAX_PERTURB_RETRIES` attempts per vertex.
+    stays connected, up to :data:`MAX_PERTURB_RETRIES` attempts per vertex; a
+    removal that would leave fewer than two vertices is infeasible.
     """
     rng = _perturb_rng("perturb-vertices", count, mode, seed)
-    n = graph.n_vertices
+    n, i, j, w = graph.n_vertices, graph.i, graph.j, graph.weight
     if mode == "add":
-        edges = list(graph.edges)
         # weight_range needs an edge, so the K_ATTACH = 2 targets exist
         lo, hi = graph.weight_range()
-        for m in range(count):
-            new = n + m
-            targets = rng.choice(new, size=K_ATTACH, replace=False)
-            for t in sorted(int(t) for t in targets):
-                edges.append((t, new, float(rng.uniform(lo, hi))))
-        return WeightedGraph(n + count, tuple(edges)), {i: i for i in range(n)}
+        rows = [(t, new, rng.uniform(lo, hi)) for new in range(n, n + count)
+                for t in np.sort(rng.choice(new, size=K_ATTACH, replace=False))]
+        a, b, extra = np.reshape(rows, (-1, 3)).T
+        old = np.concatenate((np.arange(n), np.full(count, -1)))
+        return WeightedGraph(n + count, *map(np.append, (i, j, w), (a, b, extra))), old
 
-    if count >= n:
-        raise PerturbationInfeasibleError("cannot remove all vertices")
-    i, j, w = graph._columns()
+    if count and n - count < 2:
+        raise PerturbationInfeasibleError(f"removing {count} of {n} vertices leaves fewer than two")
     for _ in range(MAX_PERTURB_RETRIES * max(count, 1)):
         alive = np.ones(n, dtype=bool)
         alive[rng.choice(n, size=count, replace=False)] = False
         new = np.cumsum(alive) - 1
         kept = alive[i] & alive[j]
-        edges = zip(new[i[kept]].tolist(), new[j[kept]].tolist(), w[kept].tolist())
-        cand = WeightedGraph(n - count, tuple(edges))
+        cand = WeightedGraph(n - count, new[i[kept]], new[j[kept]], w[kept])
         if _stays_connected(cand):
-            return cand, dict(zip(np.flatnonzero(alive).tolist(), range(n - count)))
+            return cand, np.flatnonzero(alive)
     raise PerturbationInfeasibleError(
         "no vertex subset keeps the graph connected within the retry budget"
     )
@@ -410,20 +406,19 @@ def perturb_vertices(
 
 def perturb(
     graph: WeightedGraph, count: int, mode: str, seed: int
-) -> tuple[WeightedGraph, dict[int, int]]:
+) -> tuple[WeightedGraph, np.ndarray]:
     """Apply ``count`` steps of one of :data:`PERTURB_MODES`.
 
     ``"add-edges"``/``"remove-edges"`` run :func:`perturb_edges` and
     ``"add-vertices"``/``"remove-vertices"`` :func:`perturb_vertices`, with
-    the same seed. Returns the new graph and the old->new vertex map, which
-    is the identity on the edge modes.
+    the same seed. Returns the new graph and the old index of each new
+    vertex (-1 if added), ``arange(n)`` on the edge modes.
     """
     if mode not in PERTURB_MODES:
         raise ValueError(f"unknown perturbation mode {mode!r}")
     kind, what = mode.split("-")
     if what == "edges":
-        vmap = {i: i for i in range(graph.n_vertices)}
-        return perturb_edges(graph, count, kind, seed), vmap
+        return perturb_edges(graph, count, kind, seed), np.arange(graph.n_vertices)
     return perturb_vertices(graph, count, kind, seed)
 
 
@@ -432,7 +427,7 @@ def write_edge_list(graph: WeightedGraph, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["from", "to", "weight"])
-        for i, j, w in graph.edges:
+        for i, j, w in zip(graph.i.tolist(), graph.j.tolist(), graph.weight.tolist()):
             writer.writerow([i, j, format(w, ".17g")])
 
 
@@ -457,4 +452,4 @@ def read_edge_list(path) -> WeightedGraph:
     n = max((max(i, j) for i, j, _ in edges), default=-1) + 1
     if n == 0:
         raise InvalidGraphError(f"empty edge list in {path}")
-    return WeightedGraph(n, tuple(edges))
+    return WeightedGraph(n, *zip(*edges))

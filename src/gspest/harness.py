@@ -21,10 +21,12 @@ product's (gemv takes one row) or to lose BLAS throughput (at N = 944 and
 1,000 trials, a dense gain took 33 ms whole, 36 ms in 256-row and 45 ms in
 64-row blocks, on 2 OpenBLAS threads).
 
-Spectral estimators are scored in the frequency domain of the test graph,
-on one transform of each block: Parseval's identity makes that the
-vertex-domain squared error, as ``build_laplacian`` checks that the
-eigenbasis is orthonormal to 1e-10.
+Spectral estimators are scored in the frequency domain of the test graph:
+Parseval's identity makes that the vertex-domain squared error, as
+``build_laplacian`` checks that the eigenbasis is orthonormal to 1e-10. The
+states' spectrum is each draw's own, the coefficients ``z * sqrt(variances)``
+that the prior synthesized the states from (``x V`` up to that bound), so
+only the measurements of a block are transformed.
 """
 
 from __future__ import annotations
@@ -60,11 +62,11 @@ from .estimators import (
     SpectralEstimator,
 )
 # build_laplacian is unused here; the perfbench tracer tests patch it in this module
-from .graphs import PERTURB_MODES, SpectralGraph, build_laplacian, gft
+from .graphs import PERTURB_MODES, SpectralGraph, build_laplacian, gft, igft
 from .models import (
     AcGridModel,
     MeasurementModel,
-    _draw_prior,
+    _draw_spectrum,
     ac_measurement_model,
     bundled_ieee118,
     load_grid,
@@ -76,7 +78,7 @@ from .rng import derive, generator
 
 def _stale(fit, new_sg, vmap, config):
     """Keep a trained estimator, remapped when the vertex set changed."""
-    return fit if vmap is None else remap_estimator(fit, vmap, new_sg.n_vertices)
+    return fit if vmap is None else remap_estimator(fit, vmap)
 
 
 def _refilter(fit, new_sg, vmap, config):
@@ -98,10 +100,11 @@ class Family:
     name, ``fit(m, config)`` on the moments' graph ``m.sg``, the
     ``coefficients(m, config)`` stage that ``measure_runtime`` times (the
     whole fit when None) and ``retune(fit, new_sg, vmap, config)``, which
-    carries a trained estimator onto a changed topology (``vmap`` is None on
-    edge modes). The callables reach the estimator functions through this
-    module's globals when they run, so a rebound name (a test double, the
-    perfbench tracer) reaches every use."""
+    carries a trained estimator onto a changed topology (``vmap``, the old
+    index of each new vertex or -1, is None on edge modes). The callables
+    reach the estimator functions through this module's globals when they
+    run, so a rebound name (a test double, the perfbench tracer) reaches
+    every use."""
 
     label: str
     cli_name: str
@@ -326,16 +329,18 @@ def squared_errors(est, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Draws:
-    """Test draws ``(x, y)`` of a model on ``sg``: one block of a test set."""
+    """Test draws ``(x, y)`` of a model on ``sg`` and the spectrum
+    ``x_freq`` that ``x`` was synthesized from: one block of a test set."""
 
     sg: SpectralGraph
     x: np.ndarray
     y: np.ndarray
+    x_freq: np.ndarray
 
     @cached_property
     def spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(x V, y V)``, made on first use and shared by every estimator."""
-        return gft(self.sg, self.x), gft(self.sg, self.y)
+        """``(x_freq, y V)``, made on first use and shared by every estimator."""
+        return self.x_freq, gft(self.sg, self.y)
 
     def errors(self, est) -> np.ndarray:
         """:func:`squared_errors`, a block of :func:`_blocks` at a time; for
@@ -360,11 +365,12 @@ def _test_blocks(model: MeasurementModel, trials: int, seed: int):
     x_rng = generator(derive(seed, "test-x"), "prior")
     w_rng = generator(derive(seed, "test-w"), "noise")
     for rows in _blocks(trials):
-        x = _draw_prior(model.prior, x_rng, rows.stop - rows.start)
+        x_freq = _draw_spectrum(model.prior, x_rng, rows.stop - rows.start)
+        x = igft(model.sg, x_freq)  # the bits of _draw_prior
         y = model._draw_noise(w_rng, len(x))
         y += model.forward(x)  # never into a forward map's own buffer
-        yield _Draws(model.sg, x, y)
-        del x, y
+        yield _Draws(model.sg, x, y, x_freq)
+        del x, y, x_freq
 
 
 def draw_test_set(

@@ -97,9 +97,14 @@ def sample_prior(prior: SmoothPrior, count: int, seed: int) -> np.ndarray:
 def _draw_prior(prior: SmoothPrior, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` prior draws from ``rng``; successive calls on one generator
     use the same normals as one larger call."""
+    return _draw_spectrum(prior, rng, count) @ prior.sg.eigenvectors.T
+
+
+def _draw_spectrum(prior: SmoothPrior, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The spectra ``z * sqrt(variances)`` that :func:`_draw_prior` synthesizes."""
     z = rng.standard_normal((count, prior.sg.n_vertices))
     z *= np.sqrt(prior.frequency_variances)
-    return z @ prior.sg.eigenvectors.T
+    return z
 
 
 @dataclass(frozen=True)
@@ -149,8 +154,7 @@ class AcGridModel:
     def graph(self) -> WeightedGraph:
         """Susceptance-weighted graph over the branches with a susceptance."""
         on = self.susceptance != 0.0
-        columns = (self.i[on], self.j[on], self.susceptance[on])
-        return WeightedGraph(self.n_buses, tuple(zip(*(c.tolist() for c in columns))))
+        return WeightedGraph(self.n_buses, self.i[on], self.j[on], self.susceptance[on])
 
     def branch_values(self) -> tuple[tuple[int, int, float, float], ...]:
         """(i, j, conductance, susceptance) per branch, 0-based, sorted by (i, j)."""
@@ -309,9 +313,10 @@ def _same_laplacian(a: WeightedGraph, b: WeightedGraph) -> bool:
     """Whether two graphs have equal Laplacians: the same vertex count and
     the same positive-weight edges (a zero-weight edge adds nothing)."""
     def positive(g):
-        return [e for e in g.edges if e[2] > 0]
+        on = g.weight > 0
+        return np.stack((g.i[on], g.j[on], g.weight[on]))
 
-    return a.n_vertices == b.n_vertices and positive(a) == positive(b)
+    return a.n_vertices == b.n_vertices and np.array_equal(positive(a), positive(b))
 
 
 def linear_filter_model(
@@ -340,7 +345,7 @@ def perturb_grid(
     count: int,
     mode: str,
     seed: int,
-) -> tuple[AcGridModel, dict[int, int]]:
+) -> tuple[AcGridModel, np.ndarray]:
     """Randomly change the grid topology: :func:`gspest.graphs.perturb` of
     the susceptance graph, mirrored onto the branch list.
 
@@ -349,18 +354,17 @@ def perturb_grid(
     and are purely reactive (conductance 0), so a new bus's expected
     injection stays 0 and matches the zero-centering the topology-updated
     estimators use. A conductance-only branch, no edge of that graph, is
-    kept while both its buses survive. Returns the new grid and the old->new
-    vertex map (identity except for vertex modes).
+    kept while both its buses survive. Returns the new grid and the old index
+    of each new bus (-1 if added), as :func:`gspest.graphs.perturb` does.
     """
-    new_graph, vmap = perturb(grid.graph(), count, mode, seed)
+    new_graph, old = perturb(grid.graph(), count, mode, seed)
 
-    # old index of each new bus; a bus added by the perturbation has none
-    # (-1), so it gets unit voltage and its branches get no conductance
+    # a bus added by the perturbation has no old index (-1), so it gets unit
+    # voltage and its branches get no conductance
     n, n_new = grid.n_buses, new_graph.n_vertices
-    old, new = np.full(n_new, -1), np.full(n, -1)
-    old[list(vmap.values())] = list(vmap.keys())
-    new[list(vmap.keys())] = list(vmap.values())
-    i, j, b = new_graph._columns()
+    new = np.full(n, -1)
+    new[old[old >= 0]] = np.flatnonzero(old >= 0)
+    i, j, b = new_graph.i, new_graph.j, new_graph.weight
     # merge in each surviving conductance-only branch whose pair gained no
     # edge; vertex maps keep the surviving buses in order, so i < j holds
     ci, cj = new[grid.i], new[grid.j]
@@ -375,5 +379,5 @@ def perturb_grid(
     at = np.searchsorted(keys, want)
     g = np.where(keys[at] == want, np.append(grid.conductance, 0.0)[at], 0.0)
     voltage = np.where(old >= 0, grid.voltage[old], 1.0)
-    return AcGridModel(n_new, i, j, g, b, voltage), vmap
+    return AcGridModel(n_new, i, j, g, b, voltage), old
 

@@ -492,22 +492,21 @@ def test_12_updated_filters_beat_stale_fits_after_vertex_additions():
             for base in ("sample-lmmse", "gsp-lmmse")
         }
         for rep in range(20):
-            new_grid, vmap = perturb_grid(
+            new_grid, old = perturb_grid(
                 grid, count, "add-vertices", derive(SEED, "perturb", count, rep)
             )
             new_model = ac_measurement_model(new_grid, BETA, SIGMA2)
-            n_new = new_model.sg.n_vertices
             x, y = draw_test_set(new_model, TRIALS, derive(SEED, "test", count, rep))
             err_base = {
                 "sample-lmmse": squared_errors(
-                    remap_estimator(stale_lmmse, vmap, n_new), x, y
+                    remap_estimator(stale_lmmse, old), x, y
                 ),
                 "gsp-lmmse": squared_errors(
-                    remap_estimator(stale_gsp, vmap, n_new), x, y
+                    remap_estimator(stale_gsp, old), x, y
                 ),
             }
             for fit in fits:
-                upd = update_for_topology(fit, new_model.sg, vmap)
+                upd = update_for_topology(fit, new_model.sg, old)
                 err_upd = squared_errors(upd, x, y)
                 for base, err in err_base.items():
                     diffs[(fit.label, base)].append(err - err_upd)

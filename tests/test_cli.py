@@ -14,6 +14,7 @@ from gspest.harness import FAMILIES
 from gspest.models import bundled_ieee118, perturb_grid
 from gspest.moments import read_training_csv
 from gspest.rng import generator
+from tests.test_graphs import edges_of
 from tests.test_harness import small_config, write_grid_csv
 from tests.test_models import random_grid
 
@@ -168,6 +169,22 @@ def test_graph_perturb_vertices(tmp_path, config_path):
     assert read_edge_list(out).n_vertices == 13
 
 
+def test_graph_perturb_never_leaves_one_vertex(tmp_path, capsys):
+    # one vertex would be written as a header-only edge list, which --graph
+    # rejects; such a removal is infeasible, as removing every vertex is
+    graph = tmp_path / "path.csv"
+    graph.write_text("from,to,weight\n0,1,1.0\n1,2,1.0\n")
+    out = tmp_path / "new.csv"
+    argv = ["graph", "perturb", "--graph", str(graph), "--mode", "remove-vertices",
+            "--out", str(out), "--count"]
+    assert main(argv + ["2"]) == 2
+    err = capsys.readouterr().err
+    assert "gspest: numerical failure: removing 2 of 3 vertices leaves fewer than two" in err
+    assert not out.exists()
+    assert main(argv + ["1"]) == 0
+    assert read_edge_list(out).n_vertices == 2
+
+
 @pytest.mark.parametrize("mode", PERTURB_MODES)
 def test_graph_perturb_routes_agree(tmp_path, mode):
     """The command, graphs.perturb and perturb_grid draw the same edges from
@@ -177,8 +194,9 @@ def test_graph_perturb_routes_agree(tmp_path, mode):
     assert main(argv + ["--out", str(out)]) == 0
     grid = bundled_ieee118()
     graph, _ = perturb(grid.graph(), 3, mode, 5)
-    assert read_edge_list(out) == graph
-    assert perturb_grid(grid, 3, mode, 5)[0].graph() == graph
+    for other in (read_edge_list(out), perturb_grid(grid, 3, mode, 5)[0].graph()):
+        assert other.n_vertices == graph.n_vertices
+        assert repr(edges_of(other)) == repr(edges_of(graph))
 
 
 def test_dataset_fit_eval_flow(tmp_path, config_path, capsys):

@@ -101,9 +101,9 @@ def test_lpi_basis_zero_row_and_inverse_powers():
 
 
 def test_lpi_basis_requires_connected():
-    from gspest.graphs import WeightedGraph
+    from tests.test_graphs import graph_of
 
-    sg = build_laplacian(WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0))))
+    sg = build_laplacian(graph_of(4, ((0, 1, 1.0), (2, 3, 1.0))))
     with pytest.raises(UnstableFilterError):
         lpi_basis(sg, 2)
 

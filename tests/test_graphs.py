@@ -33,32 +33,59 @@ def random_connected_graph(rng, n, extra=0.3):
             present.add((i, j))
             edges.append((i, j, float(rng.uniform(0.1, 2.0))))
             n_extra -= 1
-    return WeightedGraph(n, tuple(edges))
+    return graph_of(n, edges)
 
 
-PATH3 = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
-TRIANGLE = WeightedGraph(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
+def graph_of(n, edges=()):
+    """The graph on ``n`` vertices with the ``(i, j, weight)`` triples
+    ``edges``, in any order and orientation."""
+    edges = tuple(edges)
+    return WeightedGraph(n, *(zip(*edges) if edges else ((), (), ())))
+
+
+def edges_of(graph):
+    """The canonical ``(i, j, weight)`` triples of ``graph``, as Python ints
+    and floats, in its stored order."""
+    return tuple(zip(graph.i.tolist(), graph.j.tolist(), graph.weight.tolist()))
+
+
+def old_indices(vmap, n_new):
+    """A vertex map ``{old: new}`` as the old index of each new vertex, -1 if
+    added."""
+    old = np.full(n_new, -1)
+    old[list(vmap.values())] = list(vmap)
+    return old
+
+
+def vertex_map(old):
+    """The sorted ``(old, new)`` pairs of the old index of each new vertex."""
+    return sorted((o, k) for k, o in enumerate(old.tolist()) if o >= 0)
+
+
+PATH3 = graph_of(3, ((0, 1, 1.0), (1, 2, 1.0)))
+TRIANGLE = graph_of(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
 
 
 # ---------------------------------------------------------------- structure
 
 
 def test_edges_canonicalized_and_sorted():
-    g = WeightedGraph(3, ((2, 1, 1.0), (1, 0, 2.0)))
-    assert g.edges == ((0, 1, 2.0), (1, 2, 1.0))
+    g = graph_of(3, ((2, 1, 1.0), (1, 0, 2.0)))
+    assert edges_of(g) == ((0, 1, 2.0), (1, 2, 1.0))
+    assert (g.i.dtype, g.j.dtype, g.weight.dtype) == (np.intp, np.intp, np.float64)
 
 
 def test_invalid_graphs_rejected():
     with pytest.raises(InvalidGraphError):
-        WeightedGraph(2, ((0, 0, 1.0),))  # self loop
+        graph_of(2, ((0, 0, 1.0),))  # self loop
     with pytest.raises(InvalidGraphError):
-        WeightedGraph(2, ((0, 1, 1.0), (1, 0, 2.0)))  # duplicate pair
+        graph_of(2, ((0, 1, 1.0), (1, 0, 2.0)))  # duplicate pair
     with pytest.raises(InvalidGraphError):
-        WeightedGraph(2, ((0, 2, 1.0),))  # out of range
+        graph_of(2, ((0, 2, 1.0),))  # out of range
     with pytest.raises(InvalidGraphError):
-        WeightedGraph(2, ((0, 1, -1.0),))  # negative weight
+        graph_of(2, ((0, 1, -1.0),))  # negative weight
     with pytest.raises(InvalidGraphError):
-        WeightedGraph(0, ())
+        graph_of(0)
 
 
 def test_adjacency_symmetric_zero_diagonal():
@@ -83,7 +110,7 @@ def test_triangle_spectrum():
 
 
 def test_single_edge_weight_two():
-    sg = build_laplacian(WeightedGraph(2, ((0, 1, 2.0),)))
+    sg = build_laplacian(graph_of(2, ((0, 1, 2.0),)))
     assert np.allclose(sg.eigenvalues, [0.0, 4.0], atol=1e-12)
 
 
@@ -139,7 +166,7 @@ def test_degenerate_eigenspace_deterministic():
     # K3 has a repeated eigenvalue; representation must not depend on
     # numerical jitter of the input weights
     sg1 = build_laplacian(TRIANGLE)
-    jit = WeightedGraph(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0 + 1e-15)))
+    jit = graph_of(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0 + 1e-15)))
     sg2 = build_laplacian(jit)
     assert np.max(np.abs(sg1.eigenvectors - sg2.eigenvectors)) < 1e-6
 
@@ -187,19 +214,19 @@ def _gram_schmidt_canonicalization(eigvals, vecs):
 
 
 def _cycle(n):
-    return WeightedGraph(n, tuple((i, (i + 1) % n, 1.0) for i in range(n)))
+    return graph_of(n, ((i, (i + 1) % n, 1.0) for i in range(n)))
 
 
 @pytest.mark.parametrize("graph", [
     _cycle(8),
     _cycle(13),
-    WeightedGraph(9, tuple((0, i, 1.5) for i in range(1, 9))),
-    WeightedGraph(7, tuple((i, j, 1.0) for i in range(7) for j in range(i + 1, 7))),
-    WeightedGraph(16, tuple(
+    graph_of(9, ((0, i, 1.5) for i in range(1, 9))),
+    graph_of(7, ((i, j, 1.0) for i in range(7) for j in range(i + 1, 7))),
+    graph_of(16, (
         (u, u ^ (1 << b), 1.0) for u in range(16) for b in range(4) if u < u ^ (1 << b)
     )),
     # twins 0, 1 and 2, 3: unit vector 1 projects onto minus unit vector 0
-    WeightedGraph(4, ((0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0))),
+    graph_of(4, ((0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0))),
 ], ids=["cycle8", "cycle13", "star9", "complete7", "hypercube4", "twins4"])
 def test_eigenspace_basis_matches_gram_schmidt(graph):
     w = graph.adjacency()
@@ -225,9 +252,9 @@ def exact_copies(copies):
     ``_TIES`` that stay inside them (the bundled grid itself for 1)."""
     base = bundled_ieee118().graph()
     n = base.n_vertices
-    edges = [(i + c * n, j + c * n, w) for c in range(copies) for i, j, w in base.edges]
+    edges = [(i + c * n, j + c * n, w) for c in range(copies) for i, j, w in edges_of(base)]
     ties = [(f - 1, t - 1, w) for f, t, w in _TIES if t <= copies * n]
-    return WeightedGraph(copies * n, tuple(edges + ties))
+    return graph_of(copies * n, edges + ties)
 
 
 def test_exact_copies_of_a_grid_decompose():
@@ -283,7 +310,7 @@ def test_zero_eigenvector_is_constant_vector():
 
 
 def test_disconnected_graph_flagged():
-    g = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
+    g = graph_of(4, ((0, 1, 1.0), (2, 3, 1.0)))
     sg = build_laplacian(g)
     assert not sg.is_connected()
 
@@ -331,7 +358,7 @@ def test_add_edges_grows_and_stays_connected():
         assert out.n_edges == g.n_edges + 3
         assert out.n_vertices == g.n_vertices
         assert build_laplacian(out).is_connected()
-        new = set(out.edges) - set(g.edges)
+        new = set(edges_of(out)) - set(edges_of(g))
         for _, _, w in new:
             assert lo <= w <= hi
 
@@ -339,7 +366,7 @@ def test_add_edges_grows_and_stays_connected():
 def test_add_edges_deterministic():
     rng = generator(7, "perturb")
     g = random_connected_graph(rng, 10)
-    assert perturb_edges(g, 2, "add", 9).edges == perturb_edges(g, 2, "add", 9).edges
+    assert edges_of(perturb_edges(g, 2, "add", 9)) == edges_of(perturb_edges(g, 2, "add", 9))
 
 
 def test_remove_edges_keeps_connectivity():
@@ -358,15 +385,15 @@ def test_remove_edges_rejects_bridges():
         (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0),
         (2, 3, 1.0),
     )
-    g = WeightedGraph(6, edges)
+    g = graph_of(6, edges)
     for seed in range(30):
         out = perturb_edges(g, 1, "remove", seed)
-        assert (2, 3, 1.0) in out.edges, f"seed {seed} removed the bridge"
+        assert (2, 3, 1.0) in edges_of(out), f"seed {seed} removed the bridge"
         assert build_laplacian(out).is_connected()
 
 
 def test_remove_edges_infeasible_on_tree():
-    g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+    g = PATH3
     with pytest.raises(PerturbationInfeasibleError):
         perturb_edges(g, 1, "remove", 0)
 
@@ -378,23 +405,24 @@ def test_add_edges_infeasible_on_complete():
 
 def test_zero_count_is_identity():
     g = random_connected_graph(generator(9, "perturb"), 8)
-    assert perturb_edges(g, 0, "add", 3).edges == g.edges
-    out, vmap = perturb_vertices(g, 0, "add", 3)
-    assert out.edges == g.edges
-    assert vmap == {i: i for i in range(8)}
+    assert edges_of(perturb_edges(g, 0, "add", 3)) == edges_of(g)
+    for mode in ("add", "remove"):
+        out, old = perturb_vertices(g, 0, mode, 3)
+        assert edges_of(out) == edges_of(g)
+        assert np.array_equal(old, np.arange(8))
 
 
 def test_add_vertices_attachment():
     rng = generator(10, "perturb")
     g = random_connected_graph(rng, 9)
-    out, vmap = perturb_vertices(g, 2, "add", 5)
+    out, old = perturb_vertices(g, 2, "add", 5)
     assert out.n_vertices == 11
-    assert vmap == {i: i for i in range(9)}
+    assert np.array_equal(old, [*range(9), -1, -1])
     assert out.n_edges == g.n_edges + 4
     assert build_laplacian(out).is_connected()
     # old edges unchanged
-    assert set(g.edges) <= set(out.edges)
-    for i, j, _ in set(out.edges) - set(g.edges):
+    assert set(edges_of(g)) <= set(edges_of(out))
+    for i, j, _ in set(edges_of(out)) - set(edges_of(g)):
         assert max(i, j) >= 9
 
 
@@ -402,22 +430,27 @@ def test_remove_vertices_map_and_connectivity():
     rng = generator(11, "perturb")
     g = random_connected_graph(rng, 12, extra=1.0)
     for seed in range(10):
-        out, vmap = perturb_vertices(g, 3, "remove", seed)
+        out, old = perturb_vertices(g, 3, "remove", seed)
         assert out.n_vertices == 9
-        assert len(vmap) == 9
-        assert sorted(vmap.values()) == list(range(9))
+        # the survivors' old indices, in order
+        assert len(old) == 9 and old[0] >= 0 and np.all(np.diff(old) > 0) and old[-1] < 12
         assert build_laplacian(out).is_connected()
         # surviving edges keep their weights under the remap
-        inv = {new: old for old, new in vmap.items()}
         adj = g.adjacency()
-        for i, j, w in out.edges:
-            assert adj[inv[i], inv[j]] == w
+        for i, j, w in edges_of(out):
+            assert adj[old[i], old[j]] == w
 
 
 def test_remove_vertices_infeasible():
-    g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
     with pytest.raises(PerturbationInfeasibleError):
-        perturb_vertices(g, 3, "remove", 0)
+        perturb_vertices(PATH3, 3, "remove", 0)
+
+
+def test_removal_leaving_one_vertex_is_infeasible():
+    # a single vertex has an empty edge list, which read_edge_list rejects
+    with pytest.raises(PerturbationInfeasibleError, match="fewer than two"):
+        perturb_vertices(PATH3, 2, "remove", 0)
+    assert perturb_vertices(PATH3, 1, "remove", 0)[0].n_vertices == 2
 
 
 @pytest.mark.parametrize(
@@ -440,6 +473,6 @@ def test_edge_list_round_trip(tmp_path):
     write_edge_list(g, path)
     back = read_edge_list(path)
     assert back.n_vertices == g.n_vertices
-    assert back.edges == g.edges
+    assert edges_of(back) == edges_of(g)
     header = path.read_text().splitlines()[0]
     assert header == "from,to,weight"

@@ -10,13 +10,14 @@ from gspest.errors import ConfigError
 from gspest.estimators import (
     LinearEstimator,
     SpectralEstimator,
+    almmse,
     fit_arma,
     fit_lpi,
     gsp_lmmse,
     sample_lmmse,
 )
 from gspest.filters import FilterSpec, filter_matrix
-from gspest.graphs import build_laplacian
+from gspest.graphs import build_laplacian, gft
 from gspest.harness import (
     ESTIMATOR_LABELS,
     ExperimentConfig,
@@ -306,6 +307,16 @@ def test_experiment_a_non_finite_scores_are_typed_rows(tmp_path):
     assert_no_ok_row_is_non_finite(report.rows)
 
 
+def whole_test_set(model, trials, seed):
+    """The seeded test set of ``model`` as one :class:`harness._Draws`: its
+    blocks' states, measurements and state spectra, concatenated."""
+    from gspest.harness import _Draws, _test_blocks
+
+    blocks = list(_test_blocks(model, trials, seed))
+    return _Draws(model.sg, *(np.concatenate([getattr(b, k) for b in blocks])
+                              for k in ("x", "y", "x_freq")))
+
+
 def rows_drawn_first(config):
     """Experiment A's rows as the protocol once made them: the whole test set
     drawn first, then each training size fitted and scored in turn."""
@@ -315,8 +326,7 @@ def rows_drawn_first(config):
 
     grid = harness._config_grid(config)
     model = ac_measurement_model(grid, config.beta, config.sigma2)
-    x, y = draw_test_set(model, config.trials, derive(config.seed, "test", 0, 0))
-    draws = harness._Draws(model.sg, x, y)
+    draws = whole_test_set(model, config.trials, derive(config.seed, "test", 0, 0))
 
     def scored(row, fit):
         est, status, wall_ms = fit
@@ -497,12 +507,10 @@ SPECTRAL = ("gsp-lmmse", "lpi-gsp", "arma-gsp", "lr-arma-gsp", "almmse")
 
 
 def test_parseval_scores_match_squared_errors(tmp_path):
-    from gspest.harness import _Draws
-
     config = small_config(tmp_path)
     model = build_model(config)
     m = stream_moments(model, 60, 2)
-    draws = _Draws(model.sg, *draw_test_set(model, 300, 4))
+    draws = whole_test_set(model, 300, 4)
     x_freq, y_freq = (s.copy() for s in draws.spectra)
     v = model.sg.eigenvectors
     for label in SPECTRAL:
@@ -531,7 +539,8 @@ def scoring_cases(sg, trials, seed):
 
     rng = generator(seed, "scoring", trials)
     n = sg.n_vertices
-    draws = _Draws(sg, rng.standard_normal((trials, n)), rng.standard_normal((trials, n)))
+    x = rng.standard_normal((trials, n))
+    draws = _Draws(sg, x, rng.standard_normal((trials, n)), gft(sg, x))
     mean, center = rng.standard_normal(n), rng.standard_normal(n)
     spectral = SpectralEstimator("on-graph", sg, rng.uniform(0.1, 1.0, n), mean, center)
     return draws, {
@@ -557,6 +566,24 @@ def test_row_blocked_scores_match_the_whole_set(trials):
         else:
             want = squared_errors(est, draws.x, draws.y)
         assert draws.errors(est).tobytes() == want.tobytes(), name
+
+
+def test_each_scored_block_transforms_only_its_measurements(monkeypatch):
+    # the states' spectrum is the one each block was drawn from: scoring a
+    # spectral estimator takes one transform per block (of y), where
+    # transforming x as well took two
+    from gspest import harness
+
+    model = ac_measurement_model(random_grid(generator(12, "spectrum"), 17))
+    transform, calls = harness.gft, []
+    monkeypatch.setattr(harness, "gft", lambda sg, s: calls.append(len(s)) or transform(sg, s))
+    evaluate_mse(almmse(model.sg, 3.0, 0.05), model, 600, 5)
+    assert calls == [300, 300]
+    # within the orthonormality bound 1e-10 of build_laplacian: each entry
+    # of x V - x_freq = x_freq (V^T V - I) is at most that times a row's sum
+    for block in harness._test_blocks(model, 600, 5):
+        gap = np.abs(transform(model.sg, block.x) - block.x_freq)
+        assert np.all(gap <= 1e-10 * np.abs(block.x_freq).sum(axis=1, keepdims=True))
 
 
 def test_scoring_memory_is_per_block():
