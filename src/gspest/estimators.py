@@ -367,14 +367,16 @@ def _fit_rational(eigenvalues, dvec, dvar, num_order: int, den_order: int, mu: f
         return (value if np.isfinite(value) else np.inf), coeffs
 
     a_tail, converged = np.zeros(den_order), True
-    if den_order > 0:
-        simplex = np.vstack([a_tail, a_tail + _SIMPLEX_STEP * np.eye(den_order)])
-        result = minimize(
-            lambda tail: profile(tail)[0], simplex,
-            maxiter=_MAX_ITER, maxfev=4 * _MAX_ITER, xatol=1e-8, fatol=_F_TOL,
-        )
-        a_tail, converged = result.x, bool(result.success)
-    _, coeffs = profile(a_tail)
+    # an overflowing profile is inf, and the search's stop test may take inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        if den_order > 0:
+            simplex = np.vstack([a_tail, a_tail + _SIMPLEX_STEP * np.eye(den_order)])
+            result = minimize(
+                lambda tail: profile(tail)[0], simplex,
+                maxiter=_MAX_ITER, maxfev=4 * _MAX_ITER, xatol=1e-8, fatol=_F_TOL,
+            )
+            a_tail, converged = result.x, bool(result.success)
+        _, coeffs = profile(a_tail)
     if coeffs is None and den_order == 0:
         raise SingularMomentsError("numerator fit is singular")
     if coeffs is None:
@@ -454,7 +456,9 @@ def almmse(sg: SpectralGraph, beta: float, sigma2: float) -> SpectralEstimator:
     lam = sg.eigenvalues
     pos = lam > sg.zero_tolerance()
     resp = np.zeros_like(lam)
-    resp[pos] = beta / (beta * lam[pos] + sigma2)
+    with np.errstate(over="ignore"):  # a valid beta (beta / lam finite) may overflow beta * lam
+        den = beta * lam[pos] + sigma2
+    resp[pos] = np.where(np.isfinite(den), beta / den, 1.0 / (lam[pos] + sigma2 / beta))
     n = sg.n_vertices
     return SpectralEstimator("almmse", sg, resp, np.zeros(n), np.zeros(n))
 

@@ -1,25 +1,27 @@
 """Monte Carlo experiment protocols and reporting.
 
 Experiments share one seeded test set per scenario so estimator comparisons
-are paired (common random numbers). Estimator failures (singular moments,
-unstable filters, a score that is not finite) and infeasible topology
-perturbations are recorded as report rows with NaN values, not raised.
-Experiment A's P-infinity row is the unconstrained estimator built from the
-model's exact population moments, not from a training set. Experiment A fits
-first and scores last: its test set is drawn after every training pass, and
-the fits it holds meanwhile cost one N x N gain per training size.
+are paired (common random numbers). Each report row is the record of its
+fit: it carries the fit's status and wall time from :func:`_attempt` on, and
+scoring adds the score. Estimator failures (singular moments, unstable
+filters, a score that is not finite) and infeasible topology perturbations
+are rows with NaN values, not raised. Experiment A's P-infinity row is the
+unconstrained estimator built from the model's exact population moments, not
+from a training set. Experiment A fits first and scores last: its test set is
+drawn after every training pass, and the fits it holds meanwhile cost one
+N x N gain per training size.
 
 The test set is never whole. It is a stream of near-equal blocks of 256 to
 511 rows, or one block below 256 trials. Each block's prior and noise rows
 come from the seeded ``test-x`` and ``test-w`` streams, which run on from
 block to block, so the blocks hold the normals of one whole draw. A block is
-pushed through the forward map, scored by every estimator of the scenario
-and released before the next is drawn, so scoring memory is O(block * N)
-whatever the number of trials; :func:`draw_test_set` is the concatenation of
-the same blocks. No block is short enough to take a BLAS path unlike a long
-product's (gemv takes one row) or to lose BLAS throughput (at N = 944 and
-1,000 trials, a dense gain took 33 ms whole, 36 ms in 256-row and 45 ms in
-64-row blocks, on 2 OpenBLAS threads).
+pushed through the forward map, scores every estimator of the scenario
+itself and is released before the next is drawn, so scoring memory is
+O(block * N) whatever the number of trials; :func:`draw_test_set` is the
+concatenation of the same blocks. No block is short enough to take a BLAS
+path unlike a long product's (gemv takes one row) or to lose BLAS throughput
+(at N = 944 and 1,000 trials, a dense gain took 33 ms whole, 36 ms in
+256-row and 45 ms in 64-row blocks, on 2 OpenBLAS threads).
 
 Spectral estimators are scored in the frequency domain of the test graph:
 Parseval's identity makes that the vertex-domain squared error, as
@@ -188,8 +190,10 @@ class ExperimentConfig:
     runtime_repeats: int = 10
 
     def __post_init__(self):
-        for f in fields(self):  # the integer fields, read off their annotations
+        for f in fields(self):  # the integer and list fields, read off their annotations
             value = getattr(self, f.name)
+            if f.type.startswith("tuple") and isinstance(value, str):
+                raise ConfigError(f"{f.name}: {value!r} is a string, not a list")
             if f.type == "int":
                 object.__setattr__(self, f.name, _integral(f.name, value))
             elif f.type == "tuple[int, ...]":
@@ -207,8 +211,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be at least 2")
         if any(p < 2 for p in self.p_values) or self.training_size < 2:
             raise ConfigError("training sizes must be at least 2")
-        for name in ("beta", "sigma2", "mu"):  # json reads NaN and Infinity
-            if not np.isfinite(getattr(self, name)):
+        for name in ("beta", "sigma2", "mu", "runtime_targets"):  # json reads NaN and Infinity
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"{name} must be finite")
         if self.beta <= 0 or self.sigma2 < 0 or self.mu < 0:
             raise ConfigError("beta must be positive, sigma2 and mu non-negative")
@@ -317,9 +321,11 @@ def _blocks(trials: int) -> list[slice]:
 
 
 def _squared_distances(fresh: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row sums of ``(fresh - x)**2``, formed in ``fresh``, a scratch buffer."""
+    """Row sums of ``(fresh - x)**2``, formed in ``fresh``, a scratch buffer;
+    an overflow is an inf score, which the row records as ``non-finite``."""
     np.subtract(fresh, x, out=fresh)
-    return np.sum(np.square(fresh, out=fresh), axis=-1)
+    with np.errstate(over="ignore"):
+        return np.sum(np.square(fresh, out=fresh), axis=-1)
 
 
 def squared_errors(est, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -329,8 +335,8 @@ def squared_errors(est, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Draws:
-    """Test draws ``(x, y)`` of a model on ``sg`` and the spectrum
-    ``x_freq`` that ``x`` was synthesized from: one block of a test set."""
+    """One block of a test set: draws ``(x, y)`` of a model on ``sg`` and
+    the spectrum ``x_freq`` that ``x`` was synthesized from."""
 
     sg: SpectralGraph
     x: np.ndarray
@@ -338,22 +344,16 @@ class _Draws:
     x_freq: np.ndarray
 
     @cached_property
-    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(x_freq, y V)``, made on first use and shared by every estimator."""
-        return self.x_freq, gft(self.sg, self.y)
+    def y_freq(self) -> np.ndarray:
+        """``y V``, made on first use and shared by every estimator."""
+        return gft(self.sg, self.y)
 
     def errors(self, est) -> np.ndarray:
-        """:func:`squared_errors`, a block of :func:`_blocks` at a time; for
-        a spectral estimator on ``sg``, in the frequency domain."""
-        on_graph = isinstance(est, SpectralEstimator) and est.sg is self.sg
-        x, y = self.spectra if on_graph else (self.x, self.y)
-        err = np.empty(len(x))
-        for rows in _blocks(len(x)):
-            if on_graph:
-                err[rows] = _squared_distances(est.frequency_estimate(y[rows]), x[rows])
-            else:
-                err[rows] = squared_errors(est, x[rows], y[rows])
-        return err
+        """:func:`squared_errors` on the block; for a spectral estimator on
+        ``sg``, in the frequency domain."""
+        if isinstance(est, SpectralEstimator) and est.sg is self.sg:
+            return _squared_distances(est.frequency_estimate(self.y_freq), self.x_freq)
+        return squared_errors(est, self.x, self.y)
 
 
 def _test_blocks(model: MeasurementModel, trials: int, seed: int):
@@ -395,21 +395,23 @@ def _errors(model: MeasurementModel, trials: int, seed: int, ests) -> list[np.nd
 
 
 def _mse(err: np.ndarray) -> tuple[float, float]:
-    """Mean of per-trial errors and its standard error."""
-    return float(err.mean()), float(err.std(ddof=1) / np.sqrt(len(err)))
+    """Mean of per-trial errors and its standard error, not finite when an
+    error is not finite or their sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(err.mean()), float(err.std(ddof=1) / np.sqrt(len(err)))
 
 
-def _attempt(build) -> tuple:
-    """``(build(), "ok", wall_ms)``, or ``(None, status, wall_ms)`` on a
-    numerical failure, where ``wall_ms`` is the time ``build()`` took."""
+def _attempt(row: MseRow, build) -> tuple[MseRow, object]:
+    """``(row, build())``, ``row`` timed with how long ``build()`` took, or
+    ``(row, None)``, ``row`` given the status of a numerical failure."""
     t0 = time.perf_counter()
     try:
-        est, status = build(), "ok"
+        est = build()
     except SingularMomentsError:
-        est, status = None, "singular"
+        return replace(row, status="singular"), None
     except UnstableFilterError:
-        est, status = None, "unstable"
-    return est, status, (time.perf_counter() - t0) * 1e3
+        return replace(row, status="unstable"), None
+    return replace(row, wall_ms=(time.perf_counter() - t0) * 1e3), est
 
 
 def _finite_score(mse: float, stderr: float) -> bool:
@@ -418,23 +420,21 @@ def _finite_score(mse: float, stderr: float) -> bool:
 
 
 def _scored_rows(
-    keyed: list[tuple], model: MeasurementModel, trials: int, seed: int
+    fitted: list[tuple], model: MeasurementModel, trials: int, seed: int
 ) -> list[MseRow]:
-    """Each ``(row, fit)``, ``fit`` an :func:`_attempt` ``(est, status,
-    wall_ms)``, scored in one pass over the seeded test set of ``model``. A
-    numerical failure gives ``row`` its status, and a score that is not
-    finite the status ``non-finite``, both keeping the ``nan``s."""
-    errs = iter(_errors(model, trials, seed, [fit[0] for _, fit in keyed if fit[0] is not None]))
+    """The row of each :func:`_attempt` ``(row, est)``, scored in one pass
+    over the seeded test set of ``model``: a failed fit's row as it is, and
+    a score that is not finite as ``non-finite``, with ``nan`` values."""
+    errs = iter(_errors(model, trials, seed, [est for _, est in fitted if est is not None]))
     rows = []
-    for row, (est, status, wall_ms) in keyed:
-        if est is None:
-            rows.append(replace(row, status=status))
-            continue
-        mse, stderr = _mse(next(errs))
-        if _finite_score(mse, stderr):
-            rows.append(replace(row, mse=mse, stderr=stderr, wall_ms=wall_ms))
-        else:
-            rows.append(replace(row, status="non-finite"))
+    for row, est in fitted:
+        if est is not None:
+            mse, stderr = _mse(next(errs))
+            if _finite_score(mse, stderr):
+                row = replace(row, mse=mse, stderr=stderr)
+            else:
+                row = replace(row, status="non-finite", wall_ms=np.nan)
+        rows.append(row)
     return rows
 
 
@@ -463,9 +463,12 @@ def fit_by_label(label: str, m: SampleMoments, config: ExperimentConfig):
     return _BY_LABEL[label].fit(m, config)
 
 
-def _fit_families(m: SampleMoments, config: ExperimentConfig) -> list[tuple]:
-    """An :func:`_attempt` of each configured family on ``m``, freed on return."""
-    return [_attempt(lambda: fit_by_label(label, m, config)) for label in config.estimators]
+def _fit_families(model: MeasurementModel, config: ExperimentConfig, p: int, key: MseRow):
+    """An :func:`_attempt` of each configured family, with ``key`` as its
+    row, on ``model``'s seeded size-``p`` training moments, freed on return."""
+    m = stream_moments(model, p, derive(config.seed, "train", p))
+    return [_attempt(replace(key, estimator=label), lambda: fit_by_label(label, m, config))
+            for label in config.estimators]
 
 
 def experiment_a(config: ExperimentConfig) -> MseReport:
@@ -486,30 +489,27 @@ def experiment_a(config: ExperimentConfig) -> MseReport:
     model = _ac_model(grid, config)
     _check_lpi_order(config, config.estimators, model)
     m = population_moments(grid, model.prior, model.sigma2)
-    limit = _attempt(lambda: sample_lmmse(m))
+    limit = _attempt(
+        MseRow("sample-lmmse", "experiment-a", "P-infinity", np.inf), lambda: sample_lmmse(m)
+    )
     del m
     fits = {
-        p: _fit_families(stream_moments(model, p, derive(config.seed, "train", p)), config)
+        p: _fit_families(model, config, p, MseRow("", "experiment-a", "P", float(p)))
         for p in sorted(set(config.p_values), reverse=True)
     }
-    keyed = [
-        (MseRow(label, "experiment-a", "P", float(p)), fit)
-        for p in config.p_values
-        for label, fit in zip(config.estimators, fits[p])
-    ]
-    keyed.append((MseRow("sample-lmmse", "experiment-a", "P-infinity", np.inf), limit))
+    fitted = [fit for p in config.p_values for fit in fits[p]] + [limit]
     seed = derive(config.seed, "test", 0, 0)
-    return MseReport(_scored_rows(keyed, model, config.trials, seed))
+    return MseReport(_scored_rows(fitted, model, config.trials, seed))
 
 
-def _retuned(fit: tuple, label: str, new_sg: SpectralGraph, vmap, config: ExperimentConfig):
-    """An :func:`_attempt` of family ``label``'s retune of ``fit``, a base
-    :func:`_attempt`, onto ``new_sg``; a failed base fit keeps its status."""
-    est = fit[0]
+def _retuned(base: tuple, row: MseRow, new_sg: SpectralGraph, vmap, config: ExperimentConfig):
+    """An :func:`_attempt` of ``row``'s retune of ``base``, its family's base
+    fit, onto ``new_sg``; a failed base fit hands ``row`` its status."""
+    base_row, est = base
     if est is None:
-        return fit
-    retune = _BY_LABEL[label].retune
-    return _attempt(lambda: retune(est, new_sg, vmap, config))
+        return replace(row, status=base_row.status), None
+    retune = _BY_LABEL[row.estimator].retune
+    return _attempt(row, lambda: retune(est, new_sg, vmap, config))
 
 
 def experiment_b(config: ExperimentConfig) -> MseReport:
@@ -529,12 +529,7 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
     base_model = _ac_model(grid, config)
     _check_lpi_order(config, config.estimators, base_model)
     p = config.training_size
-    m = stream_moments(base_model, p, derive(config.seed, "train", p))
-    fitted = {
-        label: _attempt(lambda: fit_by_label(label, m, config))
-        for label in config.estimators
-    }
-    del m  # the fits keep what they use; the N x N covariances go here
+    bases = _fit_families(base_model, config, p, MseRow("", "experiment-b", "base", float(p)))
 
     vertex_mode = config.perturb_mode.endswith("vertices")
     report = MseReport()
@@ -548,18 +543,14 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
                     grid, count, config.perturb_mode, derive(config.seed, "perturb", count, rep)
                 )
             except PerturbationInfeasibleError:
-                for row in rows:
-                    report.add(replace(row, status="infeasible"))
+                report.rows += [replace(row, status="infeasible") for row in rows]
                 continue
             vmap = vmap if vertex_mode else None
             new_model = _ac_model(new_grid, config)
-            keyed = [
-                (row, _retuned(fitted[row.estimator], row.estimator, new_model.sg, vmap, config))
-                for row in rows
-            ]
+            retuned = [_retuned(b, row, new_model.sg, vmap, config) for b, row in zip(bases, rows)]
             seed = derive(config.seed, "test", count, rep)
-            report.rows += _scored_rows(keyed, new_model, config.trials, seed)
-            del new_model, keyed  # one perturbed eigenbasis is alive at a time
+            report.rows += _scored_rows(retuned, new_model, config.trials, seed)
+            del new_model, retuned  # one perturbed eigenbasis is alive at a time
     return report
 
 
@@ -571,23 +562,24 @@ def measure_runtime(config: ExperimentConfig) -> MseReport:
     _check_lpi_order(config, config.estimators, model)
     p = config.training_size
     m = stream_moments(model, p, derive(config.seed, "train", p))
-    keyed = []
+    fitted = []
     for label in config.estimators:
-        key = MseRow(label, "runtime", "median-fit", float(config.runtime_repeats))
+        row = MseRow(label, "runtime", "median-fit", float(config.runtime_repeats))
         family = _BY_LABEL[label]
         stage = family.coefficients or family.fit
         times = []
         for _ in range(config.runtime_repeats):
-            est, status, wall_ms = _attempt(lambda: stage(m, config))
-            if status != "ok":
+            timed, est = _attempt(row, lambda: stage(m, config))
+            if est is None:
                 break
-            times.append(wall_ms)
-        if status == "ok":
-            est, wall_ms = fit_by_label(label, m, config), float(np.median(times))
-        keyed.append((key, (est, status, wall_ms)))
+            times.append(timed.wall_ms)
+        else:
+            est = fit_by_label(label, m, config)
+            timed = replace(row, wall_ms=float(np.median(times)))
+        fitted.append((timed, est))
     del m
     report = MseReport()
-    for row in _scored_rows(keyed, model, config.trials, derive(config.seed, "test", 0, 0)):
+    for row in _scored_rows(fitted, model, config.trials, derive(config.seed, "test", 0, 0)):
         report.add(row)
         if row.status != "ok":
             continue

@@ -5,13 +5,15 @@ bus count, a perturbation mode with counts up to its edge count and, in some
 cases, a config value of 1e308 or one that is not finite, then runs every
 subcommand on it in process. Whatever the input, a command exits 0, 1 (usage
 or configuration error) or 2 (numerical failure); a failure says so on a
-``gspest:`` line, never in a traceback; an edge list it writes reads back; a
-report it writes has the rows its config implies, and every row is either
-scored, with finite values, or failed, with ``nan`` values.
+``gspest:`` line, never in a traceback or a raw numpy ``RuntimeWarning``; an
+edge list it writes reads back; a report it writes has the rows its config
+implies, and every row is either scored, with finite values, or failed, with
+``nan`` values.
 """
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -30,11 +32,17 @@ SPECIAL = (("beta", 1e308), ("sigma2", 1e308), ("mu", 1e308), ("beta", math.nan)
 
 
 def run(capsys, *argv):
-    """Run one command; check its exit code and its messages."""
-    try:
-        code = main([str(a) for a in argv])
-    except SystemExit as exc:  # argparse's usage errors
-        code = exc.code
+    """Run one command; check its exit code, its messages and that it raised
+    no ``RuntimeWarning``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    raw = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught
+           if issubclass(w.category, RuntimeWarning)]
+    assert not raw, (argv, raw)
     err = capsys.readouterr().err
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -455,6 +456,23 @@ def test_almmse_gain_formula():
     resp = np.where(lam > sg.zero_tolerance(), beta / (beta * lam + sigma2), 0.0)
     v = sg.eigenvectors
     assert np.max(np.abs(est.dense.gain - (v * resp) @ v.T)) < 1e-14
+
+
+def test_almmse_keeps_its_response_where_beta_lambda_overflows():
+    # beta = 1e307 is a valid prior on the bundled grid (beta / lambda_1 =
+    # 3.4e307), but beta * lambda overflows for lambda above about 18: the
+    # response there is 1 / (lambda + sigma2 / beta), not 0, with no warning
+    sg = build_laplacian(bundled_ieee118().graph())
+    lam = sg.eigenvalues
+    pos = lam > sg.zero_tolerance()
+    assert np.sum(lam > 18.0) > 50
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        resp = almmse(sg, 1e307, 0.05).response
+    assert np.all(resp[pos] > 0)
+    assert np.allclose(resp[pos], 1.0 / (lam[pos] + 0.05 / 1e307), rtol=1e-15, atol=0)
+    # where beta * lambda is finite, the response keeps the bits of the formula
+    assert np.array_equal(almmse(sg, 3.0, 0.05).response[pos], 3.0 / (3.0 * lam[pos] + 0.05))
 
 
 # ----------------------------------------------------------- topology updates

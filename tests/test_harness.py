@@ -117,11 +117,28 @@ def test_config_rejects_bad_values():
         '{"p_values": [59.9]}',
         '{"perturb_counts": [1, 2.5]}',
         '{"seed": true}',
+        # a string for a list field, read char by char, is not the list it names
+        '{"runtime_targets": "12"}',
+        '{"estimators": "gsp-lmmse"}',
+        '{"p_values": "59"}',
+        # json reads NaN and Infinity; a target row needs a finite target
+        '{"runtime_targets": [NaN]}',
+        '{"runtime_targets": [1.0, Infinity]}',
         "[1, 2]",
         "not json",
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"runtime_targets": "12"}', "runtime_targets: '12' is a string, not a list"),
+    ('{"estimators": "gsp-lmmse"}', "estimators: 'gsp-lmmse' is a string, not a list"),
+    ('{"runtime_targets": [-Infinity]}', "runtime_targets must be finite"),
+])
+def test_config_errors_name_the_field(doc, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_json(doc)
 
 
 def test_config_reads_integral_floats_as_ints():
@@ -297,6 +314,8 @@ def assert_no_ok_row_is_non_finite(rows):
     for r in rows:
         finite = math.isfinite(r.mse) and math.isfinite(r.stderr)
         assert (r.status == "ok") == finite or r.status == "unreachable", r
+        # a failed fit or score keeps no fit time
+        assert r.status in ("ok", "unreachable") or math.isnan(r.wall_ms), r
     assert "non-finite" in {r.status for r in rows}
 
 
@@ -328,29 +347,29 @@ def rows_drawn_first(config):
     model = ac_measurement_model(grid, config.beta, config.sigma2)
     draws = whole_test_set(model, config.trials, derive(config.seed, "test", 0, 0))
 
-    def scored(row, fit):
-        est, status, wall_ms = fit
+    def scored(fit):
+        row, est = fit
         if est is None:
-            return replace(row, status=status)
+            return row
         err = draws.errors(est)
         mse, stderr = float(err.mean()), float(err.std(ddof=1) / np.sqrt(len(err)))
         if not (math.isfinite(mse) and math.isfinite(stderr)):
-            return replace(row, status="non-finite")
-        return replace(row, mse=mse, stderr=stderr, wall_ms=wall_ms)
+            return replace(row, status="non-finite", wall_ms=math.nan)
+        return replace(row, mse=mse, stderr=stderr)
 
     rows = []
     for p in config.p_values:
         m = stream_moments(model, p, derive(config.seed, "train", p))
         for label in config.estimators:
-            rows.append(scored(
+            rows.append(scored(harness._attempt(
                 MseRow(label, "experiment-a", "P", float(p)),
-                harness._attempt(lambda: fit_by_label(label, m, config)),
-            ))
+                lambda: fit_by_label(label, m, config),
+            )))
     m = population_moments(grid, model.prior, model.sigma2)
-    rows.append(scored(
+    rows.append(scored(harness._attempt(
         MseRow("sample-lmmse", "experiment-a", "P-infinity", math.inf),
-        harness._attempt(lambda: sample_lmmse(m)),
-    ))
+        lambda: sample_lmmse(m),
+    )))
     return rows
 
 
@@ -511,7 +530,7 @@ def test_parseval_scores_match_squared_errors(tmp_path):
     model = build_model(config)
     m = stream_moments(model, 60, 2)
     draws = whole_test_set(model, 300, 4)
-    x_freq, y_freq = (s.copy() for s in draws.spectra)
+    x_freq, y_freq = draws.x_freq.copy(), draws.y_freq.copy()
     v = model.sg.eigenvectors
     for label in SPECTRAL:
         est = fit_by_label(label, m, config)
@@ -524,9 +543,9 @@ def test_parseval_scores_match_squared_errors(tmp_path):
         assert np.array_equal(est.frequency_estimate(y_freq), est_freq), label
         diff = est_freq - x_freq
         assert np.array_equal(got, np.sum(diff * diff, axis=-1)), label
-    assert draws.spectra is draws.spectra
-    assert np.array_equal(draws.spectra[0], x_freq)  # scoring never writes into them
-    assert np.array_equal(draws.spectra[1], y_freq)
+    assert draws.y_freq is draws.y_freq
+    assert np.array_equal(draws.x_freq, x_freq)  # scoring never writes into them
+    assert np.array_equal(draws.y_freq, y_freq)
     # an estimator fitted on another graph is scored in the vertex domain
     other = replace(est, sg=build_laplacian(model.sg.graph))
     assert np.array_equal(draws.errors(other), squared_errors(other, draws.x, draws.y))
@@ -554,18 +573,17 @@ def scoring_cases(sg, trials, seed):
 @pytest.mark.parametrize("trials", [2, 255, 256, 257, 1000])
 def test_row_blocked_scores_match_the_whole_set(trials):
     # a block of 256 to 511 rows takes the whole set's BLAS path (a single
-    # row would take gemv), so every row keeps its bits
-    from gspest.harness import _squared_distances
+    # row would take gemv), so the streamed blocks' scores, each block with
+    # its own transform of y, keep the bits of the whole set's
+    from gspest.harness import _blocks, _Draws
 
     sg = build_laplacian(bundled_ieee118().graph())
     draws, cases = scoring_cases(sg, trials, seed=41)
+    blocks = [_Draws(sg, draws.x[rows], draws.y[rows], draws.x_freq[rows])
+              for rows in _blocks(trials)]
     for name, est in cases.items():
-        if name == "on-graph":
-            x_freq, y_freq = draws.spectra
-            want = _squared_distances(est.frequency_estimate(y_freq), x_freq)
-        else:
-            want = squared_errors(est, draws.x, draws.y)
-        assert draws.errors(est).tobytes() == want.tobytes(), name
+        streamed = np.concatenate([block.errors(est) for block in blocks])
+        assert streamed.tobytes() == draws.errors(est).tobytes(), name
 
 
 def test_each_scored_block_transforms_only_its_measurements(monkeypatch):
@@ -586,26 +604,6 @@ def test_each_scored_block_transforms_only_its_measurements(monkeypatch):
         assert np.all(gap <= 1e-10 * np.abs(block.x_freq).sum(axis=1, keepdims=True))
 
 
-def test_scoring_memory_is_per_block():
-    # the whole-set estimate alone would take trials * N doubles; a block
-    # of at most 511 rows takes half that for 1000 trials
-    import tracemalloc
-
-    sg = build_laplacian(random_connected_graph(generator(42, "scoring"), 470))
-    trials, n = 1000, sg.n_vertices
-    draws, cases = scoring_cases(sg, trials, seed=42)
-    draws.spectra  # the shared transform, made once per graph, is not scoring
-    for name in ("diagonal", "on-graph"):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            draws.errors(cases[name])
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.5 * trials * n * 8, name
-
-
 def test_scoring_peak_does_not_grow_with_trials():
     # the test set is drawn, transformed and scored a block at a time, so a
     # scenario's traced peak at 8,000 trials is that at 1,000 within one
@@ -617,13 +615,13 @@ def test_scoring_peak_does_not_grow_with_trials():
     model = ac_measurement_model(random_grid(generator(43, "scoring"), 470))
     sg, n = model.sg, model.sg.n_vertices
     _, cases = scoring_cases(sg, 2, seed=43)
-    keyed = [(MseRow(name, "s", "p", 0.0), (est, "ok", 0.0)) for name, est in cases.items()]
+    fitted = [(MseRow(name, "s", "p", 0.0), est) for name, est in cases.items()]
     peaks = {}
     for trials in (1000, 8000):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            rows = _scored_rows(keyed, model, trials, 5)
+            rows = _scored_rows(fitted, model, trials, 5)
             peaks[trials] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -646,17 +644,17 @@ def test_protocol_scores_are_squared_errors_on_the_test_set(tmp_path, monkeypatc
     calls = []
     scored_rows = harness._scored_rows
 
-    def spy(keyed, model, trials, seed):
-        rows = scored_rows(keyed, model, trials, seed)
-        calls.append((keyed, draw_test_set(model, trials, seed), rows))
+    def spy(fitted, model, trials, seed):
+        rows = scored_rows(fitted, model, trials, seed)
+        calls.append((fitted, draw_test_set(model, trials, seed), rows))
         return rows
 
     monkeypatch.setattr(harness, "_scored_rows", spy)
     report = protocol(config)
     assert [r for _, _, rows in calls for r in rows] == report.rows
     scored = 0
-    for keyed, (x, y), rows in calls:
-        for (_, (est, _, _)), row in zip(keyed, rows):
+    for fitted, (x, y), rows in calls:
+        for (_, est), row in zip(fitted, rows):
             assert row.status == "ok", row
             err = squared_errors(est, x, y)
             mse, stderr = err.mean(), err.std(ddof=1) / np.sqrt(len(err))
