@@ -33,9 +33,10 @@ so no fit loads ``scipy.optimize``.
 The rational search settings are fixed: both coefficient vectors are
 penalized by ``mu`` times their squared norm (identity regularizers), the
 denominator tail starts at zero (the polynomial filter) with an initial
-simplex of side 0.1, and Nelder-Mead stops after 2000 iterations or 8000
-objective evaluations, or once the simplex spans at most 1e-10 in
-objective value and 1e-8 in coefficients.
+simplex of side 0.1, and Nelder-Mead stops after ``200 n`` iterations
+(scipy's default for ``n`` denominator coefficients) or ``800 n`` objective
+evaluations, or once the simplex spans at most 1e-10 in objective value and
+1e-8 in coefficients.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .moments import SampleMoments, require_positive_freq_var
 # Condition-number ceiling for direct solves of moment systems.
 COND_LIMIT = 1e12
 # Nelder-Mead settings of the rational fits (see the module docstring).
-_MAX_ITER = 2000
+_ITER_PER_COEFF = 200
 _F_TOL = 1e-10
 _SIMPLEX_STEP = 0.1
 
@@ -371,9 +372,10 @@ def _fit_rational(eigenvalues, dvec, dvar, num_order: int, den_order: int, mu: f
     with np.errstate(over="ignore", invalid="ignore"):
         if den_order > 0:
             simplex = np.vstack([a_tail, a_tail + _SIMPLEX_STEP * np.eye(den_order)])
+            maxiter = _ITER_PER_COEFF * den_order
             result = minimize(
                 lambda tail: profile(tail)[0], simplex,
-                maxiter=_MAX_ITER, maxfev=4 * _MAX_ITER, xatol=1e-8, fatol=_F_TOL,
+                maxiter=maxiter, maxfev=4 * maxiter, xatol=1e-8, fatol=_F_TOL,
             )
             a_tail, converged = result.x, bool(result.success)
         _, coeffs = profile(a_tail)

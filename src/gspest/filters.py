@@ -118,26 +118,16 @@ def lpi_basis_from_eigenvalues(
     """Pseudo-inverse power basis: row ``n``, column ``k`` is ``lam[n]**(-k)``
     for positive eigenvalues, and ``(1, 0, ..., 0)`` on the zero eigenvalue.
 
-    Inverse powers are accumulated by repeated multiplication of ``1/lam``.
-    Eigenvalues other than the zero group must be strictly positive.
+    The :func:`vandermonde` matrix of ``1/lam``, taken as 0 on the zero
+    group. Eigenvalues other than the zero group must be strictly positive.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    if order < 0:
-        raise ValueError("order must be non-negative")
     zero = np.abs(lam) <= zero_tol
     if np.any(lam[~zero] <= 0):
         raise UnstableFilterError("inverse-spectrum basis needs positive eigenvalues")
-    basis = np.zeros((lam.size, order + 1))
-    basis[:, 0] = 1.0
     inv = np.zeros_like(lam)
     inv[~zero] = 1.0 / lam[~zero]
-    col = np.ones_like(lam)
-    for k in range(1, order + 1):
-        col = col * inv
-        basis[:, k] = col
-    basis[zero, 1:] = 0.0
-    basis[zero, 0] = 1.0
-    return basis
+    return vandermonde(inv, order)
 
 
 def lpi_basis(sg: SpectralGraph, order: int) -> np.ndarray:

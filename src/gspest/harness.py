@@ -49,14 +49,10 @@ from .errors import (
 )
 from .estimators import (
     almmse,
-    arma_coefficients,
     fit_arma,
     fit_lpi,
     fit_lr_arma,
     gsp_lmmse,
-    gsp_response,
-    lpi_coefficients,
-    lr_arma_coefficients,
     remap_estimator,
     sample_diag_lmmse,
     sample_lmmse,
@@ -99,19 +95,16 @@ def _rebasis(fit, new_sg, vmap, config):
 @dataclass(frozen=True)
 class Family:
     """One estimator family: its report label, its ``gspest fit --filter``
-    name, ``fit(m, config)`` on the moments' graph ``m.sg``, the
-    ``coefficients(m, config)`` stage that ``measure_runtime`` times (the
-    whole fit when None) and ``retune(fit, new_sg, vmap, config)``, which
-    carries a trained estimator onto a changed topology (``vmap``, the old
-    index of each new vertex or -1, is None on edge modes). The callables
-    reach the estimator functions through this module's globals when they
-    run, so a rebound name (a test double, the perfbench tracer) reaches
-    every use."""
+    name, ``fit(m, config)`` on the moments' graph ``m.sg`` and
+    ``retune(fit, new_sg, vmap, config)``, which carries a trained estimator
+    onto a changed topology (``vmap``, the old index of each new vertex or
+    -1, is None on edge modes). The callables reach the estimator functions
+    through this module's globals when they run, so a rebound name (a test
+    double, the perfbench tracer) reaches every use."""
 
     label: str
     cli_name: str
     fit: Callable
-    coefficients: Callable | None = None
     retune: Callable = _stale
 
 
@@ -125,26 +118,16 @@ def _cutoff(m: SampleMoments, config: ExperimentConfig) -> int:
 FAMILIES = (
     Family("sample-lmmse", "lmmse", lambda m, c: sample_lmmse(m)),
     Family("sample-dlmmse", "dlmmse", lambda m, c: sample_diag_lmmse(m)),
-    Family(
-        "gsp-lmmse", "gsp", lambda m, c: gsp_lmmse(m),
-        lambda m, c: gsp_response(m), _rebasis,
-    ),
-    Family(
-        "lpi-gsp", "lpi", lambda m, c: fit_lpi(m, c.lpi_order, c.mu),
-        lambda m, c: lpi_coefficients(m, c.lpi_order, c.mu), _refilter,
-    ),
+    Family("gsp-lmmse", "gsp", lambda m, c: gsp_lmmse(m), _rebasis),
+    Family("lpi-gsp", "lpi", lambda m, c: fit_lpi(m, c.lpi_order, c.mu), _refilter),
     Family(
         "arma-gsp", "arma",
         lambda m, c: fit_arma(m, c.arma_num_order, c.arma_den_order, c.mu),
-        lambda m, c: arma_coefficients(m, c.arma_num_order, c.arma_den_order, c.mu),
         _refilter,
     ),
     Family(
         "lr-arma-gsp", "lrarma",
         lambda m, c: fit_lr_arma(m, _cutoff(m, c), c.lr_num_order, c.lr_den_order, c.mu),
-        lambda m, c: lr_arma_coefficients(
-            m, _cutoff(m, c), c.lr_num_order, c.lr_den_order, c.mu
-        ),
         _refilter,
     ),
     Family(
@@ -156,11 +139,30 @@ _BY_LABEL = {f.label: f for f in FAMILIES}
 ESTIMATOR_LABELS = tuple(_BY_LABEL)
 
 
-def _integral(name: str, value) -> int:
-    """``value`` as an int; ConfigError unless it has no fractional part."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)) or value % 1:
-        raise ConfigError(f"{name}: {value!r} is not an integer")
-    return int(value)
+def _typed(name: str, annotation: str, value):
+    """``value`` as the ``str``, ``int``, ``float`` or ``tuple[...]`` of one
+    that ``annotation`` names; ConfigError naming field ``name`` unless it is
+    one. A bool is no number and a string no list; an ``int`` field takes a
+    float with no fractional part, and a ``float`` field an int."""
+    if annotation.startswith("tuple["):
+        if not isinstance(value, (list, tuple)):
+            kind = "a string, not a list" if isinstance(value, str) else "not a list"
+            raise ConfigError(f"{name}: {value!r} is {kind}")
+        return tuple(_typed(name, annotation[len("tuple["):-len(", ...]")], v) for v in value)
+    if annotation == "str":
+        if not isinstance(value, str):
+            raise ConfigError(f"{name}: {value!r} is not a string")
+        return value
+    whole = annotation == "int"
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or (whole and value % 1)):
+        raise ConfigError(f"{name}: {value!r} is not {'an integer' if whole else 'a number'}")
+    if whole:
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ConfigError(f"{name} must be finite") from None
 
 
 @dataclass(frozen=True)
@@ -190,18 +192,8 @@ class ExperimentConfig:
     runtime_repeats: int = 10
 
     def __post_init__(self):
-        for f in fields(self):  # the integer and list fields, read off their annotations
-            value = getattr(self, f.name)
-            if f.type.startswith("tuple") and isinstance(value, str):
-                raise ConfigError(f"{f.name}: {value!r} is a string, not a list")
-            if f.type == "int":
-                object.__setattr__(self, f.name, _integral(f.name, value))
-            elif f.type == "tuple[int, ...]":
-                object.__setattr__(self, f.name, tuple(_integral(f.name, v) for v in value))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(
-            self, "runtime_targets", tuple(float(t) for t in self.runtime_targets)
-        )
+        for f in fields(self):  # each value checked and converted off its annotation
+            object.__setattr__(self, f.name, _typed(f.name, f.type, getattr(self, f.name)))
         for label in self.estimators:
             if label not in ESTIMATOR_LABELS:
                 raise ConfigError(f"unknown estimator label {label!r}")
@@ -555,9 +547,10 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
 
 
 def measure_runtime(config: ExperimentConfig) -> MseReport:
-    """Median coefficient-fit wall time per estimator (the method-specific
-    stage), with achieved MSE against any configured targets. Only the
-    ordering of the times is meaningful."""
+    """Median wall time of each estimator's whole fit over
+    ``runtime_repeats`` fits, with the MSE of the last fit it timed against
+    any configured targets (the fits are deterministic, so any of them
+    scores the same). Only the ordering of the times is meaningful."""
     model = build_model(config)
     _check_lpi_order(config, config.estimators, model)
     p = config.training_size
@@ -565,16 +558,13 @@ def measure_runtime(config: ExperimentConfig) -> MseReport:
     fitted = []
     for label in config.estimators:
         row = MseRow(label, "runtime", "median-fit", float(config.runtime_repeats))
-        family = _BY_LABEL[label]
-        stage = family.coefficients or family.fit
         times = []
         for _ in range(config.runtime_repeats):
-            timed, est = _attempt(row, lambda: stage(m, config))
+            timed, est = _attempt(row, lambda: fit_by_label(label, m, config))
             if est is None:
                 break
             times.append(timed.wall_ms)
         else:
-            est = fit_by_label(label, m, config)
             timed = replace(row, wall_ms=float(np.median(times)))
         fitted.append((timed, est))
     del m

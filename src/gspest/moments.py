@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import SingularMomentsError
 from .graphs import SpectralGraph
@@ -251,8 +252,6 @@ def population_moments(grid: AcGridModel, prior: SmoothPrior, sigma2: float) -> 
     Each ``K+-`` is one ``exp``, which stays finite where split factors
     would overflow.
     """
-    from scipy import sparse
-
     i, j = grid.i, grid.j
     t, n = len(i), grid.n_buses
     uu = grid.voltage[i] * grid.voltage[j]

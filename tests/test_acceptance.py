@@ -518,7 +518,7 @@ def test_12_updated_filters_beat_stale_fits_after_vertex_additions():
 
 
 # --------------------------------------------------------------------------
-# 13. fit-stage cost ordering on the bundled grid
+# 13. whole-fit cost ordering on the bundled grid
 
 
 def test_13_fit_time_ordering():

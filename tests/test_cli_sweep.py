@@ -86,14 +86,20 @@ def sweep_config(rng, case, path, n, n_edges):
     return config
 
 
-@pytest.mark.parametrize("case", range(CASES))
-def test_every_command_exits_cleanly(tmp_path, capsys, case):
+def sweep_case(tmp_path, case):
+    """The seeded rng of one case, after drawing its grid (written to
+    ``tmp_path/grid.csv``) and config, the grid's edge count and the config."""
     rng = generator(case, "cli-sweep")
     n = int(rng.integers(3, 13))
     grid = random_grid(rng, n, extra=float(rng.uniform(0.0, 0.6)))
     n_edges = grid.graph().n_edges
     write_grid_csv(grid, tmp_path / "grid.csv")
-    config = sweep_config(rng, case, tmp_path / "grid.csv", n, n_edges)
+    return rng, n_edges, sweep_config(rng, case, tmp_path / "grid.csv", n, n_edges)
+
+
+@pytest.mark.parametrize("case", range(CASES))
+def test_every_command_exits_cleanly(tmp_path, capsys, case):
+    rng, n_edges, config = sweep_case(tmp_path, case)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     families = len(FAMILIES)
@@ -132,3 +138,25 @@ def test_every_command_exits_cleanly(tmp_path, capsys, case):
                 assert len(fits) == families
                 rows += sum(not math.isnan(float(row[4])) for row in fits)
             check_report(out, rows)
+
+
+def test_rational_searches_stop_at_their_dimension_budget(tmp_path, monkeypatch):
+    # case 6 with two denominator coefficients: its arma search does not
+    # converge, and ran 2,000 iterations (7,747 evaluations) on a flat budget;
+    # 200 iterations per coefficient end it at 400
+    from gspest import estimators
+    from gspest.harness import ExperimentConfig, experiment_a
+
+    _, _, config = sweep_case(tmp_path, 6)
+    config.update(arma_den_order=2, lr_den_order=2)
+    searches, minimize = [], estimators.minimize
+
+    def spy(fun, simplex, **options):
+        result = minimize(fun, simplex, **options)
+        searches.append((simplex.shape[1], result))
+        return result
+
+    monkeypatch.setattr(estimators, "minimize", spy)
+    experiment_a(ExperimentConfig(**config))
+    assert searches and all(r.nit <= 200 * n and r.nfev <= 800 * n for n, r in searches)
+    assert [(r.nit, r.success) for _, r in searches if not r.success] == [(400, False)]

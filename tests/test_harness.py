@@ -124,6 +124,17 @@ def test_config_rejects_bad_values():
         # json reads NaN and Infinity; a target row needs a finite target
         '{"runtime_targets": [NaN]}',
         '{"runtime_targets": [1.0, Infinity]}',
+        # each value of a type its field does not take
+        '{"grid": 0}',
+        '{"grid": 5}',
+        '{"p_values": 59}',
+        '{"beta": "3"}',
+        '{"beta": true}',
+        '{"estimators": 5}',
+        '{"runtime_targets": ["a"]}',
+        '{"mu": [1]}',
+        '{"reduced_fraction": "x"}',
+        '{"perturb_mode": 3}',
         "[1, 2]",
         "not json",
     ):
@@ -135,6 +146,17 @@ def test_config_rejects_bad_values():
     ('{"runtime_targets": "12"}', "runtime_targets: '12' is a string, not a list"),
     ('{"estimators": "gsp-lmmse"}', "estimators: 'gsp-lmmse' is a string, not a list"),
     ('{"runtime_targets": [-Infinity]}', "runtime_targets must be finite"),
+    ('{"grid": 0}', "grid: 0 is not a string"),
+    ('{"grid": 5}', "grid: 5 is not a string"),
+    ('{"p_values": 59}', "p_values: 59 is not a list"),
+    ('{"beta": "3"}', "beta: '3' is not a number"),
+    ('{"beta": true}', "beta: True is not a number"),
+    ('{"estimators": 5}', "estimators: 5 is not a list"),
+    ('{"runtime_targets": ["a"]}', "runtime_targets: 'a' is not a number"),
+    ('{"mu": [1]}', r"mu: \[1\] is not a number"),
+    ('{"reduced_fraction": "x"}', "reduced_fraction: 'x' is not a number"),
+    ('{"perturb_mode": 3}', "perturb_mode: 3 is not a string"),
+    pytest.param('{"beta": 1%s}' % ("0" * 400), "beta must be finite", id="int-beyond-float"),
 ])
 def test_config_errors_name_the_field(doc, message):
     with pytest.raises(ConfigError, match=message):
@@ -145,6 +167,12 @@ def test_config_reads_integral_floats_as_ints():
     config = ExperimentConfig.from_json('{"p_values": [59.0], "trials": 100.0}')
     assert config.p_values == (59,) and config.trials == 100
     assert all(type(v) is int for v in (*config.p_values, config.trials, config.seed))
+
+
+def test_config_reads_ints_as_floats():
+    config = ExperimentConfig.from_json('{"beta": 3, "runtime_targets": [1, 2.5]}')
+    assert config.beta == 3.0 and config.runtime_targets == (1.0, 2.5)
+    assert all(type(v) is float for v in (config.beta, *config.runtime_targets, config.mu))
 
 
 def test_config_from_file(tmp_path):
@@ -478,7 +506,7 @@ def test_unstable_filters_are_recorded_per_row(tmp_path, monkeypatch):
     def unstable(*args, **kwargs):
         raise UnstableFilterError("rational denominator vanishes on the spectrum")
 
-    arma = replace(harness._BY_LABEL["arma-gsp"], fit=unstable, coefficients=unstable)
+    arma = replace(harness._BY_LABEL["arma-gsp"], fit=unstable)
     monkeypatch.setitem(harness._BY_LABEL, "arma-gsp", arma)
     monkeypatch.setattr(harness, "update_for_topology", unstable)
     config = small_config(tmp_path, perturb_counts=(1,), perturb_repetitions=1)
@@ -505,9 +533,8 @@ def test_family_table_reaches_estimators_by_module_name(tmp_path, monkeypatch):
     from gspest import harness
 
     names = (
-        "sample_lmmse", "sample_diag_lmmse", "gsp_lmmse", "gsp_response",
-        "fit_lpi", "lpi_coefficients", "fit_arma", "arma_coefficients",
-        "fit_lr_arma", "lr_arma_coefficients", "almmse",
+        "sample_lmmse", "sample_diag_lmmse", "gsp_lmmse", "fit_lpi", "fit_arma",
+        "fit_lr_arma", "almmse",
     )
     calls = []
     for name in names:
@@ -517,8 +544,6 @@ def test_family_table_reaches_estimators_by_module_name(tmp_path, monkeypatch):
     m = SimpleNamespace(sg=build_model(config).sg)
     for family in harness.FAMILIES:
         fit_by_label(family.label, m, config)
-        if family.coefficients is not None:
-            family.coefficients(m, config)
     assert sorted(calls) == sorted(names)
 
 
@@ -788,6 +813,38 @@ def test_measure_runtime_rows(tmp_path):
         assert loose.param == "target-mse" and loose.value == 1e12
         assert loose.status == "ok"
         assert strict.value == 1e-15 and strict.status == "unreachable"
+
+
+def test_measure_runtime_times_and_scores_the_family_fits(tmp_path, monkeypatch):
+    # runtime_repeats fits of each family's own fit function, counted through
+    # the names the family table reaches, and the last one timed is scored
+    from gspest import harness
+
+    names = ("sample_lmmse", "sample_diag_lmmse", "gsp_lmmse", "fit_lpi", "fit_arma",
+             "fit_lr_arma", "almmse")
+    calls, built = {name: 0 for name in names}, []
+
+    def counted(name, fit):
+        def call(*args):
+            calls[name] += 1
+            built.append(fit(*args))
+            return built[-1]
+        return call
+
+    for name in names:
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    scored, scored_rows = [], harness._scored_rows
+
+    def spy(fitted, *args):
+        scored.extend(est for _, est in fitted)
+        return scored_rows(fitted, *args)
+
+    monkeypatch.setattr(harness, "_scored_rows", spy)
+    config = small_config(tmp_path, runtime_repeats=3)
+    report = measure_runtime(config)
+    assert calls == {name: 3 for name in names}
+    assert [id(est) for est in scored] == [id(est) for est in built[2::3]]
+    assert all(r.status == "ok" and math.isfinite(r.mse) for r in report.rows)
 
 
 def test_measure_runtime_non_finite_scores_are_typed_rows(tmp_path):
