@@ -33,6 +33,7 @@ only the measurements of a block are transformed.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -286,6 +287,17 @@ class MseReport:
                 fh.write(f"{r.estimator},{r.scenario},{r.param},{vals}\n")
 
 
+_MALLOC_TRIM = getattr(ctypes.pythonapi, "malloc_trim", None)  # glibc only
+
+
+def _release_heap() -> None:
+    """Return the C heap's free pages to the OS, so that a model's N x N
+    temporaries touch fresh pages, not ones that earlier work left resident:
+    without it, one retopo call's peak RSS varied by an N x N array."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
 def _config_grid(config: ExperimentConfig) -> AcGridModel:
     return bundled_ieee118() if config.grid == "ieee118" else load_grid(config.grid)
 
@@ -518,6 +530,7 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
     infeasible gives one ``infeasible`` row per estimator.
     """
     grid = _config_grid(config)
+    _release_heap()
     base_model = _ac_model(grid, config)
     _check_lpi_order(config, config.estimators, base_model)
     p = config.training_size
@@ -538,6 +551,7 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
                 report.rows += [replace(row, status="infeasible") for row in rows]
                 continue
             vmap = vmap if vertex_mode else None
+            _release_heap()
             new_model = _ac_model(new_grid, config)
             retuned = [_retuned(b, row, new_model.sg, vmap, config) for b, row in zip(bases, rows)]
             seed = derive(config.seed, "test", count, rep)

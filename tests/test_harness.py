@@ -766,6 +766,20 @@ def test_experiment_b_holds_one_perturbed_eigenbasis(tmp_path, monkeypatch):
     assert len(bases) == 5 and alive == [[]] * 5
 
 
+def test_experiment_b_releases_the_heap_before_each_model(tmp_path, monkeypatch):
+    from gspest import harness
+
+    harness._release_heap()  # a no-op where the C library has no malloc_trim
+    events = []
+    model = harness.ac_measurement_model
+    monkeypatch.setattr(harness, "_release_heap", lambda: events.append("release"))
+    monkeypatch.setattr(
+        harness, "ac_measurement_model", lambda *a: events.append("model") or model(*a)
+    )
+    experiment_b(small_config(tmp_path, perturb_counts=(1, 2), perturb_repetitions=2))
+    assert events == ["release", "model"] * 5
+
+
 def test_experiment_b_zero_perturbation_matches_experiment_a(tmp_path):
     # training size in p_values, shared test stream at (count=0, rep=0):
     # the no-op perturbation must reproduce experiment a's rows exactly
