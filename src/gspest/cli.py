@@ -30,6 +30,7 @@ from .graphs import (
 )
 from .harness import (
     FAMILIES,
+    SCORED,
     ExperimentConfig,
     _check_lpi_order,
     _config_grid,
@@ -158,10 +159,10 @@ def _cmd_experiment(args) -> int:
     config = _load_config(args)
     report = experiment_a(config) if args.which == "a" else experiment_b(config)
     report.write_csv(args.out)
-    n_fail = sum(r.status != "ok" for r in report.rows)
-    print(f"wrote {args.out}: {len(report.rows)} rows" + (
-        f" ({n_fail} failed)" if n_fail else ""
-    ))
+    counts = {"failed": sum(r.status not in SCORED for r in report.rows),
+              "unconverged": sum(r.status == "unconverged" for r in report.rows)}
+    notes = ", ".join(f"{n} {kind}" for kind, n in counts.items() if n)
+    print(f"wrote {args.out}: {len(report.rows)} rows" + (f" ({notes})" if notes else ""))
     return 0
 
 

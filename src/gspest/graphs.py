@@ -120,15 +120,17 @@ class SpectralGraph:
     graph : WeightedGraph
     eigenvalues : ndarray, shape (n,)
         Ascending; ``eigenvalues[0]`` is zero up to :func:`zero_tolerance`.
-    eigenvectors : ndarray, shape (n, n)
-        Columns are the canonicalized orthonormal eigenvectors.
+    eigenvectors : ndarray, shape (n, n), or None
+        Columns are the canonicalized orthonormal eigenvectors; None in a
+        spectrum-only view, on which every transform (``gft``, ``igft``, a
+        filter operator) raises, as None is no array.
     laplacian : ndarray, shape (n, n)
         ``diag(W 1) - W`` of ``graph``; not stored, rebuilt on each access.
     """
 
     graph: WeightedGraph
     eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray | None = field(repr=False)
 
     @property
     def n_vertices(self) -> int:

@@ -96,12 +96,12 @@ def _rebasis(fit, new_sg, vmap, config):
 @dataclass(frozen=True)
 class Family:
     """One estimator family: its report label, its ``gspest fit --filter``
-    name, ``fit(m, config)`` on the moments' graph ``m.sg`` and
-    ``retune(fit, new_sg, vmap, config)``, which carries a trained estimator
-    onto a changed topology (``vmap``, the old index of each new vertex or
-    -1, is None on edge modes). The callables reach the estimator functions
-    through this module's globals when they run, so a rebound name (a test
-    double, the perfbench tracer) reaches every use."""
+    name, ``fit(m, config)`` on the moments' graph ``m.sg`` and ``retune(fit,
+    new_sg, vmap, config)``, which carries what :func:`_retune_input` keeps
+    of a fit onto a changed topology (``vmap``, the old index of each new
+    vertex or -1, is None on edge modes). The callables reach the estimator
+    functions through this module's globals when they run, so a rebound
+    name (a test double, the perfbench tracer) reaches every use."""
 
     label: str
     cli_name: str
@@ -138,6 +138,7 @@ FAMILIES = (
 )
 _BY_LABEL = {f.label: f for f in FAMILIES}
 ESTIMATOR_LABELS = tuple(_BY_LABEL)
+SCORED = ("ok", "unconverged")  # the row statuses that carry a score
 
 
 def _typed(name: str, annotation: str, value):
@@ -406,7 +407,8 @@ def _mse(err: np.ndarray) -> tuple[float, float]:
 
 
 def _attempt(row: MseRow, build) -> tuple[MseRow, object]:
-    """``(row, build())``, ``row`` timed with how long ``build()`` took, or
+    """``(row, build())``, ``row`` timed with how long ``build()`` took and
+    ``unconverged`` if the estimator's search ended on its budget, or
     ``(row, None)``, ``row`` given the status of a numerical failure."""
     t0 = time.perf_counter()
     try:
@@ -415,7 +417,8 @@ def _attempt(row: MseRow, build) -> tuple[MseRow, object]:
         return replace(row, status="singular"), None
     except UnstableFilterError:
         return replace(row, status="unstable"), None
-    return replace(row, wall_ms=(time.perf_counter() - t0) * 1e3), est
+    status = "ok" if getattr(est, "converged", True) else "unconverged"
+    return replace(row, wall_ms=(time.perf_counter() - t0) * 1e3, status=status), est
 
 
 def _finite_score(mse: float, stderr: float) -> bool:
@@ -427,9 +430,10 @@ def _scored_rows(
     fitted: list[tuple], model: MeasurementModel, trials: int, seed: int
 ) -> list[MseRow]:
     """The row of each :func:`_attempt` ``(row, est)``, scored in one pass
-    over the seeded test set of ``model``: a failed fit's row as it is, and
-    a score that is not finite as ``non-finite``, with ``nan`` values."""
-    errs = iter(_errors(model, trials, seed, [est for _, est in fitted if est is not None]))
+    over the seeded test set of ``model`` (none if no fit succeeded): a failed
+    fit's row as it is, a score that is not finite as ``non-finite``."""
+    ests = [est for _, est in fitted if est is not None]
+    errs = iter(_errors(model, trials, seed, ests) if ests else ())
     rows = []
     for row, est in fitted:
         if est is not None:
@@ -468,8 +472,10 @@ def fit_by_label(label: str, m: SampleMoments, config: ExperimentConfig):
 
 
 def _fit_families(model: MeasurementModel, config: ExperimentConfig, p: int, key: MseRow):
-    """An :func:`_attempt` of each configured family, with ``key`` as its
-    row, on ``model``'s seeded size-``p`` training moments, freed on return."""
+    """An :func:`_attempt` of each configured family, with ``key`` as its row,
+    on ``model``'s seeded size-``p`` training moments, freed on return."""
+    if not config.estimators:
+        return []
     m = stream_moments(model, p, derive(config.seed, "train", p))
     return [_attempt(replace(key, estimator=label), lambda: fit_by_label(label, m, config))
             for label in config.estimators]
@@ -516,6 +522,17 @@ def _retuned(base: tuple, row: MseRow, new_sg: SpectralGraph, vmap, config: Expe
     return _attempt(row, lambda: retune(est, new_sg, vmap, config))
 
 
+def _retune_input(est, spectrum: SpectralGraph, vertex_mode: bool):
+    """What the retune of base fit ``est`` reads: a linear fit as it is, a
+    fit remapped stale on vertex modes (gsp-lmmse) as its dense gain, and any
+    other spectral fit on ``spectrum``, its graph with no eigenbasis."""
+    if not isinstance(est, SpectralEstimator):
+        return est
+    if vertex_mode and _BY_LABEL[est.label].retune is _rebasis:
+        return est.dense
+    return replace(est, sg=spectrum)
+
+
 def experiment_b(config: ExperimentConfig) -> MseReport:
     """Topology-change protocol.
 
@@ -528,6 +545,11 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
     rebuilt. All are scored on the new topology's generating model with
     paired draws per repetition. A (count, repetition) whose perturbation is
     infeasible gives one ``infeasible`` row per estimator.
+
+    Once the base fits are made, each is cut to what its retune reads
+    (:func:`_retune_input`) and the base model is freed: a perturbed model
+    is built and scored beside the grid and the base fits' N x N gains
+    (sample-lmmse's; gsp-lmmse's on vertex modes), but no base eigenbasis.
     """
     grid = _config_grid(config)
     _release_heap()
@@ -535,8 +557,10 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
     _check_lpi_order(config, config.estimators, base_model)
     p = config.training_size
     bases = _fit_families(base_model, config, p, MseRow("", "experiment-b", "base", float(p)))
-
     vertex_mode = config.perturb_mode.endswith("vertices")
+    spectrum = replace(base_model.sg, eigenvectors=None)
+    bases = [(row, _retune_input(est, spectrum, vertex_mode)) for row, est in bases]
+    del base_model
     report = MseReport()
     for count in config.perturb_counts:
         for rep in range(config.perturb_repetitions):
@@ -579,15 +603,13 @@ def measure_runtime(config: ExperimentConfig) -> MseReport:
                 break
             times.append(timed.wall_ms)
         else:
-            timed = replace(row, wall_ms=float(np.median(times)))
+            timed = replace(timed, wall_ms=float(np.median(times)))
         fitted.append((timed, est))
     del m
     report = MseReport()
     for row in _scored_rows(fitted, model, config.trials, derive(config.seed, "test", 0, 0)):
         report.add(row)
-        if row.status != "ok":
-            continue
-        for target in config.runtime_targets:
+        for target in config.runtime_targets if row.status in SCORED else ():
             report.add(replace(
                 row, param="target-mse", value=float(target),
                 status="ok" if row.mse <= target else "unreachable",

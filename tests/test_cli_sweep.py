@@ -160,3 +160,30 @@ def test_rational_searches_stop_at_their_dimension_budget(tmp_path, monkeypatch)
     experiment_a(ExperimentConfig(**config))
     assert searches and all(r.nit <= 200 * n and r.nfev <= 800 * n for n, r in searches)
     assert [(r.nit, r.success) for _, r in searches if not r.success] == [(400, False)]
+
+
+def test_an_unconverged_search_is_a_scored_row_of_its_own(tmp_path, capsys):
+    # the same case: experiment a's arma-gsp search at P = 10 ends at 400
+    # iterations, and so does the lr-arma-gsp search at the training size of
+    # 19 that runtime times and experiment b retunes
+    from gspest.harness import ExperimentConfig, experiment_a, experiment_b, measure_runtime
+
+    _, _, config = sweep_case(tmp_path, 6)
+    config.update(arma_den_order=2, lr_den_order=2)
+    config = ExperimentConfig(**config)
+
+    def unconverged(rows):
+        rows = [r for r in rows if r.status == "unconverged"]
+        assert all(math.isfinite(v) for r in rows for v in (r.mse, r.stderr, r.wall_ms))
+        return [(r.estimator, r.param) for r in rows]
+
+    assert unconverged(experiment_a(config).rows) == [("arma-gsp", "P")]
+    runtime = measure_runtime(config).rows
+    assert unconverged(runtime) == [("lr-arma-gsp", "median-fit")]
+    assert [r.param for r in runtime if r.estimator == "lr-arma-gsp"] == ["median-fit", "target-mse"]
+    assert unconverged(experiment_b(config).rows) == [
+        ("lr-arma-gsp", f"{config.perturb_mode}/rep0")] * len(config.perturb_counts)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config.__dict__, "estimators": ["arma-gsp"]}))
+    assert main(["experiment", "a", "--config", str(path), "--out", str(tmp_path / "a.csv")]) == 0
+    assert capsys.readouterr().out.endswith(" 2 rows (1 unconverged)\n")

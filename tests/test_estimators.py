@@ -503,6 +503,30 @@ def test_update_after_edge_change_reevaluates_response():
     assert np.array_equal(upd.spec.numerator, fit.spec.numerator)
 
 
+def test_a_fit_on_a_spectrum_only_view_retunes_alike_and_transforms_nothing():
+    # experiment b keeps its base spectral fits on their graph with no
+    # eigenbasis: what a retune reads is there, and every transform raises
+    from gspest.graphs import gft, igft
+
+    m, sg, model = sampled_moments(26, n=10)
+    view = replace(sg, eigenvectors=None)
+    assert view.n_vertices == 10 and view.is_connected()
+    assert view.zero_tolerance() == sg.zero_tolerance()
+    sg2 = build_laplacian(perturb_edges(model.sg.graph, 2, "add", seed=5))
+    for fit in (fit_lpi(m, order=3), fit_arma(m, 2, 1), fit_lr_arma(m, 4, 1, 1)):
+        on_view = replace(fit, sg=view)
+        assert np.array_equal(on_view.response, fit.response)
+        for a, b in ((fit, sg2), (fit, sg), (on_view, sg2), (on_view, view)):
+            assert np.array_equal(update_for_topology(a, b).response,
+                                  update_for_topology(fit, b).response)
+    x = np.ones((3, 10))
+    est = replace(gsp_lmmse(m), sg=view)
+    for transform in (lambda: gft(view, x), lambda: igft(view, x), lambda: est.dense,
+                      lambda: est.estimate(x), lambda: filter_matrix(fit.spec, view)):
+        with pytest.raises((AttributeError, TypeError, ValueError)):  # None is no array
+            transform()
+
+
 def test_update_needs_a_fitted_filter():
     m, sg, _ = sampled_moments(29, n=8)
     for est in (gsp_lmmse(m), almmse(sg, 3.0, 0.05)):

@@ -766,6 +766,52 @@ def test_experiment_b_holds_one_perturbed_eigenbasis(tmp_path, monkeypatch):
     assert len(bases) == 5 and alive == [[]] * 5
 
 
+@pytest.mark.parametrize("mode", ["add-edges", "remove-vertices"])
+def test_experiment_b_builds_no_model_beside_the_base_eigenbasis(tmp_path, monkeypatch, mode):
+    # retunes read the base spectrum and stale gains, never the base
+    # eigenvectors: no earlier model's basis may be alive at a build
+    import gc
+    import weakref
+
+    from gspest import harness
+
+    bases, alive = [], []
+    model = harness._ac_model
+
+    def traced_model(*args):
+        gc.collect()
+        alive.append([k for k, ref in enumerate(bases) if ref() is not None])
+        m = model(*args)
+        bases.append(weakref.ref(m.sg.eigenvectors))
+        return m
+
+    monkeypatch.setattr(harness, "_ac_model", traced_model)
+    experiment_b(small_config(
+        tmp_path, perturb_mode=mode, perturb_counts=(1, 2), perturb_repetitions=2
+    ))
+    assert len(bases) == 5 and alive == [[]] * 5
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(estimators=()),
+    # noiseless moments at P < N: the one base fit is singular
+    dict(estimators=("sample-lmmse",), sigma2=0.0, training_size=6),
+])
+def test_experiment_b_draws_nothing_that_no_estimator_scores(tmp_path, monkeypatch, overrides):
+    from gspest import harness
+
+    calls = []
+    stream, blocks = harness.stream_moments, harness._test_blocks
+    monkeypatch.setattr(harness, "stream_moments", lambda *a: calls.append("train") or stream(*a))
+    monkeypatch.setattr(harness, "_test_blocks", lambda *a: calls.append("test") or blocks(*a))
+    report = experiment_b(small_config(tmp_path, **overrides))
+    named = bool(overrides["estimators"])
+    assert calls == ["train"] * named
+    assert [r.status for r in report.rows] == ["singular"] * 4 * named
+    experiment_a(small_config(tmp_path, estimators=()))  # scores its P-infinity row only
+    assert calls == ["train"] * named + ["test"]
+
+
 def test_experiment_b_releases_the_heap_before_each_model(tmp_path, monkeypatch):
     from gspest import harness
 
