@@ -555,6 +555,8 @@ def experiment_b(config: ExperimentConfig) -> MseReport:
     _release_heap()
     base_model = _ac_model(grid, config)
     _check_lpi_order(config, config.estimators, base_model)
+    if not config.estimators:
+        return MseReport()
     p = config.training_size
     bases = _fit_families(base_model, config, p, MseRow("", "experiment-b", "base", float(p)))
     vertex_mode = config.perturb_mode.endswith("vertices")
@@ -591,6 +593,8 @@ def measure_runtime(config: ExperimentConfig) -> MseReport:
     scores the same). Only the ordering of the times is meaningful."""
     model = build_model(config)
     _check_lpi_order(config, config.estimators, model)
+    if not config.estimators:
+        return MseReport()
     p = config.training_size
     m = stream_moments(model, p, derive(config.seed, "train", p))
     fitted = []

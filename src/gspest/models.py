@@ -8,9 +8,10 @@ orthonormal basis, so it is kept as that one scalar, never as a matrix. The
 grid model follows the per-unit AC power-flow equations over branch
 conductances/susceptances with the graph Laplacian of the susceptance-weighted
 branch graph. Its Laplacian, its connectivity check and its topology
-perturbations are those of :mod:`gspest.graphs`. A grid is its branch table,
-the sorted branch list MATPOWER keeps, and builds from it only the sparse
-stacked admittance that :func:`ac_power` multiplies by, never an N×N matrix.
+perturbations are those of :mod:`gspest.graphs`. A grid is that graph, built
+once, plus a conductance per branch and a voltage per bus, and builds from
+them only the sparse stacked admittance that :func:`ac_power` multiplies by,
+never an N×N matrix.
 :func:`ac_power` takes the cosines and sines of the phases from one ``tan`` by
 the half-angle identity, because numpy runs float64 ``tan`` on SIMD kernels
 where it runs ``cos`` and ``sin`` as scalar libm calls.
@@ -109,13 +110,13 @@ def _draw_spectrum(prior: SmoothPrior, rng: np.random.Generator, count: int) -> 
 
 @dataclass(frozen=True)
 class AcGridModel:
-    """Per-unit AC grid as its branch table: ``n_buses`` buses, one row per
-    branch (0-based ends ``i < j``, sorted by ``(i, j)``, at most one per bus
-    pair) with its conductance and susceptance, and one voltage magnitude per
-    bus.
-
-    The graph Laplacian is that of the susceptance-weighted :meth:`graph`.
-    No N×N matrix is stored or built.
+    """Per-unit AC grid: its susceptance-weighted :meth:`graph` on ``n_buses``
+    buses, whose edge table is the grid's ``i``, ``j`` and ``susceptance``
+    columns and must be given in its order (``i < j``, sorted by ``(i, j)``),
+    plus one conductance per branch and one voltage magnitude per bus. Every
+    branch has a finite conductance >= 0 and a finite susceptance > 0, as
+    MATPOWER's branch data does, so every branch is an edge. No N×N matrix is
+    stored or built.
     """
 
     n_buses: int
@@ -124,24 +125,30 @@ class AcGridModel:
     conductance: np.ndarray = field(repr=False)
     susceptance: np.ndarray = field(repr=False)
     voltage: np.ndarray = field(repr=False, default=None)
+    _graph: WeightedGraph = field(init=False, repr=False, compare=False)
     # sparse [[G, -B], [B, G]] * u_n u_m over both directions of every branch
     _stacked: sparse.csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = int(self.n_buses)
-        i, j = (np.asarray(a, dtype=np.intp) for a in (self.i, self.j))
-        g, b = (np.asarray(a, dtype=float) for a in (self.conductance, self.susceptance))
-        if n < 1 or i.ndim != 1 or not i.shape == j.shape == g.shape == b.shape:
-            raise InvalidGraphError("need a bus and 1-D branch columns of one length")
-        if not (np.all((0 <= i) & (i < j) & (j < n)) and np.all(np.diff(i * n + j) > 0)):
-            raise InvalidGraphError(f"need 0 <= i < j < {n}, sorted by (i, j), one branch per pair")
-        if not np.all(np.isfinite(g) & np.isfinite(b) & ((g != 0.0) | (b != 0.0))):
-            raise InvalidGraphError("branch admittances must be finite, not both zero")
+        graph = WeightedGraph(self.n_buses, self.i, self.j, self.susceptance)
+        n, i, j, b = graph.n_vertices, graph.i, graph.j, graph.weight
+        if not (np.array_equal(i, self.i) and np.array_equal(j, self.j)):
+            raise InvalidGraphError("branches must come sorted by (i, j) with i < j")
+        g = np.asarray(self.conductance, dtype=float)
+        if g.shape != b.shape:
+            raise InvalidGraphError("need one conductance per branch")
+        bad = ~((0.0 <= g) & (g < np.inf) & (b > 0.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise InvalidGraphError(
+                f"branch ({i[k]},{j[k]}) has conductance {g[k]} and susceptance {b[k]}: "
+                "need finite conductance >= 0 and finite susceptance > 0"
+            )
         v = np.ones(n) if self.voltage is None else np.asarray(self.voltage, dtype=float)
         if v.shape != (n,) or not np.all((0.0 < v) & (v < np.inf)):
             raise InvalidGraphError("voltage magnitudes must be finite and positive, one per bus")
-        for name, value in zip(("n_buses", "i", "j", "conductance", "susceptance", "voltage"),
-                               (n, i, j, g, b, v)):
+        names = ("n_buses", "i", "j", "conductance", "susceptance", "voltage", "_graph")
+        for name, value in zip(names, (n, i, j, g, b, v, graph)):
             object.__setattr__(self, name, value)
         # both directions of every branch in row-major order
         rows, cols = np.concatenate((i, j)), np.concatenate((j, i))
@@ -152,9 +159,8 @@ class AcGridModel:
         object.__setattr__(self, "_stacked", sparse.csr_array((data, at), (2 * n, 2 * n)))
 
     def graph(self) -> WeightedGraph:
-        """Susceptance-weighted graph over the branches with a susceptance."""
-        on = self.susceptance != 0.0
-        return WeightedGraph(self.n_buses, self.i[on], self.j[on], self.susceptance[on])
+        """The susceptance-weighted graph over the branches, built once."""
+        return self._graph
 
     def branch_values(self) -> tuple[tuple[int, int, float, float], ...]:
         """(i, j, conductance, susceptance) per branch, 0-based, sorted by (i, j)."""
@@ -211,10 +217,10 @@ def ac_power(model: AcGridModel, x: np.ndarray) -> np.ndarray:
 
 
 def load_grid(path) -> AcGridModel:
-    """Read a branch CSV ``from,to,conductance,susceptance`` (1-based buses).
-
-    Duplicate branches and disconnected networks are rejected; bus count is
-    the largest index seen.
+    """Read a branch CSV ``from,to,conductance,susceptance`` (1-based buses)
+    into a grid on as many buses as the largest index. A network with fewer
+    than ``n - 1`` branches on ``n`` buses is disconnected and rejected before
+    its grid is built; the grid rejects bad branches (0-based in messages).
     """
     rows = []
     with open(path, newline="") as fh:
@@ -236,19 +242,16 @@ def load_grid(path) -> AcGridModel:
             rows.append((f, t, g, b))
     if not rows:
         raise InvalidGraphError(f"no branches in {path}")
-    n = max(max(f, t) for f, t, _, _ in rows)
-    branches = {}
-    for f, t, g, b in rows:
-        if f == t or f < 1 or t < 1:
-            raise InvalidGraphError(f"bad bus pair ({f},{t})")
-        if not (np.isfinite(g) and np.isfinite(b)) or g < 0 or b <= 0:
-            raise InvalidGraphError(f"bad admittance on branch ({f},{t})")
-        key = (min(f, t) - 1, max(f, t) - 1)
-        if key in branches:
-            raise InvalidGraphError(f"duplicate branch ({f},{t})")
-        branches[key] = g, b
-    # the table's columns i, j, conductance, susceptance, sorted by (i, j)
-    grid = AcGridModel(n, *zip(*(key + gb for key, gb in sorted(branches.items()))))
+    f, t, g, b = (np.array(c) for c in zip(*rows))
+    n = int(max(f.max(), t.max()))
+    if n > len(rows) + 1:
+        raise DisconnectedGraphError(
+            f"network in {path} is not connected: {n} buses, {len(rows)} branches"
+        )
+    # 0-based columns sorted by (i, j); the grid checks every branch
+    i, j = np.minimum(f, t) - 1, np.maximum(f, t) - 1
+    order = np.lexsort((j, i))
+    grid = AcGridModel(n, i[order], j[order], g[order], b[order])
     if not _stays_connected(grid.graph()):
         raise DisconnectedGraphError(f"network in {path} is not connected")
     return grid
@@ -353,31 +356,18 @@ def perturb_grid(
     susceptance from the empirical susceptance range (the graph-weight rule)
     and are purely reactive (conductance 0), so a new bus's expected
     injection stays 0 and matches the zero-centering the topology-updated
-    estimators use. A conductance-only branch, no edge of that graph, is
-    kept while both its buses survive. Returns the new grid and the old index
-    of each new bus (-1 if added), as :func:`gspest.graphs.perturb` does.
+    estimators use. Every branch is an edge, so the new graph's edges are the
+    new branches. Returns the new grid and the old index of each new bus (-1
+    if added), as :func:`gspest.graphs.perturb` does.
     """
     new_graph, old = perturb(grid.graph(), count, mode, seed)
-
-    # a bus added by the perturbation has no old index (-1), so it gets unit
-    # voltage and its branches get no conductance
-    n, n_new = grid.n_buses, new_graph.n_vertices
-    new = np.full(n, -1)
-    new[old[old >= 0]] = np.flatnonzero(old >= 0)
-    i, j, b = new_graph.i, new_graph.j, new_graph.weight
-    # merge in each surviving conductance-only branch whose pair gained no
-    # edge; vertex maps keep the surviving buses in order, so i < j holds
-    ci, cj = new[grid.i], new[grid.j]
-    lone = (grid.susceptance == 0) & (ci >= 0) & (cj >= 0) & ~np.isin(ci * n_new + cj, i * n_new + j)
-    i, j, b = (np.concatenate(p) for p in ((i, ci[lone]), (j, cj[lone]), (b, np.zeros(lone.sum()))))
-    order = np.argsort(i * n_new + j)
-    i, j, b = i[order], j[order], b[order]
-    # each branch's old pair key, negative where a bus is new; the sentinel
-    # n * n is above every key, so a lookup that finds no old branch gets 0
+    # each branch's old pair key, negative where a bus is new (-1), which
+    # gets unit voltage and no conductance; the sentinel n * n is above every
+    # key, so a lookup that finds no old branch gets 0
+    n, i, j = grid.n_buses, new_graph.i, new_graph.j
     want = np.minimum(old[i], old[j]) * n + np.maximum(old[i], old[j])
     keys = np.append(grid.i * n + grid.j, n * n)
     at = np.searchsorted(keys, want)
     g = np.where(keys[at] == want, np.append(grid.conductance, 0.0)[at], 0.0)
     voltage = np.where(old >= 0, grid.voltage[old], 1.0)
-    return AcGridModel(n_new, i, j, g, b, voltage), old
-
+    return AcGridModel(new_graph.n_vertices, i, j, g, new_graph.weight, voltage), old

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gspest.errors import ConfigError
+from gspest.errors import ConfigError, InvalidGraphError
 from gspest.estimators import (
     LinearEstimator,
     SpectralEstimator,
@@ -810,6 +810,26 @@ def test_experiment_b_draws_nothing_that_no_estimator_scores(tmp_path, monkeypat
     assert [r.status for r in report.rows] == ["singular"] * 4 * named
     experiment_a(small_config(tmp_path, estimators=()))  # scores its P-infinity row only
     assert calls == ["train"] * named + ["test"]
+
+
+@pytest.mark.parametrize("protocol", [experiment_b, measure_runtime])
+def test_no_estimators_build_the_base_model_and_nothing_else(tmp_path, monkeypatch, protocol):
+    from gspest import harness
+
+    calls = []
+    model, stream = harness._ac_model, harness.stream_moments
+    monkeypatch.setattr(harness, "_ac_model", lambda *a: calls.append("model") or model(*a))
+    monkeypatch.setattr(harness, "stream_moments", lambda *a: calls.append("train") or stream(*a))
+    assert protocol(small_config(tmp_path, estimators=())).rows == []
+    assert calls == ["model"]
+    # the grid and the base model are still checked: a bad grid or an
+    # overflowing prior is an error, not an empty report
+    bad = tmp_path / "bad.csv"
+    bad.write_text("from,to,conductance,susceptance\n1,2,0.1,0.0\n")
+    with pytest.raises(InvalidGraphError):
+        protocol(small_config(tmp_path, estimators=(), grid=str(bad)))
+    with pytest.raises(ConfigError, match="overflows"):
+        protocol(small_config(tmp_path, estimators=(), grid="ieee118", beta=1e308))
 
 
 def test_experiment_b_releases_the_heap_before_each_model(tmp_path, monkeypatch):

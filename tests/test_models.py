@@ -369,42 +369,62 @@ def test_ac_power_non_finite_phases_give_nan():
     assert np.array_equal(got[0], ac_power(grid, x[0]))
 
 
-# a valid three-bus table: one branch of each kind (both admittances, no
-# conductance, no susceptance)
+# a valid three-bus table: branches with and without conductance
 TABLE = dict(n_buses=3, i=[0, 0, 1], j=[1, 2, 2], conductance=[1.0, 0.0, 2.0],
-             susceptance=[5.0, 4.0, 0.0], voltage=[1.0, 1.02, 0.98])
+             susceptance=[5.0, 4.0, 3.0], voltage=[1.0, 1.02, 0.98])
 
 
 def test_grid_table_is_its_branches():
     grid = AcGridModel(**TABLE)
-    assert grid.branch_values() == ((0, 1, 1.0, 5.0), (0, 2, 0.0, 4.0), (1, 2, 2.0, 0.0))
-    assert edges_of(grid.graph()) == ((0, 1, 5.0), (0, 2, 4.0))
+    assert grid.branch_values() == ((0, 1, 1.0, 5.0), (0, 2, 0.0, 4.0), (1, 2, 2.0, 3.0))
+    assert edges_of(grid.graph()) == ((0, 1, 5.0), (0, 2, 4.0), (1, 2, 3.0))
     assert np.array_equal(grid.voltage, TABLE["voltage"])
+    # the graph is built once, and its edge table is the grid's branch columns
+    graph = grid.graph()
+    assert grid.graph() is graph
+    assert grid.i is graph.i and grid.j is graph.j and grid.susceptance is graph.weight
 
 
 @pytest.mark.parametrize("change, message", [
-    (dict(n_buses=0), "need a bus and 1-D branch columns of one length"),
-    (dict(j=[1, 2]), "need a bus and 1-D branch columns of one length"),
-    (dict(susceptance=[5.0, 4.0]), "need a bus and 1-D branch columns of one length"),
-    (dict(i=[0, 1, 1], j=[1, 1, 2]), "0 <= i < j < 3, sorted"),
-    (dict(i=[0, 2, 1], j=[1, 0, 2]), "0 <= i < j < 3, sorted"),
-    (dict(i=[-1, 0, 1]), "0 <= i < j < 3, sorted"),
-    (dict(j=[1, 2, 3]), "0 <= i < j < 3, sorted"),
-    (dict(i=[0, 1, 0], j=[1, 2, 2]), "0 <= i < j < 3, sorted by \\(i, j\\), one branch per pair$"),
-    (dict(i=[0, 0, 0], j=[1, 1, 2]), "0 <= i < j < 3, sorted by \\(i, j\\), one branch per pair$"),
-    (dict(conductance=[np.nan, 0.0, 2.0]), "admittances must be finite, not both zero"),
-    (dict(susceptance=[5.0, -np.inf, 0.0]), "admittances must be finite, not both zero"),
-    (dict(susceptance=[5.0, -0.0, 0.0]), "admittances must be finite, not both zero"),
+    (dict(n_buses=0), "graph needs at least one vertex"),
+    (dict(j=[1, 2]), "need 1-D edge columns of one length"),
+    (dict(susceptance=[5.0, 4.0]), "need 1-D edge columns of one length"),
+    (dict(i=[0, 1, 1], j=[1, 1, 2]), "self loop at vertex 1"),
+    (dict(i=[0, 2, 1], j=[1, 0, 2]), "branches must come sorted by \\(i, j\\) with i < j$"),
+    (dict(i=[-1, 0, 1]), "edge \\(-1,1\\) out of range"),
+    (dict(j=[1, 2, 3]), "edge \\(1,3\\) out of range"),
+    (dict(i=[0, 1, 0], j=[1, 2, 2]), "branches must come sorted by \\(i, j\\) with i < j$"),
+    (dict(i=[0, 0, 0], j=[1, 1, 2]), "duplicate edge \\(0,1\\)"),
+    (dict(conductance=[1.0, 0.0]), "need one conductance per branch"),
+    (dict(conductance=[np.nan, 0.0, 2.0]), "branch \\(0,1\\) has conductance nan"),
+    (dict(susceptance=[5.0, -np.inf, 3.0]), "edge \\(0,2\\) has invalid weight -inf"),
+    (dict(susceptance=[5.0, -0.0, 3.0]), "branch \\(0,2\\) has conductance 0.0 and susceptance -0"),
     (dict(voltage=[1.0, np.nan, 1.0]), "voltage magnitudes must be finite and positive"),
     (dict(voltage=[1.0, np.inf, 1.0]), "voltage magnitudes must be finite and positive"),
     (dict(voltage=[1.0, 0.0, 1.0]), "voltage magnitudes must be finite and positive"),
     (dict(voltage=[1.0, 1.0]), "voltage magnitudes must be finite and positive"),
 ], ids=["no-bus", "short-j", "short-susceptance", "self-loop", "i-above-j", "negative-i",
-        "j-out-of-range", "unsorted", "duplicate", "nan-conductance", "inf-susceptance",
+        "j-out-of-range", "unsorted", "duplicate", "short-conductance", "nan-conductance",
+        "inf-susceptance",
         "no-admittance", "nan-voltage", "inf-voltage", "zero-voltage", "short-voltage"])
 def test_grid_table_validation(change, message):
     with pytest.raises(InvalidGraphError, match=message):
         AcGridModel(**{**TABLE, **change})
+
+
+@pytest.mark.parametrize("g, b", [
+    (-0.1, 2.0), (np.nan, 2.0), (np.inf, 2.0),
+    (0.1, 0.0), (0.1, -2.0), (0.1, np.inf), (0.1, np.nan),
+], ids=["negative-g", "nan-g", "inf-g", "zero-b", "negative-b", "inf-b", "nan-b"])
+def test_grid_and_branch_csv_share_the_branch_rule(tmp_path, g, b):
+    # finite conductance >= 0 and finite susceptance > 0 on every branch; the
+    # path 1-2-3's second branch (0-based (1,2)) breaks the rule
+    with pytest.raises(InvalidGraphError, match="\\(1,2\\) has"):
+        AcGridModel(3, [0, 1], [1, 2], [0.1, g], [2.0, b])
+    path = tmp_path / "branches.csv"
+    path.write_text(f"from,to,conductance,susceptance\n1,2,0.1,2.0\n2,3,{g!r},{b!r}\n")
+    with pytest.raises(InvalidGraphError, match="\\(1,2\\) has"):
+        load_grid(path)
 
 
 # -------------------------------------------------------------- bundled grid
@@ -442,13 +462,35 @@ def test_load_grid_rejects_bad_input(tmp_path):
     with pytest.raises(InvalidGraphError):
         load_grid(p)
     p.write_text("from,to,conductance,susceptance\n1,2,0.1,1.0\n1,2,0.1,2.0\n")
-    with pytest.raises(InvalidGraphError):
+    with pytest.raises(InvalidGraphError, match="duplicate edge \\(0,1\\)"):
         load_grid(p)
+    # the same pair in both orientations, a self loop, a bus below 1
+    for rows, message in [("1,2,0.1,1.0\n2,1,0.1,2.0", "duplicate edge \\(0,1\\)"),
+                          ("1,2,0.1,1.0\n2,2,0.1,2.0", "self loop at vertex 1"),
+                          ("1,2,0.1,1.0\n0,2,0.1,2.0", "edge \\(-1,1\\) out of range")]:
+        p.write_text(f"from,to,conductance,susceptance\n{rows}\n")
+        with pytest.raises(InvalidGraphError, match=message):
+            load_grid(p)
     # two disconnected pairs
     p.write_text(
         "from,to,conductance,susceptance\n1,2,0.1,1.0\n3,4,0.1,2.0\n"
     )
     with pytest.raises(DisconnectedGraphError):
+        load_grid(p)
+
+
+def test_load_grid_rejects_too_few_branches_before_building(tmp_path, monkeypatch):
+    # 3 branches cannot connect 3,000,000 buses: rejected before the grid's
+    # per-bus arrays are allocated
+    from gspest import models
+
+    def unbuilt(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(models, "AcGridModel", unbuilt)
+    p = tmp_path / "sparse.csv"
+    p.write_text("from,to,conductance,susceptance\n1,2,0.1,1.0\n2,3,0.1,2.0\n3,3000000,0.1,1.5\n")
+    with pytest.raises(DisconnectedGraphError, match="3000000 buses, 3 branches"):
         load_grid(p)
 
 

@@ -85,7 +85,7 @@ def loop_branch_values(grid):
 
 def loop_graph(grid):
     """The canonical triples of the grid's susceptance graph."""
-    edges = tuple((i, j, b) for i, j, _, b in loop_branch_values(grid) if b != 0.0)
+    edges = tuple((i, j, b) for i, j, _, b in loop_branch_values(grid))
     return loop_canonical_edges(grid.n_buses, edges)
 
 
@@ -161,8 +161,7 @@ def loop_perturb(graph, count, mode, seed):
 
 def loop_perturb_grid(grid, count, mode, seed):
     """Branch rows rebuilt edge by edge, conductances looked up in a dict
-    keyed on old branch tuples, then each conductance-only branch whose buses
-    survive and whose pair gained no edge added back."""
+    keyed on old branch tuples."""
     new_edges, vmap = loop_perturb(graph_of(grid.n_buses, loop_graph(grid)), count, mode, seed)
     cond = {(i, j): g for i, j, g, _ in loop_branch_values(grid)}
     inverse = {new: old for old, new in vmap.items()}
@@ -173,10 +172,6 @@ def loop_perturb_grid(grid, count, mode, seed):
         if oi is not None and oj is not None and (min(oi, oj), max(oi, oj)) in cond:
             g = cond[(min(oi, oj), max(oi, oj))]
         rows.append((i, j, g, w))
-    pairs = {(i, j) for i, j, _, _ in rows}
-    for i, j, g, b in loop_branch_values(grid):
-        if b == 0.0 and i in vmap and j in vmap and (vmap[i], vmap[j]) not in pairs:
-            rows.append((vmap[i], vmap[j], g, b))
     return tuple(sorted(rows)), vmap
 
 
@@ -203,7 +198,7 @@ def digest(obj):
 # ------------------------------------------------------- grid -> graph/branches
 
 
-@pytest.mark.parametrize("make", [bundled_ieee118, conductance_only_grid])
+@pytest.mark.parametrize("make", [bundled_ieee118])
 def test_graph_and_branch_values_match_loops(make):
     grid = make()
     graph = grid.graph()
@@ -214,7 +209,7 @@ def test_graph_and_branch_values_match_loops(make):
         assert type(value) in (int, float)
 
 
-@pytest.mark.parametrize("make", [bundled_ieee118, tiled_grid, conductance_only_grid])
+@pytest.mark.parametrize("make", [bundled_ieee118, tiled_grid])
 def test_stored_branches_match_dense_scans(make):
     # the reference: upper-triangle scans of the dense branch matrices, and
     # the stacked admittance built from those matrices
@@ -231,16 +226,18 @@ def test_stored_branches_match_dense_scans(make):
     assert np.array_equal(grid._stacked.toarray(), np.block([[g, -b], [b, g]]) * uu)
 
 
-def test_conductance_only_branch_is_a_branch_but_not_an_edge():
-    grid = conductance_only_grid()
-    assert len(grid.branch_values()) == grid.graph().n_edges + 1
+def test_conductance_only_branch_is_rejected():
+    # every branch is an edge of the susceptance graph: one with no
+    # susceptance is no valid branch
+    with pytest.raises(InvalidGraphError, match="finite susceptance > 0"):
+        conductance_only_grid()
 
 
 @pytest.mark.parametrize(
     "mode", ["add-edges", "remove-edges", "add-vertices", "remove-vertices"]
 )
 def test_perturb_grid_matches_loop_rebuild(mode):
-    for make in (bundled_ieee118, conductance_only_grid, random_grid_40, tiled_grid_4):
+    for make in (bundled_ieee118, random_grid_40, tiled_grid_4):
         grid = make()
         for seed in range(3):
             new_grid, old = perturb_grid(grid, 4, mode, seed)
@@ -271,33 +268,6 @@ def test_perturb_matches_loop_triples_and_maps(mode):
             assert (new.i.dtype, new.j.dtype, new.weight.dtype) == (np.intp, np.intp, np.float64)
             assert repr(edges_of(new)) == repr(edges)
             assert old.tolist() == old_indices(vmap, new.n_vertices).tolist()
-
-
-@pytest.mark.parametrize("mode", graphs.PERTURB_MODES)
-def test_perturb_grid_keeps_conductance_only_branches(mode):
-    # such a branch is no edge of the perturbed susceptance graph
-    grid = conductance_only_grid()
-    lone = [(i, j, g) for i, j, g, b in grid.branch_values() if b == 0.0]
-    carried = 0
-    for seed in range(3):
-        new_grid, old = perturb_grid(grid, 1, mode, seed)
-        rows = {(i, j): (g, b) for i, j, g, b in new_grid.branch_values()}
-        vmap = dict(vertex_map(old))
-        kept = [(vmap[i], vmap[j], g) for i, j, g in lone if i in vmap and j in vmap]
-        for i, j, g in kept:
-            assert rows[(i, j)] == (g, 0.0)
-        assert len(rows) == new_grid.graph().n_edges + len(kept)
-        carried += len(kept)
-    assert carried
-
-
-def test_perturb_grid_merges_an_edge_added_on_a_conductance_only_pair():
-    # (0, 2) is the one absent pair of the susceptance path 0-1-2
-    grid = table_grid(3, {(0, 1): (0.1, 2.0), (1, 2): (0.2, 3.0), (0, 2): (0.7, 0.0)})
-    new_grid, _ = perturb_grid(grid, 1, "add-edges", 0)
-    assert len(new_grid.branch_values()) == 3
-    (_, _, g, b), = [row for row in new_grid.branch_values() if row[:2] == (0, 2)]
-    assert g == 0.7 and 2.0 <= b <= 3.0
 
 
 # ------------------------------------------------------------ add-edges draw
