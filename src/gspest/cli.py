@@ -140,11 +140,10 @@ def _cmd_fit(args) -> int:
 def _cmd_eval(args) -> int:
     config = _load_config(args)
     model = build_model(config)
-    with open(args.estimator) as fh:
-        text = fh.read()
-    try:
-        est = estimator_from_json(text, model.sg)
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+    try:  # ValueError covers bad JSON and text that is not UTF-8
+        with open(args.estimator, encoding="utf-8") as fh:
+            est = estimator_from_json(fh.read(), model.sg)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad estimator {args.estimator}: {exc!r}") from exc
     mse, stderr = evaluate_mse(
         est, model, config.trials, derive(config.seed, "test", 0, 0)

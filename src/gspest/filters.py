@@ -22,7 +22,7 @@ families are supported:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -206,28 +206,21 @@ def numerical_rank(matrix: np.ndarray, rtol: float = RANK_RTOL) -> int:
 
 
 def spec_to_json(spec: FilterSpec) -> str:
-    """Serialize a filter spec to JSON (floats keep full precision)."""
-    doc: dict = {"kind": spec.kind}
-    if spec.kind == "lpi":
-        doc["taps"] = spec.taps.tolist()
-    else:
-        doc["numerator"] = spec.numerator.tolist()
-        doc["denominator"] = spec.denominator.tolist()
-    if spec.cutoff is not None:
-        doc["cutoff"] = spec.cutoff
-    return json.dumps(doc)
+    """Serialize a filter spec as a JSON object of its set (non-None) fields,
+    by name in field order (floats keep full precision)."""
+    values = ((f.name, getattr(spec, f.name)) for f in fields(spec))
+    return json.dumps({name: v.tolist() if isinstance(v, np.ndarray) else v
+                       for name, v in values if v is not None})
 
 
 def spec_from_json(text: str) -> FilterSpec:
-    """Inverse of :func:`spec_to_json`; round trips bit-exactly."""
+    """Inverse of :func:`spec_to_json`; round trips bit-exactly. Text that is
+    not a JSON object of :class:`FilterSpec` fields with a ``kind`` (an
+    unknown field included) is a ValueError."""
     doc = json.loads(text)
-    kind = doc.get("kind")
-    if kind == "lpi":
-        return FilterSpec.lpi(doc["taps"])
-    if kind == "linear":
-        return FilterSpec.linear(doc["numerator"])
-    if kind == "arma":
-        return FilterSpec.arma(doc["numerator"], doc["denominator"])
-    if kind == "lr-arma":
-        return FilterSpec.lr_arma(doc["numerator"], doc["denominator"], doc["cutoff"])
-    raise ValueError(f"unknown filter kind {kind!r}")
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise ValueError(f"a filter spec is a JSON object with a kind, not {text[:40]}")
+    unknown = doc.keys() - {f.name for f in fields(FilterSpec)}
+    if unknown:
+        raise ValueError(f"unknown filter spec fields {sorted(unknown)}")
+    return FilterSpec(**doc)

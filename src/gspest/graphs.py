@@ -433,25 +433,36 @@ def write_edge_list(graph: WeightedGraph, path) -> None:
             writer.writerow([i, j, format(w, ".17g")])
 
 
+def _read_table(path, header: list[str], what: str) -> list[np.ndarray]:
+    """The columns of a UTF-8 CSV table with ``header`` (case and spaces
+    ignored): two integer columns, then floats; blank rows are skipped. A bad
+    header or row, a value that does not parse, text that is not UTF-8 or a
+    table with no rows is an :class:`InvalidGraphError` naming the ``what``
+    table."""
+    rows = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            head = next(reader, None)
+            if head is None or [h.strip().lower() for h in head] != header:
+                raise InvalidGraphError(f"bad {what} header in {path}: {head}")
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise InvalidGraphError(f"bad {what} row {row}")
+                try:
+                    rows.append((int(row[0]), int(row[1]), *map(float, row[2:])))
+                except ValueError as exc:
+                    raise InvalidGraphError(f"unparseable {what} row {row}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidGraphError(f"cannot read {what} table {path}: {exc}") from exc
+    if not rows:
+        raise InvalidGraphError(f"no {what} rows in {path}")
+    return [np.array(c) for c in zip(*rows)]
+
+
 def read_edge_list(path) -> WeightedGraph:
-    """Read a ``from,to,weight`` CSV written by :func:`write_edge_list`; the
-    vertex count is ``max index + 1``."""
-    edges = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["from", "to", "weight"]:
-            raise InvalidGraphError(f"bad edge-list header in {path}: {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InvalidGraphError(f"bad edge-list row {row}")
-            try:
-                edges.append((int(row[0]), int(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise InvalidGraphError(f"unparseable edge-list row {row}") from exc
-    n = max((max(i, j) for i, j, _ in edges), default=-1) + 1
-    if n == 0:
-        raise InvalidGraphError(f"empty edge list in {path}")
-    return WeightedGraph(n, *zip(*edges))
+    """Read a ``from,to,weight`` CSV (UTF-8, 0-based vertices) as written by
+    :func:`write_edge_list`; the vertex count is ``max index + 1``. A table
+    that does not parse, or has no edges, is an :class:`InvalidGraphError`."""
+    i, j, w = _read_table(path, ["from", "to", "weight"], "edge-list")
+    return WeightedGraph(int(max(i.max(), j.max())) + 1, i, j, w)

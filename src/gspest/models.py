@@ -19,7 +19,6 @@ where it runs ``cos`` and ``sin`` as scalar libm calls.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable
@@ -32,6 +31,7 @@ from .graphs import (
     SpectralGraph,
     WeightedGraph,
     _filter_operator,
+    _read_table,
     _stays_connected,
     build_laplacian,
     perturb,
@@ -217,36 +217,18 @@ def ac_power(model: AcGridModel, x: np.ndarray) -> np.ndarray:
 
 
 def load_grid(path) -> AcGridModel:
-    """Read a branch CSV ``from,to,conductance,susceptance`` (1-based buses)
-    into a grid on as many buses as the largest index. A network with fewer
-    than ``n - 1`` branches on ``n`` buses is disconnected and rejected before
-    its grid is built; the grid rejects bad branches (0-based in messages).
+    """Read a branch CSV ``from,to,conductance,susceptance`` (UTF-8, 1-based
+    buses) into a grid on as many buses as the largest index. A table that
+    does not parse or has no branches is an :class:`InvalidGraphError`; a
+    network with fewer than ``n - 1`` branches on ``n`` buses is disconnected
+    and rejected before its grid is built; the grid rejects bad branches
+    (0-based in messages).
     """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expect = ["from", "to", "conductance", "susceptance"]
-        if header is None or [h.strip().lower() for h in header] != expect:
-            raise InvalidGraphError(f"bad branch header in {path}: {header}")
-        for raw in reader:
-            if not raw:
-                continue
-            if len(raw) != 4:
-                raise InvalidGraphError(f"bad branch row {raw}")
-            try:
-                f, t = int(raw[0]), int(raw[1])
-                g, b = float(raw[2]), float(raw[3])
-            except ValueError as exc:
-                raise InvalidGraphError(f"unparseable branch row {raw}") from exc
-            rows.append((f, t, g, b))
-    if not rows:
-        raise InvalidGraphError(f"no branches in {path}")
-    f, t, g, b = (np.array(c) for c in zip(*rows))
+    f, t, g, b = _read_table(path, ["from", "to", "conductance", "susceptance"], "branch")
     n = int(max(f.max(), t.max()))
-    if n > len(rows) + 1:
+    if n > f.size + 1:
         raise DisconnectedGraphError(
-            f"network in {path} is not connected: {n} buses, {len(rows)} branches"
+            f"network in {path} is not connected: {n} buses, {f.size} branches"
         )
     # 0-based columns sorted by (i, j); the grid checks every branch
     i, j = np.minimum(f, t) - 1, np.maximum(f, t) - 1

@@ -81,13 +81,22 @@ def _write_csv_pair(x_path, g_path, chunks) -> None:
             np.savetxt(fg, g, fmt="%.17g", delimiter=",")
 
 
+def _read_rows(path) -> np.ndarray:
+    with open(path, encoding="utf-8") as fh:
+        # loadtxt only warns on a file with no data lines (blank or comments)
+        if not any(line.partition("#")[0].strip() for line in fh):
+            raise ValueError(f"no rows in {path}")
+        fh.seek(0)
+        return np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
 def read_training_csv(
     sg: SpectralGraph, x_path, g_path, x_mean: np.ndarray | None = None
 ) -> TrainingSet:
     """Read back a CSV pair written by :meth:`TrainingSet.write_csv`;
-    ``ValueError`` if a value is not finite."""
-    x = np.loadtxt(x_path, delimiter=",", ndmin=2)
-    g = np.loadtxt(g_path, delimiter=",", ndmin=2)
+    ``ValueError`` if a file has no rows or is not UTF-8, or a value is not
+    finite."""
+    x, g = (_read_rows(path) for path in (x_path, g_path))
     if not (np.isfinite(x).all() and np.isfinite(g).all()):
         raise ValueError("training data must be finite")
     mean = np.zeros(sg.n_vertices) if x_mean is None else x_mean

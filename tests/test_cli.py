@@ -111,11 +111,29 @@ def test_unknown_flag_is_usage_error(capsys):
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):
     out = tmp_path / "g.csv"
-    code = main(
-        ["graph", "build", "--out", str(out), "--config", str(tmp_path / "no.json")]
-    )
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    for config in (tmp_path / "no.json", not_utf8):
+        code = main(["graph", "build", "--out", str(out), "--config", str(config)])
+        assert code == 1
+        assert f"gspest: error: cannot read config {config}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", ["branch", "edge-list"])
+def test_table_that_is_not_utf8_is_usage_error(tmp_path, config_path, capsys, table):
+    out = tmp_path / "new.csv"
+    if table == "branch":  # the config's grid
+        path = tmp_path / "grid.csv"
+        argv = ["graph", "build", "--config", config_path, "--out", str(out)]
+    else:
+        path = tmp_path / "graph.csv"
+        argv = ["graph", "perturb", "--graph", str(path), "--mode", "remove-edges",
+                "--count", "1", "--out", str(out)]
+    path.write_bytes("from,to,weight\n0,1,1.0\n".encode("utf-16"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gspest: error: cannot read {table} table")
+    assert not out.exists()
 
 
 def test_graph_build_writes_edge_list(tmp_path, config_path, capsys):
@@ -231,39 +249,46 @@ def test_dataset_fit_eval_flow(tmp_path, config_path, capsys):
 
 
 def _bad_estimator(tmp_path, config_path, case):
-    """Text of an estimator file that does not fit the config's graph."""
+    """Bytes of an estimator file that does not fit the config's graph."""
     if case == "not-an-estimator":
-        return '{"a": 1}'
+        return b'{"a": 1}'
+    if case == "not-utf8":
+        return b"\xff\xfe{}"
     est_path = tmp_path / "est.json"
-    family = "lmmse" if case == "linear-short" else "gsp"
+    family = {"linear-short": "lmmse", "filter-not-object": "lpi"}.get(case, "gsp")
     main(["fit", "--filter", family, "--out", str(est_path), "--config", config_path])
     text = est_path.read_text()
     if case == "truncated":
-        return text[: len(text) // 2]
+        return text[: len(text) // 2].encode()
     doc = json.loads(text)
+    if case == "filter-not-object":
+        doc["filter"] = "lpi"
+        return json.dumps(doc).encode()
     # one vertex short of the config's graph
     for key in ("x_mean", "y_center", "response"):
         if key in doc:
             doc[key] = doc[key][:-1]
     if "gain" in doc:
         doc["gain"] = [row[:-1] for row in doc["gain"][:-1]]
-    return json.dumps(doc)
+    return json.dumps(doc).encode()
 
 
 @pytest.mark.parametrize(
-    "case", ["not-an-estimator", "truncated", "linear-short", "spectral-short"]
+    "case", ["not-an-estimator", "truncated", "linear-short", "spectral-short",
+             "not-utf8", "filter-not-object"]
 )
 def test_eval_bad_estimator_is_usage_error(tmp_path, config_path, capsys, case):
     est_path = tmp_path / "bad.json"
-    est_path.write_text(_bad_estimator(tmp_path, config_path, case))
+    est_path.write_bytes(_bad_estimator(tmp_path, config_path, case))
     capsys.readouterr()
     code = main(["eval", "--estimator", str(est_path), "--config", config_path])
     assert code == 1
     assert "gspest: error: bad estimator" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "case", ["narrow", "ragged", "unpaired", "non-finite-x", "non-finite-g"]
+    "case", ["narrow", "ragged", "unpaired", "non-finite-x", "non-finite-g", "empty"]
 )
 def test_fit_bad_dataset_is_usage_error(tmp_path, config_path, capsys, case):
     prefix = tmp_path / "train"
@@ -278,6 +303,9 @@ def test_fit_bad_dataset_is_usage_error(tmp_path, config_path, capsys, case):
         x_path.write_text("\n".join(x_path.read_text().splitlines()[:-1] + ["1,2"]))
     elif case == "unpaired":  # x and g of different lengths
         np.savetxt(x_path, x[:-1], delimiter=",")
+    elif case == "empty":  # two empty files
+        for path in (x_path, g_path):
+            path.write_text("")
     else:  # one nan in x or g
         path = x_path if case.endswith("x") else g_path
         values = np.loadtxt(path, delimiter=",")

@@ -81,6 +81,28 @@ def test_spec_json_round_trip():
         json.loads(text)  # stays plain JSON
 
 
+def test_spec_json_is_its_set_fields():
+    specs = {
+        '{"kind": "lpi", "taps": [1.0, -0.5]}': FilterSpec.lpi([1.0, -0.5]),
+        '{"kind": "arma", "numerator": [0.25, 2.0], "denominator": [1.0, 0.125]}':
+            FilterSpec.arma([0.25, 2.0], [1.0, 0.125]),
+        '{"kind": "linear", "numerator": [3.0], "denominator": [1.0]}':
+            FilterSpec.linear([3.0]),
+        '{"kind": "lr-arma", "numerator": [0.5], "denominator": [1.0, 0.3], "cutoff": 7}':
+            FilterSpec.lr_arma([0.5], [1.0, 0.3], cutoff=7),
+    }
+    for text, spec in specs.items():
+        assert spec_to_json(spec) == text
+
+
+@pytest.mark.parametrize("text", [
+    '"lpi"', "[1, 2]", '{"taps": [1.0]}', '{"kind": "lpi", "taps": [1.0], "order": 0}',
+])
+def test_spec_from_json_rejects_what_is_not_a_spec(text):
+    with pytest.raises(ValueError):
+        spec_from_json(text)
+
+
 # --------------------------------------------------------------------- bases
 
 

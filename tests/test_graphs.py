@@ -476,3 +476,19 @@ def test_edge_list_round_trip(tmp_path):
     assert edges_of(back) == edges_of(g)
     header = path.read_text().splitlines()[0]
     assert header == "from,to,weight"
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"", "bad edge-list header in .*: None"),
+    (b"from,to\n0,1\n", "bad edge-list header"),
+    (b"from,to,weight\n0,1\n", "bad edge-list row \\['0', '1'\\]"),
+    (b"from,to,weight\n0,1,x\n", "unparseable edge-list row \\['0', '1', 'x'\\]"),
+    (b"from,to,weight\n\n\n", "no edge-list rows in "),
+    ("from,to,weight\n0,1,1.0\n".encode("utf-16"), "cannot read edge-list table .*utf-8"),
+    (b"from,to,weight\n0,1,1" + b"0" * 200_000 + b"\n", "cannot read edge-list table .*limit"),
+], ids=["empty", "header", "width", "value", "no-rows", "utf-16", "long-field"])
+def test_edge_list_faults_are_invalid_graph_errors(tmp_path, data, message):
+    path = tmp_path / "graph.csv"
+    path.write_bytes(data)
+    with pytest.raises(InvalidGraphError, match=message):
+        read_edge_list(path)
