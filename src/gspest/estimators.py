@@ -27,14 +27,14 @@ search the denominator coefficients with Nelder-Mead; the polynomial case
 (no denominator) is the profile at the empty tail, without a search.
 Denominators that vanish on the spectrum are rejected inside the search by
 giving them an infinite objective. The search is this module's
-:func:`minimize`, which takes the steps of scipy's Nelder-Mead bit for bit,
-so no fit loads ``scipy.optimize``.
+:func:`minimize`, which takes the steps of SciPy's Nelder-Mead bit for bit,
+so no fit needs SciPy.
 
 The rational search settings are fixed: both coefficient vectors are
 penalized by ``mu`` times their squared norm (identity regularizers), the
 denominator tail starts at zero (the polynomial filter) with an initial
 simplex of side 0.1, and Nelder-Mead stops after ``200 n`` iterations
-(scipy's default for ``n`` denominator coefficients) or ``800 n`` objective
+(SciPy's default for ``n`` denominator coefficients) or ``800 n`` objective
 evaluations, or once the simplex spans at most 1e-10 in objective value and
 1e-8 in coefficients.
 """
@@ -92,7 +92,7 @@ def minimize(
     ``(n + 1, n)`` initial simplex, with reflection 1, expansion 2 and
     contraction and shrink 1/2.
 
-    It takes the steps of ``scipy.optimize.minimize(method="Nelder-Mead")``
+    It takes the steps of SciPy's ``optimize.minimize(method="Nelder-Mead")``
     with the same ``initial_simplex`` and options, in the same floating-point
     order, so both end on the same bits: ``fun`` gets a copy of each vertex,
     an evaluation past ``maxfev`` ends the iteration it falls in, and the
@@ -120,7 +120,7 @@ def minimize(
             fsim[k] = f(sim[k])
     except _BudgetSpent:
         pass
-    # sorted twice, as scipy does: argsort need not keep tied entries in place
+    # sorted twice, as SciPy does: argsort need not keep tied entries in place
     sim, fsim = by_value(*by_value(sim, fsim))
     nit = 1
     while nfev < maxfev and nit < maxiter:

@@ -25,17 +25,19 @@ unweighted), and by ``eigvalsh`` only where that bound is <= the tolerance.
 :func:`build_laplacian` holds at most two N x N arrays at once, with the bits
 of the out-of-place formulas: ``L`` in the adjacency's buffer, then ``eigh``'s
 eigenvectors, canonicalized in place, beside ``L`` or one check's product.
+Every other product with the graph's Laplacian or incidence is a sum over its
+edge table (:func:`_end_sums`), never a matrix.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
 
-from .errors import InvalidGraphError, PerturbationInfeasibleError
+from .errors import DisconnectedGraphError, InvalidGraphError, PerturbationInfeasibleError
 from .rng import generator
 
 # Relative tolerance for treating an eigenvalue as zero (scaled by lam[-1]).
@@ -98,6 +100,19 @@ class WeightedGraph:
     def n_edges(self) -> int:
         return self.i.size
 
+    @cached_property
+    def _incidence(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The 2T edge ends (``k`` edge k's ``i`` end, ``T + k`` its ``j`` end)
+        grouped by vertex: ``rank[v]``, the place of ``v`` by degree, highest
+        first, and ``slots[s]``, the s-th end of each vertex of degree > s."""
+        ends = np.concatenate((self.i, self.j))
+        degree = np.bincount(ends, minlength=self.n_vertices)
+        rank = np.argsort(np.argsort(-degree, kind="stable"))
+        grouped, by_rank = np.argsort(rank[ends], kind="stable"), -np.sort(-degree)
+        start = np.cumsum(by_rank) - by_rank
+        return rank, tuple(grouped[start[:np.count_nonzero(degree > s)] + s]
+                           for s in range(degree.max(initial=0)))
+
     def adjacency(self) -> np.ndarray:
         """Dense symmetric weight matrix with zero diagonal."""
         w = np.zeros((self.n_vertices, self.n_vertices))
@@ -147,6 +162,17 @@ class SpectralGraph:
 
     def is_connected(self) -> bool:
         return _connected_spectrum(self.eigenvalues)
+
+
+def _end_sums(graph: WeightedGraph, ends: np.ndarray) -> np.ndarray:
+    """Row ``v`` the sum of the rows of ``ends``, one per edge end as in
+    :attr:`WeightedGraph._incidence`, at vertex ``v``, in one fixed order."""
+    rank, slots = graph._incidence
+    acc = np.zeros((graph.n_vertices,) + ends.shape[1:])
+    part = np.empty_like(acc)
+    for s in slots:
+        acc[:len(s)] += np.take(ends, s, axis=0, out=part[:len(s)], mode="clip")
+    return np.take(acc, rank, axis=0, out=part, mode="clip")
 
 
 def _filter_operator(eigenvectors: np.ndarray, response: np.ndarray) -> np.ndarray:
@@ -230,17 +256,10 @@ def build_laplacian(graph: WeightedGraph) -> SpectralGraph:
     the eigenpair residual ``max|L v - lam v|`` must not exceed 1e-8 relative
     to the spectral scale; both are enforced here, not just tested.
     """
-    lap = _laplacian(graph.adjacency())
-    eigvals, vecs = np.linalg.eigh(lap)
-    # the sparse L: its entries at the edges, both ways, and the diagonal, by row
-    n, on = graph.n_vertices, graph.weight != 0
-    rows, cols = (np.concatenate((a[on], b[on], np.arange(n)))
-                  for a, b in ((graph.i, graph.j), (graph.j, graph.i)))
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    lap = csr_array((lap[rows, cols], cols, np.searchsorted(rows, np.arange(n + 1))), (n, n))
+    eigvals, vecs = np.linalg.eigh(_laplacian(graph.adjacency()))
     _canonicalize_eigenvectors(eigvals, vecs)
 
+    n = graph.n_vertices
     gram = vecs.T @ vecs
     gram.flat[::n + 1] -= 1.0
     ortho = np.abs(gram, out=gram).max()
@@ -248,9 +267,15 @@ def build_laplacian(graph: WeightedGraph) -> SpectralGraph:
     if ortho > 1e-10:
         raise InvalidGraphError(f"eigenvector basis not orthonormal ({ortho:.2e})")
     scale = max(float(eigvals[-1]), 1.0)
-    cuts = range(_COLUMN_BLOCK, n, _COLUMN_BLOCK)
-    resid = np.max([np.abs(lap @ v - v * lam).max()
-                    for v, lam in zip(np.split(vecs, cuts, axis=1), np.split(eigvals, cuts))])
+    # L v from the edges, w (v_i - v_j) at each i end and its negative at
+    # each j end, on as many columns at a time as keep it N x 128 in size
+    i, j, maxima = graph.i, graph.j, []
+    step = max(1, _COLUMN_BLOCK * n // max(graph.n_edges, 1))
+    for lo in range(0, n, step):
+        v, lam = vecs[:, lo:lo + step], eigvals[lo:lo + step]
+        f = (v[i] - v[j]) * graph.weight[:, None]
+        maxima.append(np.abs(_end_sums(graph, np.concatenate((f, -f))) - v * lam).max())
+    resid = np.max(maxima)
     if resid > 1e-8 * scale:
         raise InvalidGraphError(f"eigenpair residual too large ({resid:.2e})")
 
@@ -463,6 +488,15 @@ def _read_table(path, header: list[str], what: str) -> list[np.ndarray]:
 def read_edge_list(path) -> WeightedGraph:
     """Read a ``from,to,weight`` CSV (UTF-8, 0-based vertices) as written by
     :func:`write_edge_list`; the vertex count is ``max index + 1``. A table
-    that does not parse, or has no edges, is an :class:`InvalidGraphError`."""
+    that does not parse, or has no edges, is an :class:`InvalidGraphError`;
+    a graph that is not connected is a :class:`DisconnectedGraphError`, and
+    one with more vertices than edges + 1 is rejected before it is built."""
     i, j, w = _read_table(path, ["from", "to", "weight"], "edge-list")
-    return WeightedGraph(int(max(i.max(), j.max())) + 1, i, j, w)
+    n = int(max(i.max(), j.max())) + 1
+    if n > i.size + 1:
+        raise DisconnectedGraphError(
+            f"graph in {path} is not connected: {n} vertices, {i.size} edges")
+    graph = WeightedGraph(n, i, j, w)
+    if not _stays_connected(graph):
+        raise DisconnectedGraphError(f"graph in {path} is not connected")
+    return graph

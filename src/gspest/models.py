@@ -9,12 +9,12 @@ grid model follows the per-unit AC power-flow equations over branch
 conductances/susceptances with the graph Laplacian of the susceptance-weighted
 branch graph. Its Laplacian, its connectivity check and its topology
 perturbations are those of :mod:`gspest.graphs`. A grid is that graph, built
-once, plus a conductance per branch and a voltage per bus, and builds from
-them only the sparse stacked admittance that :func:`ac_power` multiplies by,
-never an N×N matrix.
-:func:`ac_power` takes the cosines and sines of the phases from one ``tan`` by
-the half-angle identity, because numpy runs float64 ``tan`` on SIMD kernels
-where it runs ``cos`` and ``sin`` as scalar libm calls.
+once, plus a conductance per branch and a voltage per bus, and nothing else:
+:func:`ac_power` sums branch terms over the graph's edge table, never an
+admittance matrix.
+:func:`ac_power` takes the cosines and sines of the phase differences from
+one ``tan`` by the half-angle identity, because numpy runs float64 ``tan`` on
+SIMD kernels where it runs ``cos`` and ``sin`` as scalar libm calls.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from importlib import resources
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DisconnectedGraphError, InvalidGraphError
 from .graphs import (
     SpectralGraph,
     WeightedGraph,
+    _end_sums,
     _filter_operator,
     _read_table,
     _stays_connected,
@@ -126,8 +126,6 @@ class AcGridModel:
     susceptance: np.ndarray = field(repr=False)
     voltage: np.ndarray = field(repr=False, default=None)
     _graph: WeightedGraph = field(init=False, repr=False, compare=False)
-    # sparse [[G, -B], [B, G]] * u_n u_m over both directions of every branch
-    _stacked: sparse.csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         graph = WeightedGraph(self.n_buses, self.i, self.j, self.susceptance)
@@ -150,13 +148,6 @@ class AcGridModel:
         names = ("n_buses", "i", "j", "conductance", "susceptance", "voltage", "_graph")
         for name, value in zip(names, (n, i, j, g, b, v, graph)):
             object.__setattr__(self, name, value)
-        # both directions of every branch in row-major order
-        rows, cols = np.concatenate((i, j)), np.concatenate((j, i))
-        order = np.lexsort((cols, rows))
-        r, c, gd, bd = rows[order], cols[order], np.tile(g, 2)[order], np.tile(b, 2)[order]
-        at = np.concatenate((r, r, r + n, r + n)), np.concatenate((c, c + n, c, c + n))
-        data = np.concatenate((gd, -bd, bd, gd)) * np.tile(v[r] * v[c], 4)
-        object.__setattr__(self, "_stacked", sparse.csr_array((data, at), (2 * n, 2 * n)))
 
     def graph(self) -> WeightedGraph:
         """The susceptance-weighted graph over the branches, built once."""
@@ -168,51 +159,59 @@ class AcGridModel:
         return tuple(zip(*(c.tolist() for c in columns)))
 
 
-def _cos_sin(x: np.ndarray, out: np.ndarray, den: np.ndarray) -> None:
-    """Write ``cos x`` over ``sin x`` to ``out`` from one ``tan`` by the
-    half-angle identity: with ``t = tan(x / 2)``, ``cos x = (1 - t²) / (1 + t²)``
-    and ``sin x = 2t / (1 + t²)``. ``den``, shaped like ``x``, takes ``1 + t²``."""
-    c, s = out[:len(x)], out[len(x):]
-    np.multiply(x, 0.5, out=s)
-    np.tan(s, out=s)
-    np.square(s, out=c)
-    np.add(c, 1.0, out=den)
-    np.subtract(1.0, c, out=c)
-    c /= den
-    s += s
-    s /= den
+def _branch_terms(h: np.ndarray, g: np.ndarray, b: np.ndarray, out: np.ndarray,
+                  den: np.ndarray) -> None:
+    """Write ``g cos d ± b sin d`` to ``out``'s halves from the half angles
+    ``h = d / 2`` by one ``tan``: with ``t = tan(d / 2)`` and ``q = 2 / (1 + t²)``,
+    ``cos d = q - 1`` and ``sin d = t q``. ``h`` and ``den`` are scratch."""
+    np.tan(h, out=h)
+    np.square(h, out=den)
+    den += 1.0
+    np.divide(2.0, den, out=den)
+    h *= den
+    den -= 1.0
+    den *= g
+    h *= b
+    np.add(den, h, out=out[:len(h)])
+    np.subtract(den, h, out=out[len(h):])
 
 
 def ac_power(model: AcGridModel, x: np.ndarray) -> np.ndarray:
     """Active power injections for phase vector(s) ``x`` (radians), 1-D or 2-D.
 
     ``p_n = sum_m u_n u_m (G_nm cos(x_n - x_m) + B_nm sin(x_n - x_m))`` over
-    branches; invariant under adding a constant to all phases. With a column
-    ``cs = [cos x; sin x]`` per row and ``S`` the sparse ``[[G, -B], [B, G]]``
-    scaled by ``u_n u_m``, it is ``q[:N] + q[N:]`` for ``q = cs * (S @ cs)``:
-    O(branches) per row, no BLAS, each entry summed in one fixed order.
-
-    ``cs`` comes from one ``tan`` by the half-angle identity, within a few
-    eps of ``np.cos``/``np.sin``: numpy runs float64 ``tan`` on a SIMD
-    kernel where the CPU has AVX-512 but ``cos`` and ``sin`` as scalar libm
-    calls, so this is several times faster, and its bits follow numpy's
-    ``tan`` dispatch (SIMD on AVX-512, libm elsewhere).
+    branches; invariant under adding a constant to all phases. Branch
+    ``(i, j)`` with ``d = x_i - x_j`` gives ``g cos d + b sin d`` to bus ``i``
+    and ``g cos d - b sin d`` to bus ``j`` (``g``, ``b`` scaled by ``u_i u_j``),
+    as MATPOWER writes them, and each bus sums its branch ends in one fixed
+    order: O(branches) per row, no BLAS. The cosines and sines come from one
+    ``tan``, within a few eps of ``np.cos``/``np.sin``: numpy runs float64
+    ``tan`` on a SIMD kernel where the CPU has AVX-512 but ``cos`` and ``sin``
+    as scalar libm calls, so this is several times faster, and its bits
+    follow numpy's ``tan`` dispatch (SIMD on AVX-512, libm elsewhere).
     """
     phases = np.asarray(x, dtype=float)
     n = model.n_buses
     if phases.ndim not in (1, 2) or phases.shape[-1] != n:
         raise ValueError(f"phases must be 1-D or 2-D with {n} entries per row")
-    # 2**15 phases per block of rows keep its cs and S @ cs in a core's cache
-    rows, step = phases.reshape(-1, n), max(1, (1 << 15) // n)
+    i, j, t = model.i, model.j, model.i.size
+    uu = model.voltage[i] * model.voltage[j]
+    # 2**14 branch phases, and at least 32 rows, per block keep its scratch in cache
+    rows, step = phases.reshape(-1, n), max(32, (1 << 14) // max(t, 1))
     out = np.empty(rows.shape)
-    den = np.empty((n, min(step, len(rows))))
     for a in range(0, len(rows), step):
-        block = rows[a:a + step].T
-        cs = np.empty((2 * n, block.shape[1]))
-        _cos_sin(block, cs, den[:, :block.shape[1]])
-        r = model._stacked @ cs
-        r *= cs
-        np.add(r[:n], r[n:], out=out[a:a + step].T)
+        block = rows[a:a + step]
+        if a == 0 or len(block) < step:  # per-call buffers; g and b as whole
+            # columns, as numpy loops slowly over short rows of a broadcast
+            g, b = (np.repeat(v * uu, len(block)).reshape(t, -1)
+                    for v in (model.conductance, model.susceptance))
+            half, h, den = np.empty(block.T.shape), np.empty_like(g), np.empty_like(g)
+            ends = np.empty((2 * t, len(block)))
+        np.multiply(block.T, 0.5, out=half)
+        np.take(half, i, axis=0, out=h, mode="clip")
+        h -= np.take(half, j, axis=0, out=den, mode="clip")
+        _branch_terms(h, g, b, ends, den)
+        out[a:a + step] = _end_sums(model._graph, ends).T
     return out[0] if phases.ndim == 1 else out
 
 

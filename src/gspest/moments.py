@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import SingularMomentsError
-from .graphs import SpectralGraph
+from .graphs import SpectralGraph, _end_sums
 from .models import AcGridModel, MeasurementModel, SmoothPrior, _draw_prior
 from .rng import generator
 
@@ -261,13 +260,12 @@ def population_moments(grid: AcGridModel, prior: SmoothPrior, sigma2: float) -> 
     Each ``K+-`` is one ``exp``, which stays finite where split factors
     would overflow.
     """
-    i, j = grid.i, grid.j
-    t, n = len(i), grid.n_buses
+    i, j, n, graph = grid.i, grid.j, grid.n_buses, grid.graph()
     uu = grid.voltage[i] * grid.voltage[j]
     g, b = grid.conductance * uu, grid.susceptance * uu
-    rows = np.tile(np.arange(t), 2)
-    d = sparse.csr_array((np.repeat([1.0, -1.0], t), (rows, np.concatenate((i, j)))), (t, n))
-    d_abs = abs(d)
+
+    def d_t(a, sign=-1.0):  # D^T a, or |D|^T a for sign 1, over the branch rows of a
+        return _end_sums(graph, np.concatenate((a, sign * a)))
     c = prior.covariance()
     c_xd = c[:, i] - c[:, j]  # Cov(x, d) = C D^T
     c_dd = c_xd[i] - c_xd[j]  # Cov(d) = D C D^T
@@ -277,10 +275,10 @@ def population_moments(grid: AcGridModel, prior: SmoothPrior, sigma2: float) -> 
     k_plus, k_minus = np.exp(half + c_dd), np.exp(half - c_dd)
     cos_cov = np.outer(g, g) * (0.5 * (k_plus + k_minus) - np.outer(e, e))
     sin_cov = np.outer(b, b) * (0.5 * (k_plus - k_minus))
-    y_cov = d_abs.T @ (d_abs.T @ cos_cov).T + d.T @ (d.T @ sin_cov).T
+    y_cov = d_t(d_t(cos_cov, 1.0).T, 1.0) + d_t(d_t(sin_cov).T)
     y_cov.flat[::n + 1] += sigma2
-    cross_cov = (d.T @ (c_xd * (b * e)).T).T
-    return SampleMoments.from_covariances(prior.sg, prior.mean, d_abs.T @ (g * e), cross_cov, y_cov)
+    cross_cov = d_t((c_xd * (b * e)).T).T
+    return SampleMoments.from_covariances(prior.sg, prior.mean, d_t(g * e, 1.0), cross_cov, y_cov)
 
 
 def require_positive_freq_var(m: SampleMoments) -> None:

@@ -52,22 +52,32 @@ def test_entry_point_runs():
     assert "graph" in proc.stdout and "experiment" in proc.stdout
 
 
-# run in a fresh process: which of scipy's heavier modules are loaded after
-# `import gspest.cli`, then after an arma fit, an lr-arma fit and `experiment a`
+# run in a fresh process: which scipy modules are loaded after `import
+# gspest.cli`, then after an arma fit, an lr-arma fit, `experiment a`,
+# `experiment b` in an edge mode and a vertex mode, and `graph build`
 LAZY_IMPORT_PROBE = """
 import json, sys
 import gspest.cli
 
 def loaded():
-    return [m for m in ("scipy.optimize", "scipy.linalg", "scipy.special",
-                        "scipy.sparse.csgraph", "scipy.sparse.linalg") if m in sys.modules]
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 config, out = sys.argv[1:]
 steps = {"import": [0, loaded()]}
-for name, args in (("arma", ["fit", "--filter", "arma"]),
-                   ("lrarma", ["fit", "--filter", "lrarma"]),
-                   ("experiment a", ["experiment", "a"])):
-    code = gspest.cli.main(args + ["--config", config, "--out", f"{out}/{name}.out"])
+with open(config) as fh:
+    doc = json.load(fh)
+runs = [("arma", ["fit", "--filter", "arma"]), ("lrarma", ["fit", "--filter", "lrarma"]),
+        ("experiment a", ["experiment", "a"])]
+for mode in ("add-edges", "remove-vertices"):
+    path = f"{out}/{mode}.json"
+    with open(path, "w") as fh:
+        json.dump({**doc, "perturb_mode": mode}, fh)
+    runs.append((f"experiment b {mode}", ["experiment", "b", "--config", path]))
+runs.append(("graph build", ["graph", "build"]))
+for name, args in runs:
+    if "--config" not in args:
+        args = args + ["--config", config]
+    code = gspest.cli.main(args + ["--out", f"{out}/{name}.out"])
     steps[name] = [code, loaded()]
 print(json.dumps(steps))
 """
@@ -91,8 +101,11 @@ def test_import_loads_neither_scipy_optimize_nor_csgraph(lazy_import_probe):
 
 
 def test_rational_fits_never_load_scipy_optimize(lazy_import_probe):
+    # no command loads any scipy module, scipy.sparse included
     assert lazy_import_probe == {
         "import": [0, []], "arma": [0, []], "lrarma": [0, []], "experiment a": [0, []],
+        "experiment b add-edges": [0, []], "experiment b remove-vertices": [0, []],
+        "graph build": [0, []],
     }
 
 
@@ -173,6 +186,25 @@ def test_graph_perturb_unparseable_edge_row_is_usage_error(tmp_path, capsys, row
     err = capsys.readouterr().err
     assert f"gspest: error: unparseable edge-list row {row.split(',')}" in err
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("mode", PERTURB_MODES)
+@pytest.mark.parametrize("rows", [
+    "0,1,1.0\n1,2,2.0\n2,3000000,1.5\n",
+    "0,1,1.0\n1,2,2.0\n3,4,1.0\n4,5,1.0\n3,5,1.0\n",
+], ids=["three-edges-on-3000001", "path-and-triangle"])
+def test_graph_perturb_disconnected_edge_list_is_usage_error(tmp_path, capsys, rows, mode):
+    # as load_grid does: more vertices than edges + 1 is rejected before the
+    # graph is built, and otherwise the components decide
+    graph = tmp_path / "graph.csv"
+    graph.write_text("from,to,weight\n" + rows)
+    out = tmp_path / "new.csv"
+    argv = ["graph", "perturb", "--graph", str(graph), "--mode", mode,
+            "--count", "1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gspest: error: graph in {graph} is not connected")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_graph_perturb_vertices(tmp_path, config_path):

@@ -22,7 +22,7 @@ from gspest.graphs import (
     perturb_edges,
     perturb_vertices,
 )
-from gspest.models import bundled_ieee118, perturb_grid
+from gspest.models import ac_power, bundled_ieee118, perturb_grid
 from gspest.rng import generator
 from tests.test_graphs import (
     _canonical_sign,
@@ -212,7 +212,8 @@ def test_graph_and_branch_values_match_loops(make):
 @pytest.mark.parametrize("make", [bundled_ieee118, tiled_grid])
 def test_stored_branches_match_dense_scans(make):
     # the reference: upper-triangle scans of the dense branch matrices, and
-    # the stacked admittance built from those matrices
+    # the injections of the stacked admittance built from those matrices,
+    # q[:N] + q[N:] for q = cs * (S @ cs) with cs = [cos x; sin x]
     grid = make()
     g, b = dense_admittance(grid)
     i, j = np.nonzero(np.triu(b != 0.0, 1))
@@ -222,8 +223,13 @@ def test_stored_branches_match_dense_scans(make):
     i, j = np.nonzero(np.triu((b != 0.0) | (g != 0.0), 1))
     want = tuple(zip(i.tolist(), j.tolist(), g[i, j].tolist(), b[i, j].tolist()))
     assert grid.branch_values() == want
-    uu = np.tile(np.outer(grid.voltage, grid.voltage), (2, 2))
-    assert np.array_equal(grid._stacked.toarray(), np.block([[g, -b], [b, g]]) * uu)
+    n, uu = grid.n_buses, np.tile(np.outer(grid.voltage, grid.voltage), (2, 2))
+    stacked = np.block([[g, -b], [b, g]]) * uu
+    x = 2.0 * generator(60, "dense-stacked").standard_normal((5, n))
+    cs = np.concatenate((np.cos(x), np.sin(x)), axis=1)
+    q = cs * (cs @ stacked.T)
+    scale = np.abs(stacked[:n]).sum(axis=1) + np.abs(stacked[n:]).sum(axis=1)
+    assert np.all(np.abs(ac_power(grid, x) - (q[:, :n] + q[:, n:])) <= 1e-13 * scale)
 
 
 def test_conductance_only_branch_is_rejected():
