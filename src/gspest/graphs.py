@@ -26,14 +26,14 @@ unweighted), and by ``eigvalsh`` only where that bound is <= the tolerance.
 of the out-of-place formulas: ``L`` in the adjacency's buffer, then ``eigh``'s
 eigenvectors, canonicalized in place, beside ``L`` or one check's product.
 Every other product with the graph's Laplacian or incidence is a sum over its
-edge table (:func:`_end_sums`), never a matrix.
+edge table (:func:`_end_sums`), never a matrix: each vertex adds its ends in
+end order from 0, by ``np.bincount``.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -100,19 +100,6 @@ class WeightedGraph:
     def n_edges(self) -> int:
         return self.i.size
 
-    @cached_property
-    def _incidence(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """The 2T edge ends (``k`` edge k's ``i`` end, ``T + k`` its ``j`` end)
-        grouped by vertex: ``rank[v]``, the place of ``v`` by degree, highest
-        first, and ``slots[s]``, the s-th end of each vertex of degree > s."""
-        ends = np.concatenate((self.i, self.j))
-        degree = np.bincount(ends, minlength=self.n_vertices)
-        rank = np.argsort(np.argsort(-degree, kind="stable"))
-        grouped, by_rank = np.argsort(rank[ends], kind="stable"), -np.sort(-degree)
-        start = np.cumsum(by_rank) - by_rank
-        return rank, tuple(grouped[start[:np.count_nonzero(degree > s)] + s]
-                           for s in range(degree.max(initial=0)))
-
     def adjacency(self) -> np.ndarray:
         """Dense symmetric weight matrix with zero diagonal."""
         w = np.zeros((self.n_vertices, self.n_vertices))
@@ -165,14 +152,14 @@ class SpectralGraph:
 
 
 def _end_sums(graph: WeightedGraph, ends: np.ndarray) -> np.ndarray:
-    """Row ``v`` the sum of the rows of ``ends``, one per edge end as in
-    :attr:`WeightedGraph._incidence`, at vertex ``v``, in one fixed order."""
-    rank, slots = graph._incidence
-    acc = np.zeros((graph.n_vertices,) + ends.shape[1:])
-    part = np.empty_like(acc)
-    for s in slots:
-        acc[:len(s)] += np.take(ends, s, axis=0, out=part[:len(s)], mode="clip")
-    return np.take(acc, rank, axis=0, out=part, mode="clip")
+    """Row ``v`` the sum of the rows of ``ends`` at vertex ``v``, one row per
+    edge end (edge k's ``i`` end, then ``T + k`` its ``j`` end): each vertex
+    adds its ends in end order from 0, by ``np.bincount``."""
+    c = int(np.prod(ends.shape[1:]))
+    at = (np.concatenate((graph.i, graph.j))[:, None] * c + np.arange(c)).ravel()
+    sums = np.bincount(at, weights=ends.ravel(), minlength=graph.n_vertices * c)
+    # float even with no ends, where bincount counts in ints
+    return sums.astype(float, copy=False).reshape((graph.n_vertices,) + ends.shape[1:])
 
 
 def _filter_operator(eigenvectors: np.ndarray, response: np.ndarray) -> np.ndarray:

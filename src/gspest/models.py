@@ -11,7 +11,8 @@ branch graph. Its Laplacian, its connectivity check and its topology
 perturbations are those of :mod:`gspest.graphs`. A grid is that graph, built
 once, plus a conductance per branch and a voltage per bus, and nothing else:
 :func:`ac_power` sums branch terms over the graph's edge table, never an
-admittance matrix.
+admittance matrix: each bus adds its branch ends in end order from 0, by
+``np.bincount``.
 :func:`ac_power` takes the cosines and sines of the phase differences from
 one ``tan`` by the half-angle identity, because numpy runs float64 ``tan`` on
 SIMD kernels where it runs ``cos`` and ``sin`` as scalar libm calls.
@@ -183,12 +184,13 @@ def ac_power(model: AcGridModel, x: np.ndarray) -> np.ndarray:
     branches; invariant under adding a constant to all phases. Branch
     ``(i, j)`` with ``d = x_i - x_j`` gives ``g cos d + b sin d`` to bus ``i``
     and ``g cos d - b sin d`` to bus ``j`` (``g``, ``b`` scaled by ``u_i u_j``),
-    as MATPOWER writes them, and each bus sums its branch ends in one fixed
-    order: O(branches) per row, no BLAS. The cosines and sines come from one
-    ``tan``, within a few eps of ``np.cos``/``np.sin``: numpy runs float64
-    ``tan`` on a SIMD kernel where the CPU has AVX-512 but ``cos`` and ``sin``
-    as scalar libm calls, so this is several times faster, and its bits
-    follow numpy's ``tan`` dispatch (SIMD on AVX-512, libm elsewhere).
+    as MATPOWER writes them, and each bus adds its branch ends in end order
+    from 0, by ``np.bincount``: O(branches) per row, no BLAS. The cosines and
+    sines come from one ``tan``, within a few eps of ``np.cos``/``np.sin``:
+    numpy runs float64 ``tan`` on a SIMD kernel where the CPU has AVX-512 but
+    ``cos`` and ``sin`` as scalar libm calls, so this is several times
+    faster, and its bits follow numpy's ``tan`` dispatch (SIMD on AVX-512,
+    libm elsewhere).
     """
     phases = np.asarray(x, dtype=float)
     n = model.n_buses
@@ -203,7 +205,7 @@ def ac_power(model: AcGridModel, x: np.ndarray) -> np.ndarray:
         block = rows[a:a + step]
         if a == 0 or len(block) < step:  # per-call buffers; g and b as whole
             # columns, as numpy loops slowly over short rows of a broadcast
-            g, b = (np.repeat(v * uu, len(block)).reshape(t, -1)
+            g, b = (np.repeat(v * uu, len(block)).reshape(t, len(block))
                     for v in (model.conductance, model.susceptance))
             half, h, den = np.empty(block.T.shape), np.empty_like(g), np.empty_like(g)
             ends = np.empty((2 * t, len(block)))

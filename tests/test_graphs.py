@@ -6,6 +6,7 @@ from gspest.graphs import (
     SpectralGraph,
     WeightedGraph,
     _canonicalize_eigenvectors,
+    _end_sums,
     build_laplacian,
     gft,
     igft,
@@ -96,6 +97,26 @@ def test_adjacency_symmetric_zero_diagonal():
 
 
 # ------------------------------------------------------------ decomposition
+
+
+def test_end_sums_add_each_vertex_ends_in_end_order():
+    # end k is edge k's i end and end T + k its j end; each vertex's sum
+    # starts from 0.0 and adds its ends in that order, so a lone -0.0 end
+    # (the last j end, a leaf of the star) sums to +0.0
+    rng = generator(16, "end-sums")
+    star = graph_of(40, ((0, v, float(v)) for v in range(1, 40)))
+    complete = graph_of(12, ((a, b, 1.0) for a in range(12) for b in range(a + 1, 12)))
+    for graph in (graph_of(1), star, complete, bundled_ieee118().graph()):
+        at = np.concatenate((graph.i, graph.j)).tolist()
+        for shape in ((), (1,), (37,)):
+            ends = rng.standard_normal((len(at),) + shape)
+            ends[-1:] = -0.0
+            want = np.zeros((graph.n_vertices,) + shape)
+            for k, v in enumerate(at):
+                want[v] += ends[k]
+            got = _end_sums(graph, ends)
+            assert got.dtype == float and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_path3_spectrum():

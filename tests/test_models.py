@@ -24,7 +24,7 @@ from gspest.models import (
     perturb_grid,
     sample_prior,
 )
-from gspest.moments import SampleMoments, population_moments
+from gspest.moments import SampleMoments, population_moments, stream_moments
 from gspest.rng import generator
 from tests.test_graphs import edges_of, graph_of, random_connected_graph
 
@@ -68,6 +68,16 @@ def tiled_grid(k=8, seed=0):
         f, t = c * n + rng.integers(n, size=3), (c + 1) * n + rng.integers(n, size=3)
         branches.update(zip(zip(f, t), ((0.0, b) for b in rng.uniform(5.0, 40.0, 3))))
     return table_grid(k * n, branches, rng.uniform(0.95, 1.05, k * n))
+
+
+def star_grid(n=300, seed=0):
+    """One hub bus, bus 0, on every branch to ``n - 1`` leaves, with seeded
+    conductances, susceptances and non-unit bus voltages: the largest degree
+    a grid on ``n`` buses can have."""
+    rng = generator(seed, "star-grid", n)
+    g, b = rng.uniform(0.5, 5.0, n - 1), rng.uniform(5.0, 40.0, n - 1)
+    return AcGridModel(n, np.zeros(n - 1, dtype=int), np.arange(1, n), g, b,
+                       rng.uniform(0.95, 1.05, n))
 
 
 # --------------------------------------------------------------------- prior
@@ -281,7 +291,7 @@ def bundled_with_voltages():
     return replace(grid, voltage=v)
 
 
-@pytest.mark.parametrize("make", [bundled_with_voltages, tiled_grid])
+@pytest.mark.parametrize("make", [bundled_with_voltages, tiled_grid, star_grid])
 def test_ac_power_matches_branch_loop(make):
     grid = make()
     assert np.any(grid.conductance) and np.any(grid.voltage != 1.0)
@@ -293,7 +303,7 @@ def test_ac_power_matches_branch_loop(make):
         assert np.all(np.abs(np.atleast_2d(got) - want) <= 1e-13 * scale)
 
 
-@pytest.mark.parametrize("make", [bundled_with_voltages, tiled_grid])
+@pytest.mark.parametrize("make", [bundled_with_voltages, tiled_grid, star_grid])
 def test_ac_power_rows_do_not_depend_on_the_batch(make):
     # every output is summed in the same order whatever the batch, so a
     # batch is bitwise the stack of its rows and of any split of them
@@ -324,6 +334,20 @@ def test_ac_power_bits_do_not_depend_on_blas_threads():
                              capture_output=True, text=True, timeout=300, check=True)
         digests.add(run.stdout.strip())
     assert len(digests) == 1
+
+
+def test_ac_power_on_a_grid_with_no_branches():
+    # the lone bus injects 0, for one phase vector and for a batch, and the
+    # model's draws and streamed moments go through
+    grid = AcGridModel(1, [], [], [], [])
+    assert ac_power(grid, np.array([0.3])).tolist() == [0.0]
+    assert ac_power(grid, np.ones((4, 1))).tolist() == [[0.0]] * 4
+    model = ac_measurement_model(grid, sigma2=0.05)
+    assert model.forward(model.sample_x(3, seed=0)).tolist() == [[0.0]] * 3
+    streamed = stream_moments(model, 10, seed=0)
+    exact = population_moments(grid, model.prior, model.sigma2)
+    for m in (streamed, exact):
+        assert m.y_mean.tolist() == [0.0] and m.y_cov.tolist() == [[0.05]]
 
 
 def test_ac_power_rejects_misshapen_phases():
